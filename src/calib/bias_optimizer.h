@@ -5,9 +5,27 @@
 // step 14 improves them iteratively through the measured SNR of the BP RF
 // sigma-delta modulator (coordinate descent: coarse sweep then local
 // refinement per block, repeated for a few passes).
+//
+// A field sweep has two phases: the coarse grid over the field's range,
+// then the refine window of +/-coarse_step around the best coarse code.
+// Each phase takes its candidates' clean readings ahead of time through
+// lock::BatchEvaluator (one modulator-SNR batch, then one SFDR batch over
+// the candidates whose clean SNR clears the gate) and walks the scalar
+// loop over them. The walk books every measurement the scalar loop makes,
+// in its order, through LockEvaluator::charge, so the chosen codes, trial
+// counts and fault draws are those of one scalar score() per candidate.
+//
+// Re-measure rule: the refine loop skips `code == best_code`, where
+// best_code is the *running* best. When a refine code below the coarse
+// best overtakes it, the loop reaches the coarse best later as an
+// ordinary candidate and measures it again: one more SNR trial, plus an
+// SFDR trial if its reading clears the gate. The re-measure reuses the
+// clean reading of the coarse phase (the oracle is deterministic) but is
+// charged and fault-perturbed like any other measurement.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lock/evaluator.h"
@@ -44,6 +62,14 @@ class BiasOptimizer {
   /// Same measurement at an explicit input power (VGLNA segment tuning).
   double measure_snr_at(const rf::ReceiverConfig& config, double input_dbm);
 
+  /// measure_snr_at for every config at every power, as the scalar loop
+  /// "for each config, for each power" would measure them: result
+  /// [c * input_dbm.size() + p] is configs[c] at input_dbm[p]. One batch
+  /// per power.
+  std::vector<double> measure_snr_at(
+      std::span<const rf::ReceiverConfig> configs,
+      std::span<const double> input_dbm);
+
   /// Two-tone SFDR of a configuration (ATE quick screen).
   double measure_sfdr(const rf::ReceiverConfig& config);
 
@@ -69,7 +95,8 @@ class BiasOptimizer {
   }
 
  private:
-  /// Sweeps one field (coarse grid then +/-refine) maximizing score().
+  /// Sweeps one field (coarse grid then +/-refine) maximizing score(),
+  /// one batch per phase (see the file comment).
   void sweep_field(rf::ReceiverConfig& config, std::uint32_t* field,
                    std::uint32_t max_value, double& best_score);
 

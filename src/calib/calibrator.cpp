@@ -84,19 +84,25 @@ std::uint32_t Calibrator::tune_vglna_segment(rf::ReceiverConfig config,
   const auto code0 = static_cast<std::uint32_t>(std::clamp(
       std::round(code_real), 0.0,
       static_cast<double>(rf::Vglna::kNumGainLevels - 1)));
+  // Serve the whole segment: sensitivity at the midpoint, headroom at the
+  // top, scored by the worse of the two.
+  std::vector<rf::ReceiverConfig> candidates;
+  const std::uint32_t first = code0 > 0 ? code0 - 1 : 0;
+  const std::uint32_t last =
+      std::min(rf::Vglna::kNumGainLevels - 1, code0 + 1);
+  for (std::uint32_t code = first; code <= last; ++code) {
+    config.vglna_gain = code;
+    candidates.push_back(config);
+  }
+  const double powers[] = {segment.mid_dbm(), segment.hi_dbm};
+  const auto snr = optimizer.measure_snr_at(candidates, powers);
   std::uint32_t best_code = code0;
   double best_score = -1e9;
-  for (std::uint32_t code = code0 > 0 ? code0 - 1 : 0;
-       code <= std::min(rf::Vglna::kNumGainLevels - 1, code0 + 1); ++code) {
-    config.vglna_gain = code;
-    // Serve the whole segment: sensitivity at the midpoint, headroom at
-    // the top, scored by the worse of the two.
-    const double snr_mid = optimizer.measure_snr_at(config, segment.mid_dbm());
-    const double snr_top = optimizer.measure_snr_at(config, segment.hi_dbm);
-    const double score = std::min(snr_mid, snr_top);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const double score = std::min(snr[2 * i], snr[2 * i + 1]);
     if (score > best_score) {
       best_score = score;
-      best_code = code;
+      best_code = candidates[i].vglna_gain;
     }
   }
   return best_code;

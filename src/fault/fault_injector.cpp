@@ -69,7 +69,7 @@ double FaultInjector::perturb_measurement(std::string_view site,
 
 std::uint64_t FaultInjector::perturb_word(std::uint64_t bits) {
   if (stuck0_ == 0 && stuck1_ == 0) return bits;
-  const std::uint64_t faulted = (bits & ~stuck0_) | stuck1_;
+  const std::uint64_t faulted = stuck_word(bits);
   // analock: declassified(campaign telemetry: whether a stuck register bit changed the word, not the word's value)
   if (faulted != bits) {
     ++counts_.words_stuck;

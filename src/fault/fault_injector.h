@@ -52,8 +52,13 @@ class FaultInjector {
   /// and is recorded on the fault event.
   double perturb_measurement(std::string_view site, double clean_db);
 
-  /// Applies the stuck-at masks to a fabric word.
+  /// Applies the stuck-at masks to a fabric word, counting a word the
+  /// masks alter.
   [[nodiscard]] std::uint64_t perturb_word(std::uint64_t bits);
+  /// The same masks without the count: what perturb_word(bits) returns.
+  [[nodiscard]] std::uint64_t stuck_word(std::uint64_t bits) const {
+    return (bits & ~stuck0_) | stuck1_;
+  }
   [[nodiscard]] std::uint64_t stuck_at0_mask() const { return stuck0_; }
   [[nodiscard]] std::uint64_t stuck_at1_mask() const { return stuck1_; }
 

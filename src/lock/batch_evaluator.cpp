@@ -11,25 +11,27 @@ std::vector<rf::ReceiverConfig> BatchEvaluator::lane_configs(
   std::vector<rf::ReceiverConfig> configs;
   configs.reserve(keys.size());
   for (const Key64& key : keys) {
-    // Same register corruption make_receiver applies; perturb_word is a
-    // pure mask (no RNG draws), so doing it here per metric keeps the
-    // injector stream untouched.
-    const Key64 applied =
-        scalar_->injector_ != nullptr
-            ? Key64{scalar_->injector_->perturb_word(key.bits())}
-            : key;
-    configs.push_back(decode_key(applied, scalar_->standard_->digital_mode));
+    configs.push_back(scalar_->applied_config(key));
   }
   return configs;
 }
 
+void BatchEvaluator::charge_all(LockEvaluator::Metric metric,
+                                std::span<const Key64> keys,
+                                std::vector<double>& readings) {
+  for (std::size_t l = 0; l < keys.size(); ++l) {
+    readings[l] = scalar_->charge(metric, keys[l], readings[l]);
+  }
+}
+
 std::vector<double> BatchEvaluator::clean_snr_modulator(
     std::span<const Key64> keys, double input_dbm) {
+  if (keys.empty()) return {};
   ANALOCK_SPAN_QUIET("eval.batch.snr_modulator");
-  const rf::Standard& standard = *scalar_->standard_;
-  const EvaluatorOptions& options = scalar_->options_;
+  const rf::Standard& standard = scalar_->standard();
+  const EvaluatorOptions& options = scalar_->options();
   const auto configs = lane_configs(keys);
-  rf::ReceiverBatch batch(standard, scalar_->process_, scalar_->rng_,
+  rf::ReceiverBatch batch(standard, scalar_->process(), scalar_->rng(),
                           configs);
   const double offset = rf::default_tone_offset_hz(standard);
   const auto rf_in = rf::make_test_tone(
@@ -49,11 +51,12 @@ std::vector<double> BatchEvaluator::clean_snr_modulator(
 
 std::vector<double> BatchEvaluator::clean_snr_receiver(
     std::span<const Key64> keys, double input_dbm) {
+  if (keys.empty()) return {};
   ANALOCK_SPAN_QUIET("eval.batch.snr_receiver");
-  const rf::Standard& standard = *scalar_->standard_;
-  const EvaluatorOptions& options = scalar_->options_;
+  const rf::Standard& standard = scalar_->standard();
+  const EvaluatorOptions& options = scalar_->options();
   const auto configs = lane_configs(keys);
-  rf::ReceiverBatch batch(standard, scalar_->process_, scalar_->rng_,
+  rf::ReceiverBatch batch(standard, scalar_->process(), scalar_->rng(),
                           configs);
   const double offset = rf::default_tone_offset_hz(standard);
   const std::size_t n =
@@ -76,11 +79,12 @@ std::vector<double> BatchEvaluator::clean_snr_receiver(
 
 std::vector<double> BatchEvaluator::clean_sfdr(std::span<const Key64> keys,
                                                double dbm_per_tone) {
+  if (keys.empty()) return {};
   ANALOCK_SPAN_QUIET("eval.batch.sfdr");
-  const rf::Standard& standard = *scalar_->standard_;
-  const EvaluatorOptions& options = scalar_->options_;
+  const rf::Standard& standard = scalar_->standard();
+  const EvaluatorOptions& options = scalar_->options();
   const auto configs = lane_configs(keys);
-  rf::ReceiverBatch batch(standard, scalar_->process_, scalar_->rng_,
+  rf::ReceiverBatch batch(standard, scalar_->process(), scalar_->rng(),
                           configs);
   const double center = standard.f0_hz + rf::default_tone_offset_hz(standard);
   const double spacing = options.two_tone_spacing_hz;
@@ -104,73 +108,58 @@ std::vector<double> BatchEvaluator::clean_sfdr(std::span<const Key64> keys,
 
 std::vector<double> BatchEvaluator::snr_receiver_db(
     std::span<const Key64> keys) {
-  return snr_receiver_db(keys, scalar_->options_.input_dbm);
+  return snr_receiver_db(keys, scalar_->options().input_dbm);
 }
 
 std::vector<double> BatchEvaluator::snr_receiver_db(
     std::span<const Key64> keys, double input_dbm) {
-  const std::size_t n_lanes = keys.size();
-  scalar_->trials_.snr_receiver += n_lanes;
-  obs::count("eval.trials.snr_rx", n_lanes);
   auto values = clean_snr_receiver(keys, input_dbm);
-  for (double& v : values) v = scalar_->faulted("eval.snr_receiver", v);
+  charge_all(LockEvaluator::Metric::kSnrReceiver, keys, values);
   return values;
 }
 
 std::vector<double> BatchEvaluator::snr_modulator_db(
     std::span<const Key64> keys) {
-  return snr_modulator_db(keys, scalar_->options_.input_dbm);
+  return snr_modulator_db(keys, scalar_->options().input_dbm);
 }
 
 std::vector<double> BatchEvaluator::snr_modulator_db(
     std::span<const Key64> keys, double input_dbm) {
-  const std::size_t n_lanes = keys.size();
-  scalar_->trials_.snr_modulator += n_lanes;
-  obs::count("eval.trials.snr_mod", n_lanes);
   auto values = clean_snr_modulator(keys, input_dbm);
-  for (double& v : values) v = scalar_->faulted("eval.snr_modulator", v);
+  charge_all(LockEvaluator::Metric::kSnrModulator, keys, values);
   return values;
 }
 
 std::vector<double> BatchEvaluator::sfdr_db(std::span<const Key64> keys) {
-  return sfdr_db(keys, scalar_->options_.two_tone_dbm);
+  return sfdr_db(keys, scalar_->options().two_tone_dbm);
 }
 
 std::vector<double> BatchEvaluator::sfdr_db(std::span<const Key64> keys,
                                             double dbm_per_tone) {
-  const std::size_t n_lanes = keys.size();
-  scalar_->trials_.sfdr += n_lanes;
-  obs::count("eval.trials.sfdr", n_lanes);
   auto values = clean_sfdr(keys, dbm_per_tone);
-  for (double& v : values) v = scalar_->faulted("eval.sfdr", v);
+  charge_all(LockEvaluator::Metric::kSfdr, keys, values);
   return values;
 }
 
 std::vector<PerformanceReport> BatchEvaluator::evaluate_batch(
     std::span<const Key64> keys) {
-  const std::size_t n_lanes = keys.size();
-  scalar_->trials_.snr_modulator += n_lanes;
-  obs::count("eval.trials.snr_mod", n_lanes);
-  scalar_->trials_.snr_receiver += n_lanes;
-  obs::count("eval.trials.snr_rx", n_lanes);
-  scalar_->trials_.sfdr += n_lanes;
-  obs::count("eval.trials.sfdr", n_lanes);
-
-  const EvaluatorOptions& options = scalar_->options_;
+  const EvaluatorOptions& options = scalar_->options();
   const auto mod = clean_snr_modulator(keys, options.input_dbm);
   const auto rx = clean_snr_receiver(keys, options.input_dbm);
   const auto sfdr = clean_sfdr(keys, options.two_tone_dbm);
 
-  const rf::PerformanceSpec& spec = scalar_->standard_->spec;
+  const rf::PerformanceSpec& spec = scalar_->standard().spec;
   std::vector<PerformanceReport> reports(keys.size());
-  // Fault replay in scalar call order: per key, modulator SNR then
-  // receiver SNR then SFDR — the injector's measurement-noise stream
-  // advances exactly as N scalar evaluate() calls would.
+  // Scalar call order: per key, modulator SNR then receiver SNR then
+  // SFDR, exactly as N scalar evaluate() calls would book them.
+  using Metric = LockEvaluator::Metric;
   for (std::size_t l = 0; l < keys.size(); ++l) {
     PerformanceReport& report = reports[l];
-    report.snr_modulator_db = scalar_->faulted("eval.snr_modulator", mod[l]);
-    report.snr_receiver_db = scalar_->faulted("eval.snr_receiver", rx[l]);
-    report.sfdr_db = scalar_->faulted("eval.sfdr", sfdr[l]);
+    report.snr_modulator_db =
+        scalar_->charge(Metric::kSnrModulator, keys[l], mod[l]);
+    report.snr_receiver_db =
+        scalar_->charge(Metric::kSnrReceiver, keys[l], rx[l]);
+    report.sfdr_db = scalar_->charge(Metric::kSfdr, keys[l], sfdr[l]);
     report.snr_ok = report.snr_receiver_db >= spec.min_snr_db;
     report.sfdr_ok = report.sfdr_db >= spec.min_sfdr_db;
   }

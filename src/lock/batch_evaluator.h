@@ -52,24 +52,30 @@ class BatchEvaluator {
   [[nodiscard]] std::vector<PerformanceReport> evaluate_batch(
       std::span<const Key64> keys);
 
- private:
-  [[nodiscard]] par::ThreadPool& pool() const {
-    return pool_ != nullptr ? *pool_ : par::ThreadPool::shared();
-  }
-
-  /// Decoded (and fault-perturbed, matching make_receiver) lane configs.
-  [[nodiscard]] std::vector<rf::ReceiverConfig> lane_configs(
-      std::span<const Key64> keys) const;
-
-  // Clean (pre-fault-injector) per-lane metric cores. Fault perturbation
-  // is replayed afterwards in scalar call order so the injector's RNG
-  // stream stays aligned with N scalar calls.
+  // Clean readings: result i is the reading keys[i] gives before the
+  // fault injector, a pure function of (chip, key, options). Nothing is
+  // charged and no fault is drawn. A consumer that takes readings ahead
+  // of time books each one with LockEvaluator::charge in the order the
+  // scalar evaluator would have measured them.
   [[nodiscard]] std::vector<double> clean_snr_modulator(
       std::span<const Key64> keys, double input_dbm);
   [[nodiscard]] std::vector<double> clean_snr_receiver(
       std::span<const Key64> keys, double input_dbm);
   [[nodiscard]] std::vector<double> clean_sfdr(std::span<const Key64> keys,
                                                double dbm_per_tone);
+
+ private:
+  [[nodiscard]] par::ThreadPool& pool() const {
+    return pool_ != nullptr ? *pool_ : par::ThreadPool::shared();
+  }
+
+  /// Lane configs as the chip runs them (LockEvaluator::applied_config).
+  [[nodiscard]] std::vector<rf::ReceiverConfig> lane_configs(
+      std::span<const Key64> keys) const;
+
+  /// Books readings[i] as one `metric` measurement of keys[i], in order.
+  void charge_all(LockEvaluator::Metric metric, std::span<const Key64> keys,
+                  std::vector<double>& readings);
 
   LockEvaluator* scalar_;
   par::ThreadPool* pool_;

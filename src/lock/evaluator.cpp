@@ -13,18 +13,40 @@ LockEvaluator::LockEvaluator(const rf::Standard& standard,
       rng_(rng.fork("lock-evaluator")),
       options_(options) {}
 
+rf::ReceiverConfig LockEvaluator::applied_config(const Key64& key) const {
+  const Key64 applied =
+      injector_ != nullptr ? Key64{injector_->stuck_word(key.bits())} : key;
+  return decode_key(applied, standard_->digital_mode);
+}
+
 rf::Receiver LockEvaluator::make_receiver(const Key64& key) const {
   rf::Receiver receiver(*standard_, process_, rng_);
-  // Stuck-at register bits corrupt the word between the key source and
-  // the fabric — the chip runs whatever the faulty register holds.
-  const Key64 applied =
-      injector_ != nullptr ? Key64{injector_->perturb_word(key.bits())} : key;
-  receiver.configure(decode_key(applied, standard_->digital_mode));
+  receiver.configure(applied_config(key));
   return receiver;
 }
 
-double LockEvaluator::faulted(const char* site, double clean_db) const {
+double LockEvaluator::charge(Metric metric, const Key64& key,
+                             double clean_db) {
+  const char* site = nullptr;
+  switch (metric) {
+    case Metric::kSnrModulator:
+      ++trials_.snr_modulator;
+      obs::count("eval.trials.snr_mod");
+      site = "eval.snr_modulator";
+      break;
+    case Metric::kSnrReceiver:
+      ++trials_.snr_receiver;
+      obs::count("eval.trials.snr_rx");
+      site = "eval.snr_receiver";
+      break;
+    case Metric::kSfdr:
+      ++trials_.sfdr;
+      obs::count("eval.trials.sfdr");
+      site = "eval.sfdr";
+      break;
+  }
   if (injector_ == nullptr) return clean_db;
+  (void)injector_->perturb_word(key.bits());
   return injector_->perturb_measurement(site, clean_db);
 }
 
@@ -34,8 +56,6 @@ double LockEvaluator::snr_modulator_db(const Key64& key) {
 
 double LockEvaluator::snr_modulator_db(const Key64& key, double input_dbm) {
   ANALOCK_SPAN("eval.snr_modulator");
-  ++trials_.snr_modulator;
-  obs::count("eval.trials.snr_mod");
   rf::Receiver receiver = make_receiver(key);
   const double offset = rf::default_tone_offset_hz(*standard_);
   const auto rf_in = rf::make_test_tone(
@@ -45,7 +65,7 @@ double LockEvaluator::snr_modulator_db(const Key64& key, double input_dbm) {
   const auto snr = dsp::measure_snr_osr(p, standard_->f0_hz + offset,
                                         standard_->fs_hz() / 4.0,
                                         standard_->osr);
-  return faulted("eval.snr_modulator", snr.snr_db);
+  return charge(Metric::kSnrModulator, key, snr.snr_db);
 }
 
 double LockEvaluator::snr_receiver_db(const Key64& key) {
@@ -54,8 +74,6 @@ double LockEvaluator::snr_receiver_db(const Key64& key) {
 
 double LockEvaluator::snr_receiver_db(const Key64& key, double input_dbm) {
   ANALOCK_SPAN("eval.snr_receiver");
-  ++trials_.snr_receiver;
-  obs::count("eval.trials.snr_rx");
   rf::Receiver receiver = make_receiver(key);
   const double offset = rf::default_tone_offset_hz(*standard_);
   const std::size_t n =
@@ -65,11 +83,13 @@ double LockEvaluator::snr_receiver_db(const Key64& key, double input_dbm) {
   // Trim the baseband capture to a power-of-two length for the FFT.
   auto& bb = capture.baseband.samples;
   if (bb.size() > options_.baseband_points) bb.resize(options_.baseband_points);
-  if (bb.size() < options_.baseband_points || bb.empty()) return -200.0;
+  if (bb.size() < options_.baseband_points || bb.empty()) {
+    return charge(Metric::kSnrReceiver, key, -200.0);
+  }
   const dsp::Periodogram p(bb, capture.baseband.fs_hz);
   const double half_band = standard_->fs_hz() / (4.0 * standard_->osr);
   const auto snr = dsp::measure_snr(p, offset, -half_band, half_band);
-  return faulted("eval.snr_receiver", snr.snr_db);
+  return charge(Metric::kSnrReceiver, key, snr.snr_db);
 }
 
 double LockEvaluator::sfdr_db(const Key64& key) {
@@ -78,8 +98,6 @@ double LockEvaluator::sfdr_db(const Key64& key) {
 
 double LockEvaluator::sfdr_db(const Key64& key, double dbm_per_tone) {
   ANALOCK_SPAN("eval.sfdr");
-  ++trials_.sfdr;
-  obs::count("eval.trials.sfdr");
   rf::Receiver receiver = make_receiver(key);
   const double center =
       standard_->f0_hz + rf::default_tone_offset_hz(*standard_);
@@ -95,7 +113,7 @@ double LockEvaluator::sfdr_db(const Key64& key, double dbm_per_tone) {
       p, center - spacing / 2.0, center + spacing / 2.0, f0 - half_band,
       f0 + half_band);
   // The paper reports fundamental-to-third-order distance.
-  return faulted("eval.sfdr", sfdr.im3_db);
+  return charge(Metric::kSfdr, key, sfdr.im3_db);
 }
 
 PerformanceReport LockEvaluator::evaluate(const Key64& key) {

@@ -81,6 +81,9 @@ class LockEvaluator {
   /// Cheap screen used by attacks: receiver-output SNR against spec only.
   bool unlocks(const Key64& key);
 
+  /// The oracle's three measurements.
+  enum class Metric { kSnrModulator, kSnrReceiver, kSfdr };
+
   /// Per-metric measurement counts. The aggregate trials() below is
   /// always the sum of these, so the legacy total and the per-metric
   /// breakdown cannot disagree.
@@ -113,16 +116,26 @@ class LockEvaluator {
     return injector_;
   }
 
- private:
-  /// The batched engine replays this evaluator's RNG fork chains and
-  /// fault-injector call order to stay bit-identical to the scalar path.
-  friend class BatchEvaluator;
+  /// Stream every receiver this evaluator builds is seeded from.
+  [[nodiscard]] const sim::Rng& rng() const { return rng_; }
 
+  /// Configuration the chip runs for `key`: the campaign's stuck-at bits
+  /// corrupt the word between the key source and the fabric. Pure (no
+  /// fault is counted), so clean readings can be taken in any order.
+  [[nodiscard]] rf::ReceiverConfig applied_config(const Key64& key) const;
+
+  /// Books one `metric` measurement of `key` whose clean reading is
+  /// `clean_db`, and returns the reading the oracle reports. It counts the
+  /// trial, counts a stuck word, and routes the reading through the
+  /// injector, whose draws do not depend on the reading. Every
+  /// measurement, scalar or batched, passes through here once; calling
+  /// it in scalar measurement order keeps trial counts and the injector's
+  /// stream identical to the scalar evaluator's.
+  double charge(Metric metric, const Key64& key, double clean_db);
+
+ private:
   /// Builds a freshly-seeded receiver configured from `key`.
   [[nodiscard]] rf::Receiver make_receiver(const Key64& key) const;
-
-  /// Routes a clean reading through the injector, if any.
-  [[nodiscard]] double faulted(const char* site, double clean_db) const;
 
   const rf::Standard* standard_;
   sim::ProcessVariation process_;

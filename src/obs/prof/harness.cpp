@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <thread>
 
 #include "obs/jsonl_sink.h"
 #include "obs/metrics.h"
@@ -311,6 +312,16 @@ std::string Harness::json() const {
   append_double(out, env.min_time_ms);
   out += ",\"max_reps\":";
   out += std::to_string(env.max_reps);
+  // Worker-pool size request and host core count: a batched case's time
+  // depends on both.
+  out += ",\"analock_threads\":";
+  if (const char* threads = std::getenv("ANALOCK_THREADS")) {
+    append_string(out, threads);
+  } else {
+    out += "null";
+  }
+  out += ",\"nproc\":";
+  out += std::to_string(std::thread::hardware_concurrency());
   out += '}';
 
   out += ",\"cases\":[";

@@ -175,6 +175,27 @@ TEST(Calibrator, DropoutCampaignWithoutHardeningReportsSpecNotMet) {
   EXPECT_GT(r.faults_injected, 0u);
 }
 
+TEST(Calibrator, DefaultSeedChipZeroIsPinned) {
+  // Key and per-step oracle measurements of the benchmark's first chip.
+  // Any thread count must reproduce them: ctest also runs this suite
+  // under ANALOCK_THREADS=1 and =7.
+  sim::Rng master(20260704);
+  const auto pv = sim::ProcessVariation::monte_carlo(master, 0);
+  Calibrator calibrator(rf::standard_max_3ghz(), pv, master.fork("chip", 0));
+  const auto r = calibrator.run();
+  EXPECT_TRUE(r.success);
+  EXPECT_EQ(r.key.bits(), 0x1e2de26ded9da10bull);
+  EXPECT_EQ(r.total_measurements, 745u);
+  auto step_measurements = [&](int step) {
+    for (const auto& entry : r.log) {
+      if (entry.step == step) return entry.measurements;
+    }
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(step_measurements(14), 424u);
+  EXPECT_EQ(step_measurements(12), 246u);
+}
+
 TEST(Calibrator, WorksForBluetoothStandard) {
   sim::Rng master(909);
   const auto pv = sim::ProcessVariation::monte_carlo(master, 0);
