@@ -160,7 +160,7 @@ struct ReferenceDescent {
 
 struct ParityRun {
   std::uint64_t key = 0;
-  std::uint64_t final_score_bits = 0;  ///< score() of the result, after
+  std::uint64_t final_score_bits = 0;  ///< score() of the optimized config
   std::size_t measurements = 0;
   fault::FaultInjector::Counts faults;
   std::size_t remeasures = 0;  ///< reference runs only
