@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <map>
+#include <type_traits>
 
 #include "dsp/fft_plan.h"
 #include "obs/trace.h"
@@ -69,30 +70,46 @@ void Periodogram::fill_two_sided(std::span<const cplx> spec, double norm) {
   }
 }
 
+template <typename Sample>
+std::vector<Periodogram> Periodogram::transform(
+    std::span<const Sample> signals, std::size_t lanes, double fs_hz,
+    WindowKind window) {
+  constexpr bool kOneSided = std::is_same_v<Sample, double>;
+  assert(lanes > 0 && signals.size() % lanes == 0);
+  const std::size_t n = signals.size() / lanes;
+  assert(is_power_of_two(n) && "capture length must be a power of two");
+  const auto w = make_window(window, n);
+  const double norm = energy_norm(w);
+  std::vector<Sample> xw(n);
+  std::vector<cplx> spec(kOneSided ? n / 2 + 1 : 0);
+  std::vector<Periodogram> out;
+  out.reserve(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const auto x = signals.subspan(l * n, n);
+    for (std::size_t i = 0; i < n; ++i) xw[i] = x[i] * w[i];
+    Periodogram p(fs_hz, n, kOneSided, window);
+    if constexpr (kOneSided) {
+      real_plan_for(n).run(xw, spec);
+      p.fill_one_sided(spec, norm);
+    } else {
+      plan_for(n).run(xw);
+      p.fill_two_sided(xw, norm);
+    }
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
 Periodogram::Periodogram(std::span<const double> x, double fs_hz,
-                         WindowKind window)
-    : Periodogram(fs_hz, x.size(), true, window) {
+                         WindowKind window) {
   ANALOCK_SPAN_QUIET("dsp.periodogram");
-  assert(is_power_of_two(x.size()) && "capture length must be a power of two");
-  const auto w = make_window(window, x.size());
-  std::vector<double> xw(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) xw[i] = x[i] * w[i];
-  const RealFftPlan& plan = real_plan_for(x.size());
-  std::vector<cplx> spec(plan.bins());
-  plan.run(xw, spec);
-  fill_one_sided(spec, energy_norm(w));
+  *this = std::move(transform(x, 1, fs_hz, window).front());
 }
 
 Periodogram::Periodogram(std::span<const cplx> x, double fs_hz,
-                         WindowKind window)
-    : Periodogram(fs_hz, x.size(), false, window) {
+                         WindowKind window) {
   ANALOCK_SPAN_QUIET("dsp.periodogram");
-  assert(is_power_of_two(x.size()) && "capture length must be a power of two");
-  const auto w = make_window(window, x.size());
-  std::vector<cplx> buf(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) buf[i] = x[i] * w[i];
-  plan_for(x.size()).run(buf);
-  fill_two_sided(buf, energy_norm(w));
+  *this = std::move(transform(x, 1, fs_hz, window).front());
 }
 
 std::vector<Periodogram> Periodogram::many_real(std::span<const double> signals,
@@ -100,49 +117,14 @@ std::vector<Periodogram> Periodogram::many_real(std::span<const double> signals,
                                                 double fs_hz,
                                                 WindowKind window) {
   ANALOCK_SPAN_QUIET("dsp.periodogram.batch");
-  assert(lanes > 0 && signals.size() % lanes == 0);
-  const std::size_t n = signals.size() / lanes;
-  assert(is_power_of_two(n) && "capture length must be a power of two");
-  const auto w = make_window(window, n);
-  const double norm = energy_norm(w);
-  const RealFftPlan& plan = real_plan_for(n);
-  std::vector<double> xw(n);
-  std::vector<cplx> spec(plan.bins());
-  std::vector<Periodogram> out;
-  out.reserve(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const auto x = signals.subspan(l * n, n);
-    for (std::size_t i = 0; i < n; ++i) xw[i] = x[i] * w[i];
-    plan.run(xw, spec);
-    Periodogram p(fs_hz, n, true, window);
-    p.fill_one_sided(spec, norm);
-    out.push_back(std::move(p));
-  }
-  return out;
+  return transform(signals, lanes, fs_hz, window);
 }
 
 std::vector<Periodogram> Periodogram::many_complex(
     std::span<const cplx> signals, std::size_t lanes, double fs_hz,
     WindowKind window) {
   ANALOCK_SPAN_QUIET("dsp.periodogram.batch");
-  assert(lanes > 0 && signals.size() % lanes == 0);
-  const std::size_t n = signals.size() / lanes;
-  assert(is_power_of_two(n) && "capture length must be a power of two");
-  const auto w = make_window(window, n);
-  const double norm = energy_norm(w);
-  const FftPlan& plan = plan_for(n);
-  std::vector<cplx> buf(n);
-  std::vector<Periodogram> out;
-  out.reserve(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const auto x = signals.subspan(l * n, n);
-    for (std::size_t i = 0; i < n; ++i) buf[i] = x[i] * w[i];
-    plan.run(buf);
-    Periodogram p(fs_hz, n, false, window);
-    p.fill_two_sided(buf, norm);
-    out.push_back(std::move(p));
-  }
-  return out;
+  return transform(signals, lanes, fs_hz, window);
 }
 
 double Periodogram::bin_hz() const {

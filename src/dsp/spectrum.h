@@ -90,6 +90,14 @@ class Periodogram {
   void fill_one_sided(std::span<const cplx> spec, double norm);
   void fill_two_sided(std::span<const cplx> spec, double norm);
 
+  /// The one per-lane path behind the constructors and many_*: window,
+  /// FFT and bin powers for `lanes` lane-major captures. Real samples
+  /// give one-sided spectra, complex samples two-sided ones.
+  template <typename Sample>
+  [[nodiscard]] static std::vector<Periodogram> transform(
+      std::span<const Sample> signals, std::size_t lanes, double fs_hz,
+      WindowKind window);
+
   std::vector<double> power_;
   double fs_ = 1.0;
   std::size_t fft_size_ = 0;

@@ -1,26 +1,34 @@
 #include "lock/batch_evaluator.h"
 
-#include "lock/key_layout.h"
 #include "obs/trace.h"
-#include "rf/receiver_batch.h"
 
 namespace analock::lock {
 
-std::vector<rf::ReceiverConfig> BatchEvaluator::lane_configs(
+rf::ReceiverBatch BatchEvaluator::receivers(
     std::span<const Key64> keys) const {
   std::vector<rf::ReceiverConfig> configs;
   configs.reserve(keys.size());
   for (const Key64& key : keys) {
-    configs.push_back(scalar_->applied_config(key));
+    configs.push_back(evaluator_->applied_config(key));
   }
-  return configs;
+  return rf::ReceiverBatch(evaluator_->standard(), evaluator_->process(),
+                           evaluator_->rng(), configs);
+}
+
+std::vector<dsp::Periodogram> BatchEvaluator::modulator_spectra(
+    std::span<const Key64> keys, std::span<const double> rf_in) {
+  const std::size_t settle = evaluator_->options().settle;
+  const auto captures = receivers(keys).capture_modulator(rf_in, settle,
+                                                          pool());
+  return dsp::Periodogram::many_real(captures, keys.size(),
+                                     evaluator_->standard().fs_hz());
 }
 
 void BatchEvaluator::charge_all(LockEvaluator::Metric metric,
                                 std::span<const Key64> keys,
                                 std::vector<double>& readings) {
   for (std::size_t l = 0; l < keys.size(); ++l) {
-    readings[l] = scalar_->charge(metric, keys[l], readings[l]);
+    readings[l] = evaluator_->charge(metric, keys[l], readings[l]);
   }
 }
 
@@ -28,17 +36,12 @@ std::vector<double> BatchEvaluator::clean_snr_modulator(
     std::span<const Key64> keys, double input_dbm) {
   if (keys.empty()) return {};
   ANALOCK_SPAN_QUIET("eval.batch.snr_modulator");
-  const rf::Standard& standard = scalar_->standard();
-  const EvaluatorOptions& options = scalar_->options();
-  const auto configs = lane_configs(keys);
-  rf::ReceiverBatch batch(standard, scalar_->process(), scalar_->rng(),
-                          configs);
+  const rf::Standard& standard = evaluator_->standard();
+  const EvaluatorOptions& options = evaluator_->options();
   const double offset = rf::default_tone_offset_hz(standard);
-  const auto rf_in = rf::make_test_tone(
-      standard, input_dbm, options.settle + options.fft_size, offset);
-  const auto captures = batch.capture_modulator(rf_in, options.settle, pool());
-  const auto spectra = dsp::Periodogram::many_real(captures, keys.size(),
-                                                   standard.fs_hz());
+  const auto spectra = modulator_spectra(
+      keys, rf::make_test_tone(standard, input_dbm,
+                               options.settle + options.fft_size, offset));
   std::vector<double> out(keys.size());
   for (std::size_t l = 0; l < keys.size(); ++l) {
     const auto snr = dsp::measure_snr_osr(spectra[l], standard.f0_hz + offset,
@@ -53,11 +56,9 @@ std::vector<double> BatchEvaluator::clean_snr_receiver(
     std::span<const Key64> keys, double input_dbm) {
   if (keys.empty()) return {};
   ANALOCK_SPAN_QUIET("eval.batch.snr_receiver");
-  const rf::Standard& standard = scalar_->standard();
-  const EvaluatorOptions& options = scalar_->options();
-  const auto configs = lane_configs(keys);
-  rf::ReceiverBatch batch(standard, scalar_->process(), scalar_->rng(),
-                          configs);
+  const rf::Standard& standard = evaluator_->standard();
+  const EvaluatorOptions& options = evaluator_->options();
+  rf::ReceiverBatch batch = receivers(keys);
   const double offset = rf::default_tone_offset_hz(standard);
   const std::size_t n =
       rf::receiver_input_length(options.baseband_points, options.settle);
@@ -81,19 +82,14 @@ std::vector<double> BatchEvaluator::clean_sfdr(std::span<const Key64> keys,
                                                double dbm_per_tone) {
   if (keys.empty()) return {};
   ANALOCK_SPAN_QUIET("eval.batch.sfdr");
-  const rf::Standard& standard = scalar_->standard();
-  const EvaluatorOptions& options = scalar_->options();
-  const auto configs = lane_configs(keys);
-  rf::ReceiverBatch batch(standard, scalar_->process(), scalar_->rng(),
-                          configs);
+  const rf::Standard& standard = evaluator_->standard();
+  const EvaluatorOptions& options = evaluator_->options();
   const double center = standard.f0_hz + rf::default_tone_offset_hz(standard);
   const double spacing = options.two_tone_spacing_hz;
-  const auto rf_in =
-      rf::make_two_tone(standard, dbm_per_tone,
-                        options.settle + options.sfdr_fft_size, spacing);
-  const auto captures = batch.capture_modulator(rf_in, options.settle, pool());
-  const auto spectra = dsp::Periodogram::many_real(captures, keys.size(),
-                                                   standard.fs_hz());
+  const auto spectra = modulator_spectra(
+      keys, rf::make_two_tone(standard, dbm_per_tone,
+                              options.settle + options.sfdr_fft_size,
+                              spacing));
   const double half_band = standard.fs_hz() / (4.0 * standard.osr);
   const double f0 = standard.fs_hz() / 4.0;
   std::vector<double> out(keys.size());
@@ -108,7 +104,7 @@ std::vector<double> BatchEvaluator::clean_sfdr(std::span<const Key64> keys,
 
 std::vector<double> BatchEvaluator::snr_receiver_db(
     std::span<const Key64> keys) {
-  return snr_receiver_db(keys, scalar_->options().input_dbm);
+  return snr_receiver_db(keys, evaluator_->options().input_dbm);
 }
 
 std::vector<double> BatchEvaluator::snr_receiver_db(
@@ -120,7 +116,7 @@ std::vector<double> BatchEvaluator::snr_receiver_db(
 
 std::vector<double> BatchEvaluator::snr_modulator_db(
     std::span<const Key64> keys) {
-  return snr_modulator_db(keys, scalar_->options().input_dbm);
+  return snr_modulator_db(keys, evaluator_->options().input_dbm);
 }
 
 std::vector<double> BatchEvaluator::snr_modulator_db(
@@ -131,7 +127,7 @@ std::vector<double> BatchEvaluator::snr_modulator_db(
 }
 
 std::vector<double> BatchEvaluator::sfdr_db(std::span<const Key64> keys) {
-  return sfdr_db(keys, scalar_->options().two_tone_dbm);
+  return sfdr_db(keys, evaluator_->options().two_tone_dbm);
 }
 
 std::vector<double> BatchEvaluator::sfdr_db(std::span<const Key64> keys,
@@ -143,23 +139,23 @@ std::vector<double> BatchEvaluator::sfdr_db(std::span<const Key64> keys,
 
 std::vector<PerformanceReport> BatchEvaluator::evaluate_batch(
     std::span<const Key64> keys) {
-  const EvaluatorOptions& options = scalar_->options();
+  const EvaluatorOptions& options = evaluator_->options();
   const auto mod = clean_snr_modulator(keys, options.input_dbm);
   const auto rx = clean_snr_receiver(keys, options.input_dbm);
   const auto sfdr = clean_sfdr(keys, options.two_tone_dbm);
 
-  const rf::PerformanceSpec& spec = scalar_->standard().spec;
+  const rf::PerformanceSpec& spec = evaluator_->standard().spec;
   std::vector<PerformanceReport> reports(keys.size());
-  // Scalar call order: per key, modulator SNR then receiver SNR then
-  // SFDR, exactly as N scalar evaluate() calls would book them.
+  // Per-key call order: per key, modulator SNR then receiver SNR then
+  // SFDR, exactly as N evaluate() calls would book them.
   using Metric = LockEvaluator::Metric;
   for (std::size_t l = 0; l < keys.size(); ++l) {
     PerformanceReport& report = reports[l];
     report.snr_modulator_db =
-        scalar_->charge(Metric::kSnrModulator, keys[l], mod[l]);
+        evaluator_->charge(Metric::kSnrModulator, keys[l], mod[l]);
     report.snr_receiver_db =
-        scalar_->charge(Metric::kSnrReceiver, keys[l], rx[l]);
-    report.sfdr_db = scalar_->charge(Metric::kSfdr, keys[l], sfdr[l]);
+        evaluator_->charge(Metric::kSnrReceiver, keys[l], rx[l]);
+    report.sfdr_db = evaluator_->charge(Metric::kSfdr, keys[l], sfdr[l]);
     report.snr_ok = report.snr_receiver_db >= spec.min_snr_db;
     report.sfdr_ok = report.sfdr_db >= spec.min_sfdr_db;
   }

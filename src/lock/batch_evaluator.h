@@ -1,34 +1,35 @@
 // Batched lock evaluator: measures many key candidates per transient by
 // advancing them in lockstep through rf::ReceiverBatch.
 //
-// The batch is an accelerator, not a different oracle: every returned
-// value is bit-identical to what the wrapped scalar LockEvaluator would
-// produce for the same key sequence, for any thread count (see
-// receiver_batch.h for why). Trial counters and fault-injector state
-// advance exactly as if the scalar evaluator had been called once per
-// key, so attack cost accounting and fault campaigns cannot tell the
-// difference.
+// This is the oracle's only measurement pipeline. LockEvaluator's per-key
+// calls are batches of one through it, so a batch of N returns exactly
+// what N per-key calls return, for any thread count; the block-level
+// rf::Receiver serves only as the parity reference in the tests (see
+// receiver_batch.h for why the two agree bit for bit). Trial counters and
+// fault-injector state advance exactly as if LockEvaluator had been
+// called once per key, so attack cost accounting and fault campaigns
+// cannot tell the difference.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "dsp/spectrum.h"
 #include "lock/evaluator.h"
 #include "par/thread_pool.h"
+#include "rf/receiver_batch.h"
 
 namespace analock::lock {
 
 class BatchEvaluator {
  public:
-  /// Wraps `scalar` (not owned; must outlive the batch evaluator).
-  /// Measurements are charged to the scalar evaluator's trial counters
-  /// and routed through its fault injector. `pool` selects the worker
-  /// pool (not owned); nullptr uses par::ThreadPool::shared().
-  explicit BatchEvaluator(LockEvaluator& scalar,
+  /// Measures on `evaluator`'s chip (not owned; must outlive the batch
+  /// evaluator). Measurements are charged to its trial counters and
+  /// routed through its fault injector. `pool` selects the worker pool
+  /// (not owned); nullptr uses par::ThreadPool::shared().
+  explicit BatchEvaluator(LockEvaluator& evaluator,
                           par::ThreadPool* pool = nullptr)
-      : scalar_(&scalar), pool_(pool) {}
-
-  [[nodiscard]] const LockEvaluator& scalar() const { return *scalar_; }
+      : evaluator_(&evaluator), pool_(pool) {}
 
   /// Batched LockEvaluator::snr_receiver_db: result i corresponds to
   /// keys[i].
@@ -55,8 +56,8 @@ class BatchEvaluator {
   // Clean readings: result i is the reading keys[i] gives before the
   // fault injector, a pure function of (chip, key, options). Nothing is
   // charged and no fault is drawn. A consumer that takes readings ahead
-  // of time books each one with LockEvaluator::charge in the order the
-  // scalar evaluator would have measured them.
+  // of time books each one with LockEvaluator::charge in the order
+  // per-key calls would have measured them.
   [[nodiscard]] std::vector<double> clean_snr_modulator(
       std::span<const Key64> keys, double input_dbm);
   [[nodiscard]] std::vector<double> clean_snr_receiver(
@@ -69,15 +70,20 @@ class BatchEvaluator {
     return pool_ != nullptr ? *pool_ : par::ThreadPool::shared();
   }
 
-  /// Lane configs as the chip runs them (LockEvaluator::applied_config).
-  [[nodiscard]] std::vector<rf::ReceiverConfig> lane_configs(
-      std::span<const Key64> keys) const;
+  /// One receiver lane per key, configured as the chip runs it
+  /// (LockEvaluator::applied_config).
+  [[nodiscard]] rf::ReceiverBatch receivers(std::span<const Key64> keys) const;
+
+  /// Periodograms of the post-settle modulator outputs of `keys` driven
+  /// by `rf_in`.
+  [[nodiscard]] std::vector<dsp::Periodogram> modulator_spectra(
+      std::span<const Key64> keys, std::span<const double> rf_in);
 
   /// Books readings[i] as one `metric` measurement of keys[i], in order.
   void charge_all(LockEvaluator::Metric metric, std::span<const Key64> keys,
                   std::vector<double>& readings);
 
-  LockEvaluator* scalar_;
+  LockEvaluator* evaluator_;
   par::ThreadPool* pool_;
 };
 

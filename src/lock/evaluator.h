@@ -4,6 +4,11 @@
 // — against the standard's specification. Locking succeeds when at least
 // one performance violates its specification (Section VI.A).
 //
+// The evaluator owns the chip, the options and the books (trial counts,
+// fault campaign); it does not own a measurement pipeline. Every
+// per-key reading is a batch of one through lock::BatchEvaluator and
+// rf::ReceiverBatch, the same path population callers take.
+//
 // Every evaluation is deterministic for a given (chip, key, options):
 // noise streams are re-seeded per run, so calibration searches and tests
 // see a stable objective. The evaluator also counts trials, which the
@@ -12,7 +17,6 @@
 
 #include <cstdint>
 
-#include "dsp/spectrum.h"
 #include "fault/fault_injector.h"
 #include "lock/key64.h"
 #include "lock/key_layout.h"
@@ -116,7 +120,7 @@ class LockEvaluator {
     return injector_;
   }
 
-  /// Stream every receiver this evaluator builds is seeded from.
+  /// Stream every receiver this evaluator measures is seeded from.
   [[nodiscard]] const sim::Rng& rng() const { return rng_; }
 
   /// Configuration the chip runs for `key`: the campaign's stuck-at bits
@@ -128,15 +132,12 @@ class LockEvaluator {
   /// `clean_db`, and returns the reading the oracle reports. It counts the
   /// trial, counts a stuck word, and routes the reading through the
   /// injector, whose draws do not depend on the reading. Every
-  /// measurement, scalar or batched, passes through here once; calling
-  /// it in scalar measurement order keeps trial counts and the injector's
-  /// stream identical to the scalar evaluator's.
+  /// measurement, per key or batched, passes through here once; calling
+  /// it in per-key measurement order keeps trial counts and the
+  /// injector's stream identical to one per-key call per reading.
   double charge(Metric metric, const Key64& key, double clean_db);
 
  private:
-  /// Builds a freshly-seeded receiver configured from `key`.
-  [[nodiscard]] rf::Receiver make_receiver(const Key64& key) const;
-
   const rf::Standard* standard_;
   sim::ProcessVariation process_;
   sim::Rng rng_;

@@ -1,6 +1,7 @@
 #include "rf/receiver_batch.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -17,11 +18,52 @@ constexpr std::size_t kChannelTaps = 31;
 
 }  // namespace
 
-/// Shared raw unit-deviate arrays, one per named scalar noise stream.
-/// Lane values are formed as `0.0 + rms[lane] * g[i]`, the exact
-/// expression GaussianNoise applies per draw.
+/// The named scalar noise streams, each with the window of raw unit
+/// deviates it drew for the current stretch of the transient. Lane
+/// values are formed as `0.0 + rms[lane] * g[i]`, the exact expression
+/// GaussianNoise applies per draw.
 struct ReceiverBatch::NoiseStreams {
-  std::vector<double> vg, gm, pre, cmp, dac, buf, t1, t2;
+  enum Id : std::size_t { kVg, kGm, kPre, kCmp, kDac, kBuf, kT1, kT2, kCount };
+  struct Stream {
+    sim::Rng rng;
+    bool needed;
+    std::vector<double> window;
+  };
+  std::array<Stream, kCount> streams;
+
+  /// Current window of stream `id`; nullptr for a stream no lane needs.
+  [[nodiscard]] const double* window(Id id) const {
+    const std::vector<double>& w = streams[id].window;
+    return w.empty() ? nullptr : w.data();
+  }
+};
+
+/// Dynamic state of one lane, carried from window to window. A freshly
+/// built receiver's state is all zeros with the slicer low.
+struct ReceiverBatch::LaneState {
+  // Loop filter: resonators, the one-sample input history, delay ring.
+  double r1s1 = 0.0, r1s2 = 0.0, r2s1 = 0.0, r2s2 = 0.0;
+  double u1 = 0.0, s11 = 0.0;
+  double u_hist = 0.0, s1_hist = 0.0;
+  double dbuf[kDelayDepth] = {};
+  std::size_t dpos = 0;
+
+  // Digital backend: slicer, mixer, CIC, two half-bands, channel FIR.
+  double slicer = -1.0;
+  unsigned mix_phase = 0;
+  std::size_t cic_phase = 0;
+  double ci_re[DigitalBackend::kCicStages] = {};
+  double ci_im[DigitalBackend::kCicStages] = {};
+  double cb_re[DigitalBackend::kCicStages] = {};
+  double cb_im[DigitalBackend::kCicStages] = {};
+  double h1_re[kHbTaps] = {}, h1_im[kHbTaps] = {};
+  double h2_re[kHbTaps] = {}, h2_im[kHbTaps] = {};
+  std::size_t h1_next = 0, h1_count = 0, h1_phase = 0;
+  std::size_t h2_next = 0, h2_count = 0, h2_phase = 0;
+  double ch_re[kChannelTaps] = {}, ch_im[kChannelTaps] = {};
+  std::size_t ch_pos = 0;
+  std::size_t produced = 0;
+  bool done = false;
 };
 
 ReceiverBatch::ReceiverBatch(const Standard& standard,
@@ -111,52 +153,54 @@ ReceiverBatch::ReceiverBatch(const Standard& standard,
   channel_taps_ = DigitalBackend::channel_taps_for_mode(digital_mode_);
 }
 
-void ReceiverBatch::generate_noise(std::size_t n, NoiseStreams& noise,
-                                   par::ThreadPool& pool) const {
-  ANALOCK_SPAN_QUIET("rf.batch.noise");
+ReceiverBatch::NoiseStreams ReceiverBatch::make_noise() const {
   // Same fork chains the scalar Receiver/BpSigmaDelta constructors walk.
   const sim::Rng mod_rng = rng_.fork("receiver-modulator");
-  struct Job {
-    sim::Rng rng;
-    std::vector<double>* dst;
-    bool needed;
-  };
-  const Job jobs[] = {
-      {rng_.fork("receiver-vglna").fork("vglna-noise"), &noise.vg, true},
-      {mod_rng.fork("sd-gmin").fork("gmin-noise"), &noise.gm, any_gmin_},
-      {mod_rng.fork("sd-preamp").fork("preamp-noise"), &noise.pre, true},
-      {mod_rng.fork("sd-comparator").fork("comparator-noise"), &noise.cmp,
-       true},
-      {mod_rng.fork("sd-dac").fork("dac-noise"), &noise.dac, true},
-      {mod_rng.fork("sd-buffer").fork("buffer-noise"), &noise.buf,
-       any_buffer_},
-      {mod_rng.fork("sd-tank1"), &noise.t1, true},
-      {mod_rng.fork("sd-tank2"), &noise.t2, true},
-  };
-  constexpr std::size_t kJobs = sizeof(jobs) / sizeof(jobs[0]);
-  pool.parallel_for(kJobs, [&](std::size_t begin, std::size_t end) {
+  return {{{
+      {rng_.fork("receiver-vglna").fork("vglna-noise"), true, {}},
+      {mod_rng.fork("sd-gmin").fork("gmin-noise"), any_gmin_, {}},
+      {mod_rng.fork("sd-preamp").fork("preamp-noise"), true, {}},
+      {mod_rng.fork("sd-comparator").fork("comparator-noise"), true, {}},
+      {mod_rng.fork("sd-dac").fork("dac-noise"), true, {}},
+      {mod_rng.fork("sd-buffer").fork("buffer-noise"), any_buffer_, {}},
+      {mod_rng.fork("sd-tank1"), true, {}},
+      {mod_rng.fork("sd-tank2"), true, {}},
+  }}};
+}
+
+void ReceiverBatch::fill_noise(std::size_t m, NoiseStreams& noise,
+                               par::ThreadPool& pool) {
+  ANALOCK_SPAN_QUIET("rf.batch.noise");
+  pool.parallel_for(NoiseStreams::kCount,
+                    [&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
-      if (!jobs[s].needed) continue;
-      sim::Rng stream = jobs[s].rng;
-      std::vector<double>& dst = *jobs[s].dst;
-      dst.resize(n);
-      for (std::size_t i = 0; i < n; ++i) dst[i] = stream.gaussian();
+      if (!noise.streams[s].needed) continue;
+      // Draw from a local copy: neighbouring streams share cache lines,
+      // and advancing them in place would bounce those between workers.
+      sim::Rng rng = noise.streams[s].rng;
+      std::vector<double>& window = noise.streams[s].window;
+      window.resize(m);
+      for (std::size_t k = 0; k < m; ++k) window[k] = rng.gaussian();
+      noise.streams[s].rng = rng;
     }
   });
 }
 
 // analock: thread_safe parallel_region
 void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
-                              std::span<const double> rf, std::size_t settle,
+                              std::span<const double> rf, std::size_t offset,
+                              std::size_t window, std::size_t settle,
                               const NoiseStreams& noise, bool run_backend,
                               std::size_t baseband_points,
                               std::size_t settle_baseband,
+                              std::span<LaneState> state,
                               std::span<double> mod_out,
                               std::span<std::complex<double>> bb_out) const {
   // Lane-outer, sample-inner: every per-lane constant is hoisted into a
   // register, every flag-dependent branch is loop-invariant, and all
-  // dynamic state (resonators, delay ring, decimation chain) lives in
-  // L1-resident locals. The shared cost (noise streams, stimulus, FFT
+  // dynamic state (resonators, delay ring, decimation chain) lives in an
+  // L1-resident local copy, loaded from `state` at window entry and saved
+  // back at exit. The shared cost (noise streams, stimulus, FFT
   // plans) was paid once by the caller; per lane only the arithmetic the
   // scalar chain would do remains, minus its ~8 RNG draws per sample.
   //
@@ -169,18 +213,18 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
   // unchanged, so the split is bit-exact.
   const std::size_t n = rf.size();
   const std::size_t n_mod = n > settle ? n - settle : 0;
-  const double* rf_p = rf.data();
-  const double* nvg_p = noise.vg.data();
-  const double* ngm_p = noise.gm.empty() ? nullptr : noise.gm.data();
-  const double* nt1_p = noise.t1.data();
-  const double* nt2_p = noise.t2.data();
-  const double* npre_p = noise.pre.data();
-  const double* ncmp_p = noise.cmp.data();
-  const double* ndac_p = noise.dac.data();
-  const double* nbuf_p = noise.buf.empty() ? nullptr : noise.buf.data();
+  const double* rf_p = rf.data() + offset;
+  const double* nvg_p = noise.window(NoiseStreams::kVg);
+  const double* ngm_p = noise.window(NoiseStreams::kGm);
+  const double* nt1_p = noise.window(NoiseStreams::kT1);
+  const double* nt2_p = noise.window(NoiseStreams::kT2);
+  const double* npre_p = noise.window(NoiseStreams::kPre);
+  const double* ncmp_p = noise.window(NoiseStreams::kCmp);
+  const double* ndac_p = noise.window(NoiseStreams::kDac);
+  const double* nbuf_p = noise.window(NoiseStreams::kBuf);
 
   // Chunk size keeps the pass-1 scratch (32 KiB) and both passes' noise
-  // windows L1/L2-resident while amortizing the loop-switch overhead.
+  // slices L1/L2-resident while amortizing the loop-switch overhead.
   constexpr std::size_t kChunk = 4096;
   std::vector<double> u_buf(kChunk);
 
@@ -196,6 +240,9 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
   const std::size_t n_ch_taps = channel_taps_.size();
 
   for (std::size_t l = begin; l < end; ++l) {
+    LaneState lane = state[l];
+    if (lane.done) continue;
+
     // ---- per-lane constants -> registers ----------------------------
     const Vglna::Stage st = vg_stage_[l];
     const double vg_rms = vg_rms_[l];
@@ -225,35 +272,12 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
     // the whole VGLNA cascade dead code for this lane.
     if (!gmin_en) std::fill(u_buf.begin(), u_buf.end(), 0.0);
 
-    // ---- per-lane dynamic state (fresh receiver == all zeros) -------
-    double r1s1 = 0.0, r1s2 = 0.0, r2s1 = 0.0, r2s2 = 0.0;
-    double u1 = 0.0, s11 = 0.0;
-    double u_hist = 0.0, s1_hist = 0.0;
-    double dbuf[kDelayDepth] = {};
-    std::size_t dpos = 0;
-
-    double slicer = -1.0;
-    unsigned mix_phase = 0;
-    std::size_t cic_phase = 0;
-    double ci_re[DigitalBackend::kCicStages] = {};
-    double ci_im[DigitalBackend::kCicStages] = {};
-    double cb_re[DigitalBackend::kCicStages] = {};
-    double cb_im[DigitalBackend::kCicStages] = {};
-    double h1_re[kHbTaps] = {}, h1_im[kHbTaps] = {};
-    double h2_re[kHbTaps] = {}, h2_im[kHbTaps] = {};
-    std::size_t h1_next = 0, h1_count = 0, h1_phase = 0;
-    std::size_t h2_next = 0, h2_count = 0, h2_phase = 0;
-    double ch_re[kChannelTaps] = {}, ch_im[kChannelTaps] = {};
-    std::size_t ch_pos = 0;
-    std::size_t produced = 0;
-    bool lane_done = false;
-
     double* mod_lane = run_backend ? nullptr : &mod_out[l * n_mod];
     std::complex<double>* bb_lane =
         run_backend ? &bb_out[l * baseband_points] : nullptr;
 
-    for (std::size_t base = 0; base < n && !lane_done; base += kChunk) {
-      const std::size_t m = std::min(kChunk, n - base);
+    for (std::size_t base = 0; base < window && !lane.done; base += kChunk) {
+      const std::size_t m = std::min(kChunk, window - base);
 
       // ---- pass 1: stateless front end (VGLNA + transconductor) -----
       if (gmin_en) {
@@ -273,30 +297,31 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
       // ---- pass 2: stateful loop + digital backend ------------------
       for (std::size_t k = 0; k < m; ++k) {
         const std::size_t i = base + k;
+        const std::size_t at = offset + i;  // index in the whole transient
         const double u = u_buf[k];
 
         // Feedback sample from the fractional delay line.
         double fb = 0.0;
         if (fb_en) {
           const std::size_t i0 =
-              (dpos + kDelayDepth - dly_whole) % kDelayDepth;
+              (lane.dpos + kDelayDepth - dly_whole) % kDelayDepth;
           const std::size_t i1 =
-              (dpos + kDelayDepth - dly_whole - 1) % kDelayDepth;
-          fb = (1.0 - dly_frac) * dbuf[i0] + dly_frac * dbuf[i1];
+              (lane.dpos + kDelayDepth - dly_whole - 1) % kDelayDepth;
+          fb = (1.0 - dly_frac) * lane.dbuf[i0] + dly_frac * lane.dbuf[i1];
         }
 
         const double s1 = Resonator::advance(
-            r1s1, r1s2, cos1, rad1,
-            -(u_hist - fb) +
+            lane.r1s1, lane.r1s2, cos1, rad1,
+            -(lane.u_hist - fb) +
                 (0.0 + BpSigmaDelta::kTankNoiseRms * nt1_p[i]));
         const double s2 = Resonator::advance(
-            r2s1, r2s2, cos2, rad2,
-            -(s1_hist - 2.0 * fb) +
+            lane.r2s1, lane.r2s2, cos2, rad2,
+            -(lane.s1_hist - 2.0 * fb) +
                 (0.0 + BpSigmaDelta::kTankNoiseRms * nt2_p[i]));
-        u_hist = u1;
-        u1 = u;
-        s1_hist = s11;
-        s11 = s1;
+        lane.u_hist = lane.u1;
+        lane.u1 = u;
+        lane.s1_hist = lane.s11;
+        lane.s11 = s1;
 
         // Quantizer path.
         const double pre =
@@ -315,8 +340,8 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
         // DAC drives the delay line whether or not the loop is closed.
         const double fbv =
             (yq >= 0.0 ? dac_lp : dac_lm) + (0.0 + dac_rms * ndac_p[i]);
-        dpos = (dpos + 1) % kDelayDepth;
-        dbuf[dpos] = fbv;
+        lane.dpos = (lane.dpos + 1) % kDelayDepth;
+        lane.dbuf[lane.dpos] = fbv;
 
         double out = yq;
         switch (mux) {
@@ -338,56 +363,56 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
         }
 
         if (!run_backend) {
-          if (i >= settle) mod_lane[i - settle] = out;
+          if (at >= settle) mod_lane[at - settle] = out;
           continue;
         }
-        if (i < settle) continue;
+        if (at < settle) continue;
 
         // ---- digital backend (this lane) ----------------------------
-        // Schmitt slicer.
+        // Schmitt lane.slicer.
         if (out > DigitalBackend::kLogicVih) {
-          slicer = 1.0;
+          lane.slicer = 1.0;
         } else if (out < DigitalBackend::kLogicVil) {
-          slicer = -1.0;
+          lane.slicer = -1.0;
         }
         // fs/4 mixer: the LO samples are exact, one component is
         // always 0.
         double acc_re, acc_im;
-        switch (mix_phase) {
+        switch (lane.mix_phase) {
           case 0:
-            acc_re = slicer;
+            acc_re = lane.slicer;
             acc_im = 0.0;
             break;
           case 1:
             acc_re = 0.0;
-            acc_im = -slicer;
+            acc_im = -lane.slicer;
             break;
           case 2:
-            acc_re = -slicer;
+            acc_re = -lane.slicer;
             acc_im = 0.0;
             break;
           default:
             acc_re = 0.0;
-            acc_im = slicer;
+            acc_im = lane.slicer;
             break;
         }
-        mix_phase = (mix_phase + 1) & 3u;
+        lane.mix_phase = (lane.mix_phase + 1) & 3u;
 
         // CIC integrators run every sample.
         for (std::size_t s = 0; s < DigitalBackend::kCicStages; ++s) {
-          ci_re[s] += acc_re;
-          acc_re = ci_re[s];
-          ci_im[s] += acc_im;
-          acc_im = ci_im[s];
+          lane.ci_re[s] += acc_re;
+          acc_re = lane.ci_re[s];
+          lane.ci_im[s] += acc_im;
+          acc_im = lane.ci_im[s];
         }
-        if (++cic_phase < DigitalBackend::kCicFactor) continue;
-        cic_phase = 0;
+        if (++lane.cic_phase < DigitalBackend::kCicFactor) continue;
+        lane.cic_phase = 0;
         for (std::size_t s = 0; s < DigitalBackend::kCicStages; ++s) {
-          const double prev_r = cb_re[s];
-          cb_re[s] = acc_re;
+          const double prev_r = lane.cb_re[s];
+          lane.cb_re[s] = acc_re;
           acc_re = acc_re - prev_r;
-          const double prev_i = cb_im[s];
-          cb_im[s] = acc_im;
+          const double prev_i = lane.cb_im[s];
+          lane.cb_im[s] = acc_im;
           acc_im = acc_im - prev_i;
         }
         acc_re *= cic_inv_gain;
@@ -396,66 +421,68 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
         // Half-band stage 1: history advances on every CIC output, the
         // dot product fires every second one (DecimatingFir semantics,
         // including the shorter dot while the history fills).
-        h1_re[h1_next] = acc_re;
-        h1_im[h1_next] = acc_im;
-        const std::size_t h1_newest = h1_next;
-        h1_next = (h1_next + 1) % kHbTaps;
-        if (h1_count < kHbTaps) ++h1_count;
-        if (++h1_phase < 2) continue;
-        h1_phase = 0;
+        lane.h1_re[lane.h1_next] = acc_re;
+        lane.h1_im[lane.h1_next] = acc_im;
+        const std::size_t h1_newest = lane.h1_next;
+        lane.h1_next = (lane.h1_next + 1) % kHbTaps;
+        if (lane.h1_count < kHbTaps) ++lane.h1_count;
+        if (++lane.h1_phase < 2) continue;
+        lane.h1_phase = 0;
         acc_re = 0.0;
         acc_im = 0.0;
         {
           std::size_t slot = h1_newest;
-          for (std::size_t t = 0; t < h1_count; ++t) {
-            acc_re += h1_re[slot] * hb[t];
-            acc_im += h1_im[slot] * hb[t];
+          for (std::size_t t = 0; t < lane.h1_count; ++t) {
+            acc_re += lane.h1_re[slot] * hb[t];
+            acc_im += lane.h1_im[slot] * hb[t];
             slot = slot == 0 ? kHbTaps - 1 : slot - 1;
           }
         }
 
         // Half-band stage 2.
-        h2_re[h2_next] = acc_re;
-        h2_im[h2_next] = acc_im;
-        const std::size_t h2_newest = h2_next;
-        h2_next = (h2_next + 1) % kHbTaps;
-        if (h2_count < kHbTaps) ++h2_count;
-        if (++h2_phase < 2) continue;
-        h2_phase = 0;
+        lane.h2_re[lane.h2_next] = acc_re;
+        lane.h2_im[lane.h2_next] = acc_im;
+        const std::size_t h2_newest = lane.h2_next;
+        lane.h2_next = (lane.h2_next + 1) % kHbTaps;
+        if (lane.h2_count < kHbTaps) ++lane.h2_count;
+        if (++lane.h2_phase < 2) continue;
+        lane.h2_phase = 0;
         acc_re = 0.0;
         acc_im = 0.0;
         {
           std::size_t slot = h2_newest;
-          for (std::size_t t = 0; t < h2_count; ++t) {
-            acc_re += h2_re[slot] * hb[t];
-            acc_im += h2_im[slot] * hb[t];
+          for (std::size_t t = 0; t < lane.h2_count; ++t) {
+            acc_re += lane.h2_re[slot] * hb[t];
+            acc_im += lane.h2_im[slot] * hb[t];
             slot = slot == 0 ? kHbTaps - 1 : slot - 1;
           }
         }
 
         // Channel FIR (fixed-length circular history, zero-filled).
-        ch_re[ch_pos] = acc_re;
-        ch_im[ch_pos] = acc_im;
+        lane.ch_re[lane.ch_pos] = acc_re;
+        lane.ch_im[lane.ch_pos] = acc_im;
         double out_re = 0.0, out_im = 0.0;
-        std::size_t idx = ch_pos;
+        std::size_t idx = lane.ch_pos;
         for (std::size_t t = 0; t < n_ch_taps; ++t) {
-          out_re += ch_re[idx] * ch_taps[t];
-          out_im += ch_im[idx] * ch_taps[t];
+          out_re += lane.ch_re[idx] * ch_taps[t];
+          out_im += lane.ch_im[idx] * ch_taps[t];
           idx = idx == 0 ? kChannelTaps - 1 : idx - 1;
         }
-        ch_pos = (ch_pos + 1) % kChannelTaps;
+        lane.ch_pos = (lane.ch_pos + 1) % kChannelTaps;
 
-        if (produced >= settle_baseband &&
-            produced - settle_baseband < baseband_points) {
-          bb_lane[produced - settle_baseband] = {out_re, out_im};
+        if (lane.produced >= settle_baseband &&
+            lane.produced - settle_baseband < baseband_points) {
+          bb_lane[lane.produced - settle_baseband] = {out_re, out_im};
         }
-        ++produced;
-        if (produced >= bb_needed) {
-          lane_done = true;
+        ++lane.produced;
+        if (lane.produced >= bb_needed) {
+          lane.done = true;
           break;
         }
       }
     }
+
+    state[l] = lane;
   }
 }
 
@@ -463,14 +490,17 @@ std::vector<double> ReceiverBatch::capture_modulator(
     std::span<const double> rf, std::size_t settle, par::ThreadPool& pool) {
   ANALOCK_SPAN_QUIET("rf.batch.capture_modulator");
   assert(rf.size() > settle);
-  const std::size_t n_mod = rf.size() - settle;
-  NoiseStreams noise;
-  generate_noise(rf.size(), noise, pool);
-  std::vector<double> out(lanes_ * n_mod);
-  pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
-    run_lanes(begin, end, rf, settle, noise, /*run_backend=*/false, 0, 0,
-              out, {});
-  });
+  std::vector<double> out(lanes_ * (rf.size() - settle));
+  NoiseStreams noise = make_noise();
+  std::vector<LaneState> state(lanes_);
+  for (std::size_t offset = 0; offset < rf.size(); offset += kNoiseWindow) {
+    const std::size_t window = std::min(kNoiseWindow, rf.size() - offset);
+    fill_noise(window, noise, pool);
+    pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
+      run_lanes(begin, end, rf, offset, window, settle, noise,
+                /*run_backend=*/false, 0, 0, state, out, {});
+    });
+  }
   return out;
 }
 
@@ -481,13 +511,18 @@ std::vector<std::complex<double>> ReceiverBatch::capture_receiver(
   ANALOCK_SPAN_QUIET("rf.batch.capture_receiver");
   assert(rf.size() >=
          receiver_input_length(baseband_points, settle, settle_baseband));
-  NoiseStreams noise;
-  generate_noise(rf.size(), noise, pool);
   std::vector<std::complex<double>> out(lanes_ * baseband_points);
-  pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
-    run_lanes(begin, end, rf, settle, noise, /*run_backend=*/true,
-              baseband_points, settle_baseband, {}, out);
-  });
+  NoiseStreams noise = make_noise();
+  std::vector<LaneState> state(lanes_);
+  for (std::size_t offset = 0; offset < rf.size(); offset += kNoiseWindow) {
+    const std::size_t window = std::min(kNoiseWindow, rf.size() - offset);
+    fill_noise(window, noise, pool);
+    pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
+      run_lanes(begin, end, rf, offset, window, settle, noise,
+                /*run_backend=*/true, baseband_points, settle_baseband, state,
+                {}, out);
+    });
+  }
   return out;
 }
 

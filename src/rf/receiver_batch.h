@@ -1,5 +1,7 @@
 // Structure-of-arrays batch stepper: advances N receiver configurations
-// (key candidates) in lockstep through one transient.
+// (key candidates) in lockstep through one transient. It is the only
+// measurement pipeline: lock::BatchEvaluator runs every oracle reading
+// through it, a per-key reading being a batch of one.
 //
 // Bit-exactness contract: for every lane, the produced capture equals —
 // to the last bit — what a freshly constructed scalar `rf::Receiver`
@@ -9,10 +11,10 @@
 //   1. `sim::Rng::fork` is const and depends only on the parent's seed
 //      material, so every scalar receiver built from the same evaluator
 //      RNG replays identical noise streams regardless of the key. The
-//      batch therefore precomputes each named stream (VGLNA, Gmin,
-//      tanks, preamp, comparator, DAC, buffer) once as raw unit
-//      deviates and scales per lane by that lane's configured RMS with
-//      the same `0.0 + rms * g` expression `sim::GaussianNoise` uses.
+//      batch therefore draws each named stream (VGLNA, Gmin, tanks,
+//      preamp, comparator, DAC, buffer) once, as raw unit deviates, and
+//      scales per lane by that lane's configured RMS with the same
+//      `0.0 + rms * g` expression `sim::GaussianNoise` uses.
 //   2. Every per-lane constant (gains, DAC levels, pole parameters,
 //      noise RMS values) is harvested from a probe scalar `Receiver`
 //      configured per lane — the config->parameter maps are never
@@ -21,9 +23,14 @@
 //      blocks call (`Vglna::Stage::process`, `cubic_soft`,
 //      `Resonator::advance`, `soft_rail`), applied in the same order.
 //
-// Work is sharded across a fixed thread pool by LANES (each worker runs
-// its contiguous lane range through the whole transient), so results
-// are independent of the thread count by construction.
+// The transient streams in windows of kNoiseWindow samples: each window
+// first draws the next kNoiseWindow deviates of every noise stream (one
+// worker per stream), then advances every lane through the window
+// (workers sharded by LANES, contiguous ranges). Lane state persists
+// between windows, so noise memory is O(kNoiseWindow), not
+// O(transient), and the draw order and per-lane arithmetic are those of
+// one uninterrupted pass: results are independent of the thread count
+// by construction.
 #pragma once
 
 #include <complex>
@@ -54,6 +61,12 @@ class ReceiverBatch {
     return fs_hz_ / static_cast<double>(DigitalBackend::kTotalDecimation);
   }
 
+  /// Samples per noise window: 2 MiB of deviates across the streams.
+  /// Each window costs two pool barriers, so a receiver transient
+  /// (~134k samples) takes five windows rather than one per 4096-sample
+  /// stepping chunk, while modulator captures still fit in one.
+  static constexpr std::size_t kNoiseWindow = 32768;
+
   /// Batched Receiver::capture_modulator: drives every lane with `rf`
   /// and returns the post-settle modulator outputs, lane-major — lane l
   /// occupies [l*(rf.size()-settle), (l+1)*(rf.size()-settle)).
@@ -72,21 +85,29 @@ class ReceiverBatch {
 
  private:
   struct NoiseStreams;
+  struct LaneState;
 
-  /// Fills the shared raw-deviate arrays for an `n`-sample transient.
-  void generate_noise(std::size_t n, NoiseStreams& noise,
-                      par::ThreadPool& pool) const;
+  /// Forks the named scalar noise streams, their windows still empty.
+  [[nodiscard]] NoiseStreams make_noise() const;
 
-  /// Advances lanes [begin, end) through the whole transient. When
-  /// `run_backend` is false, writes post-settle modulator outputs into
-  /// `mod_out` (lane-major, n - settle per lane); otherwise runs the
-  /// digital backend and writes `baseband_points` baseband samples per
-  /// lane into `bb_out`.
+  /// Draws the next `m` deviates of every needed stream into its window.
+  static void fill_noise(std::size_t m, NoiseStreams& noise,
+                         par::ThreadPool& pool);
+
+  /// Advances lanes [begin, end) through samples [offset, offset +
+  /// window) of the transient, resuming from and saving back `state[l]`.
+  /// `noise` holds those samples' deviates. When `run_backend` is false,
+  /// writes post-settle modulator outputs into `mod_out` (lane-major,
+  /// n - settle per lane); otherwise runs the digital backend and writes
+  /// `baseband_points` baseband samples per lane into `bb_out`. Callers
+  /// pass `run_backend` as a literal so the compiler can clone the
+  /// stepper per mode; a runtime flag measurably slows both.
   void run_lanes(std::size_t begin, std::size_t end,
-                 std::span<const double> rf, std::size_t settle,
+                 std::span<const double> rf, std::size_t offset,
+                 std::size_t window, std::size_t settle,
                  const NoiseStreams& noise, bool run_backend,
                  std::size_t baseband_points, std::size_t settle_baseband,
-                 std::span<double> mod_out,
+                 std::span<LaneState> state, std::span<double> mod_out,
                  std::span<std::complex<double>> bb_out) const;
 
   const Standard* standard_;

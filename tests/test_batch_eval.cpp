@@ -1,6 +1,8 @@
 // Bit-exactness and infrastructure tests for the batched evaluation
-// engine: FFT plans, the thread pool, batched periodograms, and
-// BatchEvaluator parity against the scalar LockEvaluator.
+// engine: FFT plans, the thread pool, batched periodograms, ReceiverBatch
+// parity with rf::Receiver across chunk boundaries, and BatchEvaluator
+// parity with the block-level reference recipe (reference_oracle.h) and
+// with per-key LockEvaluator calls.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,9 @@
 #include "lock/evaluator.h"
 #include "lock/key_layout.h"
 #include "par/thread_pool.h"
+#include "reference_oracle.h"
+#include "rf/receiver.h"
+#include "rf/receiver_batch.h"
 #include "rf/standards.h"
 #include "sim/process.h"
 #include "sim/rng.h"
@@ -169,6 +174,124 @@ TEST(Periodogram, ManyComplexMatchesPerLane) {
 }
 
 // ---------------------------------------------------------------------
+// ReceiverBatch streaming: parity with rf::Receiver across windows
+// ---------------------------------------------------------------------
+
+/// Lane configs for the chunk tests: the default loop (clocked, closed,
+/// its bit stream toggles the backend's slicer), the same loop with the
+/// output buffer in path and a shorter loop delay, and a random key.
+std::vector<rf::ReceiverConfig> chunk_test_configs(
+    const rf::Standard& standard) {
+  rf::ReceiverConfig live;
+  live.digital_mode = standard.digital_mode;
+  rf::ReceiverConfig buffered = live;
+  buffered.modulator.buffer_in_path = true;
+  buffered.modulator.loop_delay = 3;
+  sim::Rng rng(808);
+  return {live, buffered,
+          lock::decode_key(Key64::random(rng), standard.digital_mode)};
+}
+
+/// Stimulus whose samples do not repeat with the chunk length, so a
+/// chunk read at the wrong offset sees different input.
+std::vector<double> chunk_test_tone(const rf::Standard& standard,
+                                    std::size_t n) {
+  return rf::make_test_tone(standard, -25.0, n, /*offset_hz=*/1.7e6);
+}
+
+/// Index of the first sample where `got` differs from `want` (exact
+/// comparison), or want.size() when they agree.
+template <typename T>
+std::size_t first_mismatch(std::span<const T> got,
+                           const std::vector<T>& want) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (!(got[i] == want[i])) return i;
+  }
+  return want.size();
+}
+
+TEST(ReceiverBatch, ModulatorCaptureMatchesReceiverAcrossChunks) {
+  // Lengths around the 4096-sample stepping chunk and the noise window:
+  // one partial chunk, exactly one chunk, three chunks plus a tail, one
+  // window, three windows plus a tail. A wrong offset or lane state lost
+  // between chunks or windows shows up as a mismatch after a boundary.
+  constexpr std::size_t kChunk = 4096;
+  constexpr std::size_t kWindow = rf::ReceiverBatch::kNoiseWindow;
+  constexpr std::size_t kSettle = 100;
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(909);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const sim::Rng rng = chip_rng.fork("chip");
+  const auto configs = chunk_test_configs(standard);
+  par::ThreadPool pool(2);
+  for (const std::size_t n : {std::size_t{1000}, kChunk, 3 * kChunk + 17,
+                              kWindow, 3 * kWindow + 17}) {
+    const auto rf_in = chunk_test_tone(standard, n);
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+      rf::ReceiverBatch batch(
+          standard, pv, rng,
+          std::span<const rf::ReceiverConfig>(configs.data(), lanes));
+      const auto out = batch.capture_modulator(rf_in, kSettle, pool);
+      const std::size_t n_mod = n - kSettle;
+      ASSERT_EQ(out.size(), lanes * n_mod);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        rf::Receiver ref(standard, pv, rng);
+        ref.configure(configs[l]);
+        const auto capture = ref.capture_modulator(rf_in, kSettle);
+        ASSERT_EQ(capture.output.size(), n_mod);
+        EXPECT_EQ(first_mismatch(std::span<const double>(out).subspan(
+                                     l * n_mod, n_mod),
+                                 capture.output),
+                  n_mod)
+            << "n=" << n << " lanes=" << lanes << " lane=" << l;
+      }
+    }
+  }
+}
+
+TEST(ReceiverBatch, ReceiverCaptureMatchesReceiverAcrossChunks) {
+  constexpr std::size_t kSettle = 100;
+  constexpr std::size_t kSettleBaseband = 16;
+  constexpr std::size_t kPoints = 1024;
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(910);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const sim::Rng rng = chip_rng.fork("chip");
+  const auto configs = chunk_test_configs(standard);
+  const std::size_t n =
+      rf::receiver_input_length(kPoints, kSettle, kSettleBaseband);
+  ASSERT_GT(n, rf::ReceiverBatch::kNoiseWindow);
+  ASSERT_NE(n % rf::ReceiverBatch::kNoiseWindow, 0u);
+  const auto rf_in = chunk_test_tone(standard, n);
+  par::ThreadPool pool(2);
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+    rf::ReceiverBatch batch(
+        standard, pv, rng,
+        std::span<const rf::ReceiverConfig>(configs.data(), lanes));
+    const auto out = batch.capture_receiver(rf_in, kSettle, kPoints,
+                                            kSettleBaseband, pool);
+    ASSERT_EQ(out.size(), lanes * kPoints);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      rf::Receiver ref(standard, pv, rng);
+      ref.configure(configs[l]);
+      auto bb = ref.capture_receiver(rf_in, kSettle, kSettleBaseband)
+                    .baseband.samples;
+      ASSERT_GE(bb.size(), kPoints);
+      bb.resize(kPoints);
+      if (l == 0) {
+        // The live loop must drive the backend, or parity is trivial.
+        ASSERT_NE(std::abs(bb.back()), 0.0);
+      }
+      EXPECT_EQ(first_mismatch(std::span<const std::complex<double>>(out)
+                                   .subspan(l * kPoints, kPoints),
+                               bb),
+                kPoints)
+          << "lanes=" << lanes << " lane=" << l;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // BatchEvaluator parity
 // ---------------------------------------------------------------------
 
@@ -207,16 +330,14 @@ TEST(BatchEvaluator, EvaluateMatchesScalarBitExactly) {
   sim::Rng chip_rng(404);
   const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 1);
 
-  LockEvaluator scalar(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
-                       fast_options());
-  LockEvaluator wrapped(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
-                        fast_options());
-  BatchEvaluator batch(wrapped);
+  LockEvaluator evaluator(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
+                          fast_options());
+  BatchEvaluator batch(evaluator);
 
   const auto reports = batch.evaluate_batch(keys);
   ASSERT_EQ(reports.size(), keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto ref = scalar.evaluate(keys[i]);
+    const auto ref = reference::evaluate(evaluator, keys[i]);
     EXPECT_EQ(ref.snr_modulator_db, reports[i].snr_modulator_db) << i;
     EXPECT_EQ(ref.snr_receiver_db, reports[i].snr_receiver_db) << i;
     EXPECT_EQ(ref.sfdr_db, reports[i].sfdr_db) << i;
@@ -233,18 +354,18 @@ TEST(BatchEvaluator, MatchesScalarAcrossCornersAndStandards) {
     sim::Rng chip_rng(1000 + static_cast<std::uint64_t>(corner));
     const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, corner);
     for (const rf::Standard* standard : standards) {
-      LockEvaluator scalar(*standard, pv, chip_rng.fork("chip"),
-                           fast_options());
-      LockEvaluator wrapped(*standard, pv, chip_rng.fork("chip"),
-                            fast_options());
-      BatchEvaluator batch(wrapped);
+      LockEvaluator evaluator(*standard, pv, chip_rng.fork("chip"),
+                              fast_options());
+      BatchEvaluator batch(evaluator);
+      const double dbm = evaluator.options().input_dbm;
       const auto rx = batch.snr_receiver_db(keys);
       const auto mod = batch.snr_modulator_db(keys);
       ASSERT_EQ(rx.size(), keys.size());
       for (std::size_t i = 0; i < keys.size(); ++i) {
-        EXPECT_EQ(scalar.snr_receiver_db(keys[i]), rx[i])
+        EXPECT_EQ(reference::snr_receiver_db(evaluator, keys[i], dbm), rx[i])
             << standard->name << " corner " << corner << " key " << i;
-        EXPECT_EQ(scalar.snr_modulator_db(keys[i]), mod[i])
+        EXPECT_EQ(reference::snr_modulator_db(evaluator, keys[i], dbm),
+                  mod[i])
             << standard->name << " corner " << corner << " key " << i;
       }
     }
@@ -257,12 +378,14 @@ TEST(BatchEvaluator, DefaultOptionsMatchScalar) {
   const std::span<const Key64> two(keys.data(), 2);
   sim::Rng chip_rng(42);
   const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
-  LockEvaluator scalar(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"));
-  LockEvaluator wrapped(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"));
-  BatchEvaluator batch(wrapped);
+  LockEvaluator evaluator(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"));
+  BatchEvaluator batch(evaluator);
   const auto rx = batch.snr_receiver_db(two);
   for (std::size_t i = 0; i < two.size(); ++i) {
-    EXPECT_EQ(scalar.snr_receiver_db(two[i]), rx[i]) << i;
+    EXPECT_EQ(reference::snr_receiver_db(evaluator, two[i],
+                                         evaluator.options().input_dbm),
+              rx[i])
+        << i;
   }
 }
 
@@ -292,8 +415,8 @@ TEST(BatchEvaluator, ResultsIndependentOfThreadCount) {
 
 TEST(BatchEvaluator, FaultInjectorParity) {
   // An active injector perturbs every oracle reading; the batch must
-  // replay the perturbation stream in scalar call order so values AND
-  // injected-fault tallies match N scalar calls.
+  // replay the perturbation stream in per-key call order so values AND
+  // injected-fault tallies match N per-key calls.
   fault::FaultPlan plan;
   plan.seed = 99;
   plan.meas_spike_prob = 0.4;
@@ -305,26 +428,26 @@ TEST(BatchEvaluator, FaultInjectorParity) {
   sim::Rng chip_rng(314);
   const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
 
-  fault::FaultInjector scalar_injector(plan);
+  fault::FaultInjector per_key_injector(plan);
   fault::FaultInjector batch_injector(plan);
-  LockEvaluator scalar(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
+  LockEvaluator per_key(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
                        fast_options());
   LockEvaluator wrapped(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
                         fast_options());
-  scalar.set_fault_injector(&scalar_injector);
+  per_key.set_fault_injector(&per_key_injector);
   wrapped.set_fault_injector(&batch_injector);
   BatchEvaluator batch(wrapped);
 
   const auto reports = batch.evaluate_batch(keys);
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto ref = scalar.evaluate(keys[i]);
+    const auto ref = per_key.evaluate(keys[i]);
     EXPECT_EQ(ref.snr_modulator_db, reports[i].snr_modulator_db) << i;
     EXPECT_EQ(ref.snr_receiver_db, reports[i].snr_receiver_db) << i;
     EXPECT_EQ(ref.sfdr_db, reports[i].sfdr_db) << i;
   }
-  EXPECT_EQ(scalar_injector.counts().meas_spikes,
+  EXPECT_EQ(per_key_injector.counts().meas_spikes,
             batch_injector.counts().meas_spikes);
-  EXPECT_EQ(scalar_injector.counts().meas_dropouts,
+  EXPECT_EQ(per_key_injector.counts().meas_dropouts,
             batch_injector.counts().meas_dropouts);
 }
 
@@ -332,20 +455,20 @@ TEST(BatchEvaluator, TrialCountsMatchScalar) {
   const auto keys = test_keys(707, 2);
   sim::Rng chip_rng(55);
   const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
-  LockEvaluator scalar(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
+  LockEvaluator per_key(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
                        fast_options());
   LockEvaluator wrapped(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
                         fast_options());
   BatchEvaluator batch(wrapped);
 
-  for (const Key64& key : keys) (void)scalar.evaluate(key);
+  for (const Key64& key : keys) (void)per_key.evaluate(key);
   (void)batch.evaluate_batch(keys);
-  EXPECT_EQ(scalar.trial_counts().snr_modulator,
+  EXPECT_EQ(per_key.trial_counts().snr_modulator,
             wrapped.trial_counts().snr_modulator);
-  EXPECT_EQ(scalar.trial_counts().snr_receiver,
+  EXPECT_EQ(per_key.trial_counts().snr_receiver,
             wrapped.trial_counts().snr_receiver);
-  EXPECT_EQ(scalar.trial_counts().sfdr, wrapped.trial_counts().sfdr);
-  EXPECT_EQ(scalar.trials(), wrapped.trials());
+  EXPECT_EQ(per_key.trial_counts().sfdr, wrapped.trial_counts().sfdr);
+  EXPECT_EQ(per_key.trials(), wrapped.trials());
 
   (void)batch.snr_receiver_db(keys);
   EXPECT_EQ(wrapped.trial_counts().snr_receiver, 2 * keys.size());

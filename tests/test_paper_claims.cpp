@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "calibrated_fixture.h"
+#include "dsp/spectrum.h"
 #include "lock/key_layout.h"
 
 namespace {
