@@ -38,6 +38,7 @@ void run_multiobjective() {
     attack::MultiObjectiveOptions options;
     options.max_trials = bench::trials_budget(800);
     options.passes = 2;
+    // analock-verify: allow(taint-call) experiment tables include the recovered key column
     report("coordinate descent, cold start", cd.run(options));
   }
   {
@@ -46,12 +47,14 @@ void run_multiobjective() {
     options.max_trials = bench::trials_budget(2500);
     options.passes = 3;
     options.force_mission_mode = true;
+    // analock-verify: allow(taint-call) experiment tables include the recovered key column
     report("coordinate descent, known modes", cd.run(options));
   }
   {
     attack::GeneticAttack ga(ev, sim::Rng(113));
     attack::GeneticOptions options;
     options.max_trials = bench::trials_budget(1500);
+    // analock-verify: allow(taint-call) experiment tables include the recovered key column
     report("genetic algorithm, cold start", ga.run(options));
   }
   {
@@ -59,6 +62,7 @@ void run_multiobjective() {
     attack::GeneticOptions options;
     options.max_trials = bench::trials_budget(1500);
     options.force_mission_mode = true;
+    // analock-verify: allow(taint-call) experiment tables include the recovered key column
     report("genetic algorithm, known modes", ga.run(options));
   }
   {

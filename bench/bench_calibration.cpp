@@ -34,6 +34,7 @@ void run_calibration() {
     chips.push_back(bench::make_calibrated_chip(
         mode, static_cast<std::uint64_t>(c)));
     const auto& r = chips.back().cal;
+    // analock-verify: allow(taint-sink) experiment tables include the calibrated key column
     std::printf("%5d %5s %10.0f %8.1f %8.1f %8.1f %9zu %3u,%-3u %22s\n", c,
                 r.success ? "yes" : "NO", r.tank_freq_err_hz / 1e3,
                 r.snr_modulator_db, r.snr_receiver_db, r.sfdr_db,

@@ -27,6 +27,7 @@ void run_fig07() {
                 "tone -25 dBm at F0=3 GHz, OSR 64, 8192-pt FFT");
 
   const double correct = ev.snr_modulator_db(chip.cal.key);
+  // analock-verify: allow(taint-sink) experiment tables include the calibrated key column
   std::printf("correct key %s : SNR = %.2f dB\n",
               chip.cal.key.to_hex().c_str(), correct);
 
@@ -45,6 +46,7 @@ void run_fig07() {
       best = snr;
       best_idx = i;
     }
+    // analock-verify: allow(taint-sink) experiment tables include the calibrated key column
     std::printf("%-6d %-20s %10.2f\n", i, k.to_hex().c_str(), snr);
   }
 

@@ -48,6 +48,7 @@ void run_fig11() {
           L::kVglnaGain, chip.cal.vglna_per_segment[s]);
       const Key64 bad =
           deceptive.with_field(L::kVglnaGain, chip.cal.vglna_per_segment[s]);
+      // analock-verify: allow(taint-sink) experiment tables include the calibrated key column
       std::printf("  %11.1f %11.1f",
                   bench::display_snr(ev.snr_receiver_db(good, dbm)),
                   bench::display_snr(ev.snr_receiver_db(bad, dbm)));

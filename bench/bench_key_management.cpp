@@ -44,6 +44,7 @@ void run_report() {
     if (lut.load(s) == keys[s]) ++lut_ok;
     if (pufxor.load(s) == keys[s]) ++puf_ok;
   }
+  // analock-verify: allow(taint-sink) experiment tables include the calibrated key column
   std::printf("recovery correctness: LUT %d/%zu, PUF+XOR %d/%zu "
               "(10 power-on cycles each below)\n",
               lut_ok, slots, puf_ok, slots);
@@ -53,6 +54,7 @@ void run_report() {
   }
   std::printf("PUF+XOR regeneration stability: %d/10 power-ons\n", stable);
 
+  // analock-verify: allow(taint-sink) experiment tables include the calibrated key column
   std::printf("storage: LUT %zu bits on-chip tamper-proof NVM; PUF+XOR "
               "%zu bits of user-key material (may live off-chip) + the "
               "PUF itself\n",
@@ -75,6 +77,7 @@ void run_report() {
   PufXorScheme clone(clone_puf, slots);
   clone.install_user_key(0, *pufxor.user_key(0));
   const auto wrong = clone.load(0);
+  // analock-verify: allow(taint-sink) experiment tables include the calibrated key column
   std::printf("cloned die unwrap error: %u/64 key bits wrong -> "
               "non-functional configuration\n",
               wrong->hamming_distance(keys[0]));

@@ -1,7 +1,9 @@
 // Experiment E-SA: analock-verify throughput. Times a full static
 // analysis pass — offset-preserving strip, parse, cross-TU call graph,
 // all analysis families including the constant-time flow pass — over the
-// repo's own src/ tree, plus a SARIF-emission microbenchmark. When the
+// repo's own src/ tree, then each analysis family alone on that tree
+// parsed once up front (family_<name>), plus a SARIF-emission
+// microbenchmark. When the
 // bench runs outside a repo checkout (no src/analock.h within four
 // parent levels) it falls back to a synthetic corpus with the same rule
 // mix so the trajectory artifact stays comparable.
@@ -13,12 +15,18 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/analyses.h"
+#include "analysis/callgraph.h"
 #include "analysis/engine.h"
+#include "analysis/lexer.h"
+#include "analysis/parser.h"
 #include "analysis/model.h"
 #include "analysis/sarif.h"
 #include "obs/obs.h"
@@ -139,6 +147,52 @@ int main() {
     const std::vector<Finding> findings = analyze(corpus);
     do_not_optimize(findings.data());
   }, full_opts);
+
+  // Per family: the corpus is loaded, parsed and call-graphed once, so
+  // each case times one family's pass alone.
+  std::vector<std::unique_ptr<analock::analysis::SourceFile>> sources;
+  for (const auto& [path, text] : corpus) {
+    auto source = std::make_unique<analock::analysis::SourceFile>();
+    source->path = path;
+    source->text = text;
+    source->stripped = analock::analysis::strip_source(source->text);
+    source->line_starts = analock::analysis::compute_line_starts(source->text);
+    sources.push_back(std::move(source));
+  }
+  std::vector<analock::analysis::ParsedFile> parsed;
+  parsed.reserve(sources.size());
+  for (const auto& source : sources) {
+    parsed.push_back(analock::analysis::parse_file(*source));
+  }
+  const analock::analysis::CallGraph graph(parsed);
+  const int depth = Engine::Options{}.max_depth;
+  namespace an = analock::analysis;
+  using Family = std::function<void(std::vector<Finding>&)>;
+  const std::pair<const char*, Family> families[] = {
+      {"family_taint",
+       [&](auto& out) { an::run_taint_analysis(parsed, graph, depth, out); }},
+      {"family_locks",
+       [&](auto& out) { an::run_lock_analysis(parsed, graph, out); }},
+      {"family_determinism",
+       [&](auto& out) { an::run_determinism_analysis(parsed, out); }},
+      {"family_parallel",
+       [&](auto& out) {
+         an::run_parallel_analysis(parsed, graph, depth, out);
+       }},
+      {"family_lock_order",
+       [&](auto& out) { an::run_lock_order_analysis(parsed, graph, out); }},
+      {"family_fp_exact",
+       [&](auto& out) { an::run_fp_exact_analysis(parsed, out); }},
+      {"family_ct_flow",
+       [&](auto& out) { an::run_ct_flow_analysis(parsed, graph, depth, out); }},
+  };
+  for (const auto& [name, run_family] : families) {
+    h.add_case(name, [&run_family] {
+      std::vector<Finding> findings;
+      run_family(findings);
+      do_not_optimize(findings.data());
+    }, full_opts);
+  }
 
   // SARIF emission on a fixed finding set (synthetic so the case has
   // non-trivial work even when the repo tree is clean).

@@ -76,6 +76,7 @@ int main() {
               "dB | %zu measurements total\n",
               cal.success ? "PASS" : "FAIL", cal.snr_modulator_db,
               cal.snr_receiver_db, cal.sfdr_db, cal.total_measurements);
+  // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
   std::printf("secret key: %s\n\n", cal.key.to_hex().c_str());
 
   std::printf("why an attacker cannot retrace this (paper VI.B.2):\n"

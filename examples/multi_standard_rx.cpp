@@ -41,6 +41,7 @@ int main() {
     calib::Calibrator calibrator(*modes[slot], process, chip_rng);
     const auto cal = calibrator.run();
     lut.provision(slot, cal.key);
+    // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
     std::printf("%-24s %10.3f %8.1f %8.1f %4u,%-3u %22s\n",
                 std::string(modes[slot]->name).c_str(),
                 modes[slot]->f0_hz / 1e9, cal.snr_receiver_db, cal.sfdr_db,
@@ -61,6 +62,7 @@ int main() {
       continue;
     }
     lock::LockEvaluator ev(*modes[slot], process, chip_rng);
+    // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
     std::printf("  %-24s loaded slot %zu -> receiver SNR %.1f dB\n",
                 std::string(modes[slot]->name).c_str(), slot,
                 ev.snr_receiver_db(*chip.active_key()));

@@ -31,10 +31,13 @@ int main() {
   lock::ArbiterPuf puf(chip_rng.fork("puf"));
   lock::PufXorScheme scheme(puf, 1);
   scheme.provision(0, cal.key);
+  // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
   std::printf("config key : %s (secret, never stored)\n",
               cal.key.to_hex().c_str());
+  // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
   std::printf("id key     : %s (PUF, exists only on this die)\n",
               puf.identification_key(0).to_hex().c_str());
+  // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
   std::printf("user key   : %s (shipped to the customer, safe to expose)\n",
               scheme.user_key(0)->to_hex().c_str());
 
@@ -42,6 +45,7 @@ int main() {
   lock::LockedReceiver genuine(mode, pv, chip_rng);
   genuine.power_on(scheme, 0);
   lock::LockEvaluator ev(mode, pv, chip_rng);
+  // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
   std::printf("\n[genuine] power-on: rx SNR %.1f dB -> %s\n",
               ev.snr_receiver_db(*genuine.active_key()),
               ev.evaluate(*genuine.active_key()).unlocked() ? "UNLOCKED"
@@ -56,6 +60,7 @@ int main() {
   lock::LockedReceiver clone(mode, clone_pv, clone_rng);
   clone.power_on(clone_scheme, 0);
   lock::LockEvaluator clone_ev(mode, clone_pv, clone_rng);
+  // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
   std::printf("[clone]   stolen user key unwraps %u/64 bits wrong -> rx "
               "SNR %.1f dB -> locked\n",
               clone.active_key()->hamming_distance(cal.key),
@@ -79,6 +84,7 @@ int main() {
   lut.poison(0, poison);
   lock::LockedReceiver remarked(mode, pv, chip_rng);
   remarked.power_on(lut, 0);
+  // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
   std::printf("[remark]  poisoned LUT entry: rx SNR %.1f dB -> totally "
               "malfunctional\n",
               ev.snr_receiver_db(*remarked.active_key()));
@@ -98,10 +104,12 @@ int main() {
   remote.install_wrapped_key(0, wrapped);
   lock::LockedReceiver activated(mode, pv, chip_rng);
   activated.power_on(remote, 0);
+  // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
   std::printf("chip decrypts internally and unlocks: rx SNR %.1f dB\n",
               ev.snr_receiver_db(*activated.active_key()));
   // The same ciphertext diverted to the clone die is rejected.
   lock::RemoteActivationChip clone_remote(clone_puf, 1);
+  // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
   std::printf("same ciphertext on a cloned die: install %s\n",
               clone_remote.install_wrapped_key(0, wrapped)
                   ? "accepted (?)"

@@ -41,6 +41,7 @@ int main() {
               cal.success ? "calibrated" : "FAILED", cal.snr_receiver_db,
               cal.sfdr_db, cal.tank_freq_err_hz / 1e3,
               cal.total_measurements);
+  // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
   std::printf("[cal]   secret key: %s\n", cal.key.to_hex().c_str());
 
   // 3. Provision the tamper-proof LUT (Fig. 3a) and ship the chip.
@@ -64,6 +65,7 @@ int main() {
   sim::Rng pirate(999);
   const auto guess = lock::Key64::random(pirate);
   const auto pirated = ev.evaluate(guess);
+  // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
   std::printf("[pirate] random key %s: SNR(rx) %.1f dB, SFDR %.1f dB -> "
               "%s\n",
               guess.to_hex().c_str(), pirated.snr_receiver_db,
@@ -74,6 +76,7 @@ int main() {
   const auto near_miss =
       cal.key.with_field(lock::KeyLayout::kCapCoarse,
                          cal.config.modulator.cap_coarse + 8);
+  // analock-verify: allow(taint-sink) demonstrators print the key as part of the narrative
   std::printf("[pirate] near-miss key (+8 coarse codes): SNR(rx) %.1f dB "
               "-> %s\n",
               ev.snr_receiver_db(near_miss),

@@ -78,4 +78,8 @@ void run_ct_flow_analysis(const std::vector<ParsedFile>& files,
 /// convention (the taint oracle). Exposed for tests.
 [[nodiscard]] bool is_secret_identifier(std::string_view identifier);
 
+/// True when `text` calls a raw-word accessor, `.bits()` / `.to_hex()`
+/// (or through `->`): the oracle's other half, secret on any receiver.
+[[nodiscard]] bool has_secret_accessor(std::string_view text);
+
 }  // namespace analock::analysis

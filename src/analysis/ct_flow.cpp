@@ -20,6 +20,12 @@
 //                   over key material.
 //   ct-leak-call    secrets passed to known variable-time callees
 //                   (memcmp/strcmp/std::find/map lookups).
+//   secret-compare  early-exit '==' / '!=' with a secret operand outside
+//                   a condition secret-branch already reports (one
+//                   hazard, one finding). Call arguments do not make an
+//                   operand secret: a secret handed to memcmp is
+//                   ct-leak-call's site, and a callee's result is judged
+//                   by its summary.
 //
 // The secret oracle is the shared name convention (is_secret_identifier)
 // plus the .bits()/.to_hex() accessors; taint is deliberately nominal,
@@ -47,76 +53,18 @@
 // `x.has_value()` chains are stripped before tainting, mirroring
 // ct_equal's own early length check.
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <map>
 #include <set>
 #include <string>
 
 #include "analysis/analyses.h"
+#include "analysis/lexer.h"
 
 namespace analock::analysis {
 
 namespace {
-
-bool contains_word(std::string_view text, std::string_view word) {
-  std::size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string_view::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
-    const std::size_t end = pos + word.size();
-    const bool right_ok =
-        end >= text.size() ||
-        (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-         text[end] != '_');
-    if (left_ok && right_ok) return true;
-    pos += 1;
-  }
-  return false;
-}
-
-/// Splits `text` into identifier runs and applies `fn` to each.
-template <typename Fn>
-void for_each_identifier(std::string_view text, Fn fn) {
-  std::size_t i = 0;
-  const std::size_t n = text.size();
-  while (i < n) {
-    const char c = text[i];
-    if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
-      std::size_t j = i + 1;
-      while (j < n && (std::isalnum(static_cast<unsigned char>(
-                           text[j])) != 0 ||
-                       text[j] == '_')) {
-        ++j;
-      }
-      if (!fn(text.substr(i, j - i))) return;
-      i = j;
-    } else {
-      ++i;
-    }
-  }
-}
-
-bool has_secret_accessor(std::string_view text) {
-  for (const std::string_view acc : {"bits", "to_hex"}) {
-    std::size_t pos = 0;
-    while ((pos = text.find(acc, pos)) != std::string_view::npos) {
-      const std::size_t end = pos + acc.size();
-      const bool deref =
-          (pos >= 1 && text[pos - 1] == '.') ||
-          (pos >= 2 && text[pos - 2] == '-' && text[pos - 1] == '>');
-      std::size_t k = end;
-      while (k < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[k])) != 0) {
-        ++k;
-      }
-      if (deref && k < text.size() && text[k] == '(') return true;
-      pos = end;
-    }
-  }
-  return false;
-}
 
 /// True for member-call names that collide with the std:: vocabulary
 /// (atomic load/store, smart-pointer get, optional value, ...). Such
@@ -148,11 +96,7 @@ std::string first_secret_name(std::string_view expr) {
       continue;
     }
     std::size_t j = i + 1;
-    while (j < n && (std::isalnum(static_cast<unsigned char>(expr[j])) !=
-                         0 ||
-                     expr[j] == '_')) {
-      ++j;
-    }
+    while (j < n && is_word_char(expr[j])) ++j;
     std::size_t k = j;
     while (k < n && std::isspace(static_cast<unsigned char>(expr[k])) != 0) {
       ++k;
@@ -168,13 +112,21 @@ std::string first_secret_name(std::string_view expr) {
 
 /// Per-function constant-time summary, fixed-pointed over the call
 /// graph. A ct_safe function's summary is all-clear by assertion.
+/// Where a parameter can flow inside a callee chain, and the rule and
+/// wording a call site passing key material there is reported with.
+enum Fact { kBranch, kIndex, kVartime, kFactCount };
+constexpr struct {
+  const char* rule;
+  const char* reaches;
+} kFactSinks[kFactCount] = {
+    {"secret-branch", "a branch"},
+    {"secret-index", "a subscript"},
+    {"vartime-op", "a variable-time op"},
+};
+
 struct CtSummary {
-  std::vector<char> to_branch;
-  std::vector<char> to_index;
-  std::vector<char> to_vartime;
-  std::vector<std::string> branch_via;
-  std::vector<std::string> index_via;
-  std::vector<std::string> vartime_via;
+  std::array<std::vector<char>, kFactCount> to;  ///< [fact][param]
+  std::array<std::vector<std::string>, kFactCount> via;  ///< call chain
   bool returns_tainted = false;
 };
 
@@ -200,7 +152,7 @@ std::size_t chain_start(std::string_view text, std::size_t pos) {
   std::size_t p = pos;
   while (p > 0) {
     const char c = text[p - 1];
-    if (std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_') {
+    if (is_word_char(c)) {
       --p;
       continue;
     }
@@ -269,16 +221,9 @@ std::string strip_sanctioned(std::string_view expr, const CtContext& ctx) {
   for (const std::string& name : ctx.blessed) {
     std::size_t pos = 0;
     while ((pos = text.find(name, pos)) != std::string::npos) {
-      const bool left_ok =
-          pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                           text[pos - 1])) == 0 &&
-                       text[pos - 1] != '_');
       const std::size_t end = pos + name.size();
-      const bool right_ok =
-          end >= text.size() ||
-          (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-           text[end] != '_');
-      if (!left_ok || !right_ok || !blank_call_at(pos, end)) {
+      if (!whole_word_at(text, pos, name.size()) ||
+          !blank_call_at(pos, end)) {
         pos = end;
       }
       // On success the region was blanked; rescans find nothing there.
@@ -324,6 +269,8 @@ std::string ct_witness_stripped(std::string_view expr,
   const std::string named = first_secret_name(expr);
   if (!named.empty()) return named;
   if (has_secret_accessor(expr)) return "bits()/to_hex() accessor";
+  // Only a call can return key material.
+  if (expr.find('(') == std::string_view::npos) return {};
 
   for (const auto& [def, summary] : ctx.summaries) {
     if (!summary.returns_tainted) continue;
@@ -331,10 +278,7 @@ std::string ct_witness_stripped(std::string_view expr,
     while ((pos = expr.find(def->base_name, pos)) !=
            std::string_view::npos) {
       const std::size_t end = pos + def->base_name.size();
-      const bool left_ok =
-          pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                           expr[pos - 1])) == 0 &&
-                       expr[pos - 1] != '_');
+      const bool left_ok = pos == 0 || !is_word_char(expr[pos - 1]);
       const bool member =
           (pos >= 1 && expr[pos - 1] == '.') ||
           (pos >= 2 && expr[pos - 2] == '-' && expr[pos - 1] == '>');
@@ -377,23 +321,70 @@ struct BranchText {
   std::string text;
   std::size_t offset = 0;
   const char* kind = "if";
+  std::size_t begin = 0;  ///< where `text` sits in the file; an empty
+  std::size_t end = 0;    ///< range when a preprocessor line hides it
 };
 
 /// Explicit conditions plus short-circuit &&/|| return expressions
 /// (evaluation order makes those branches too).
-std::vector<BranchText> branch_texts(const FunctionDef& fn) {
+std::vector<BranchText> branch_texts(const FunctionDef& fn,
+                                     const SourceFile& source) {
+  const std::string_view code = source.stripped;
   std::vector<BranchText> out;
   out.reserve(fn.conditions.size() + fn.returns.size());
+  // A condition follows its keyword; a ternary's precedes its '?'.
+  const auto add = [&](const std::string& text, std::size_t offset,
+                       const char* kind, bool before_offset) {
+    BranchText& b = out.emplace_back(BranchText{text, offset, kind});
+    const std::size_t at =
+        before_offset ? code.rfind(text, offset) : code.find(text, offset);
+    if (at != std::string_view::npos) {
+      b.begin = at;
+      b.end = at + text.size();
+    }
+  };
   for (const ConditionSite& cond : fn.conditions) {
-    out.push_back({cond.text, cond.offset, condition_kind_name(cond.kind)});
+    add(cond.text, cond.offset, condition_kind_name(cond.kind),
+        cond.kind == ConditionSite::Kind::kTernary);
   }
   for (const ReturnExpr& ret : fn.returns) {
     if (ret.text.find("&&") != std::string::npos ||
         ret.text.find("||") != std::string::npos) {
-      out.push_back({ret.text, ret.offset, "short-circuit return"});
+      add(ret.text, ret.offset, "short-circuit return", false);
     }
   }
   return out;
+}
+
+bool is_compare(const BinaryOpSite& site) {
+  return site.op == "==" || site.op == "!=";
+}
+
+/// Blanks the argument lists of calls in `expr`, keeping the callee
+/// name and parentheses so accessor and summary witnesses still match.
+/// A cast's `>(` is not a call: its operand is the value compared.
+std::string blank_call_args(std::string_view expr) {
+  std::string text(expr);
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] != '(') continue;
+    std::size_t k = i;
+    while (k > 0 &&
+           std::isspace(static_cast<unsigned char>(text[k - 1])) != 0) {
+      --k;
+    }
+    if (k == 0 || !is_word_char(text[k - 1])) continue;  // not a call
+    int depth = 0;
+    std::size_t close = i;
+    for (; close < text.size(); ++close) {
+      if (text[close] == '(') ++depth;
+      if (text[close] == ')' && --depth == 0) break;
+    }
+    for (std::size_t j = i + 1; j < close && j < text.size(); ++j) {
+      text[j] = ' ';
+    }
+    i = close;
+  }
+  return text;
 }
 
 /// Known variable-time library callees. Member/qualified lookups
@@ -460,49 +451,48 @@ void compute_summaries(const CallGraph& graph, int max_depth,
     const FunctionDef& fn = ref.def();
     const SourceFile& source = *ref.file->source;
     CtSummary s;
-    s.to_branch.assign(fn.params.size(), 0);
-    s.to_index.assign(fn.params.size(), 0);
-    s.to_vartime.assign(fn.params.size(), 0);
-    s.branch_via.assign(fn.params.size(), std::string());
-    s.index_via.assign(fn.params.size(), std::string());
-    s.vartime_via.assign(fn.params.size(), std::string());
+    for (int f = 0; f < kFactCount; ++f) {
+      s.to[f].assign(fn.params.size(), 0);
+      s.via[f].assign(fn.params.size(), std::string());
+    }
+    const auto mark = [&s, &fn](Fact f, std::size_t i) {
+      s.to[f][i] = 1;
+      s.via[f][i] = fn.base_name;
+    };
     if (!fn.is_ct_safe) {
-      const std::vector<BranchText> branches = branch_texts(fn);
+      const std::vector<BranchText> branches = branch_texts(fn, source);
       for (std::size_t i = 0; i < fn.params.size(); ++i) {
         const std::string& name = fn.params[i].name;
         if (name.empty()) continue;
         for (const BranchText& b : branches) {
           if (ctx.is_declassified(source, b.offset)) continue;
           if (contains_word(strip_sanctioned(b.text, ctx), name)) {
-            s.to_branch[i] = 1;
-            s.branch_via[i] = fn.base_name;
+            mark(kBranch, i);
             break;
           }
         }
         for (const SubscriptSite& sub : fn.subscripts) {
           if (ctx.is_declassified(source, sub.offset)) continue;
           if (contains_word(strip_sanctioned(sub.index_text, ctx), name)) {
-            s.to_index[i] = 1;
-            s.index_via[i] = fn.base_name;
+            mark(kIndex, i);
             break;
           }
         }
-        for (const DivModSite& dm : fn.divmods) {
+        for (const BinaryOpSite& dm : fn.binary_ops) {
+          if (is_compare(dm)) continue;
           if (ctx.is_declassified(source, dm.offset)) continue;
           if (contains_word(strip_sanctioned(dm.lhs, ctx), name) ||
               contains_word(strip_sanctioned(dm.rhs, ctx), name)) {
-            s.to_vartime[i] = 1;
-            s.vartime_via[i] = fn.base_name;
+            mark(kVartime, i);
             break;
           }
         }
-        if (s.to_vartime[i] == 0) {
+        if (s.to[kVartime][i] == 0) {
           for (const LoopSite& loop : fn.loops) {
             if (ctx.is_declassified(source, loop.offset)) continue;
             if (contains_word(strip_sanctioned(loop.bound_text, ctx),
                               name)) {
-              s.to_vartime[i] = 1;
-              s.vartime_via[i] = fn.base_name;
+              mark(kVartime, i);
               break;
             }
           }
@@ -560,24 +550,12 @@ void compute_summaries(const CallGraph& graph, int max_depth,
             const std::string& pname = fn.params[i].name;
             if (pname.empty()) continue;
             for (std::size_t a = 0;
-                 a < call.args.size() && a < cs.to_branch.size(); ++a) {
+                 a < call.args.size() && a < cs.to[kBranch].size(); ++a) {
               if (!contains_word(call.args[a], pname)) continue;
-              if (cs.to_branch[a] != 0 && s.to_branch[i] == 0) {
-                s.to_branch[i] = 1;
-                s.branch_via[i] =
-                    callee.base_name + " -> " + cs.branch_via[a];
-                changed = true;
-              }
-              if (cs.to_index[a] != 0 && s.to_index[i] == 0) {
-                s.to_index[i] = 1;
-                s.index_via[i] =
-                    callee.base_name + " -> " + cs.index_via[a];
-                changed = true;
-              }
-              if (cs.to_vartime[a] != 0 && s.to_vartime[i] == 0) {
-                s.to_vartime[i] = 1;
-                s.vartime_via[i] =
-                    callee.base_name + " -> " + cs.vartime_via[a];
+              for (int f = 0; f < kFactCount; ++f) {
+                if (cs.to[f][a] == 0 || s.to[f][i] != 0) continue;
+                s.to[f][i] = 1;
+                s.via[f][i] = callee.base_name + " -> " + cs.via[f][a];
                 changed = true;
               }
             }
@@ -599,16 +577,11 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
       const auto add = [&](std::size_t offset, const char* rule,
                            std::string message) {
         if (ctx.is_declassified(source, offset)) return;
-        Finding f;
-        f.file = source.path;
-        f.line = source.line_of(offset);
-        f.col = source.col_of(offset);
-        f.rule = rule;
-        f.message = std::move(message);
-        out.push_back(std::move(f));
+        out.push_back(Finding::at(source, offset, rule, std::move(message)));
       };
 
-      for (const BranchText& b : branch_texts(fn)) {
+      std::vector<BranchText> reported_branches;
+      for (BranchText& b : branch_texts(fn, source)) {
         const std::string witness = ct_witness(b.text, ctx);
         if (witness.empty()) continue;
         add(b.offset, "secret-branch",
@@ -617,6 +590,23 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
                 " condition; timing reveals the secret — restructure "
                 "branch-free (ct_equal / masked select) or annotate "
                 "'// analock: declassified(reason)'");
+        reported_branches.push_back(std::move(b));
+      }
+
+      for (const BinaryOpSite& cmp : fn.binary_ops) {
+        if (!is_compare(cmp)) continue;
+        const bool in_reported_branch = std::any_of(
+            reported_branches.begin(), reported_branches.end(),
+            [&cmp](const BranchText& b) {
+              return cmp.offset >= b.begin && cmp.offset < b.end;
+            });
+        if (in_reported_branch) continue;
+        const std::string witness = ct_witness(
+            blank_call_args(cmp.lhs) + " " + blank_call_args(cmp.rhs), ctx);
+        if (witness.empty()) continue;
+        add(cmp.offset, "secret-compare",
+            "early-exit " + cmp.op + " on key material (" + witness +
+                "); use analock::ct_equal (lock/ct_equal.h)");
       }
 
       for (const SubscriptSite& sub : fn.subscripts) {
@@ -644,7 +634,8 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
                 "leaks the key through cache timing");
       }
 
-      for (const DivModSite& dm : fn.divmods) {
+      for (const BinaryOpSite& dm : fn.binary_ops) {
+        if (is_compare(dm)) continue;
         const std::string witness =
             ct_witness(dm.lhs + " " + dm.rhs, ctx);
         if (witness.empty()) continue;
@@ -708,29 +699,15 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
           const CtSummary& cs = ctx.summaries.at(&callee);
           bool reported = false;
           for (std::size_t a = 0;
-               a < call.args.size() && a < cs.to_branch.size(); ++a) {
+               a < call.args.size() && a < cs.to[kBranch].size(); ++a) {
             const std::string witness = ct_witness(call.args[a], ctx);
             if (witness.empty()) continue;
-            if (cs.to_branch[a] != 0) {
-              add(call.offset, "secret-branch",
-                  std::string("key material (") + witness +
-                      ") reaches a branch through call chain " +
-                      cs.branch_via[a]);
-              reported = true;
-            }
-            if (cs.to_index[a] != 0) {
-              add(call.offset, "secret-index",
-                  std::string("key material (") + witness +
-                      ") reaches a subscript through call chain " +
-                      cs.index_via[a]);
-              reported = true;
-            }
-            if (cs.to_vartime[a] != 0) {
-              add(call.offset, "vartime-op",
-                  std::string("key material (") + witness +
-                      ") reaches a variable-time op through call "
-                      "chain " +
-                      cs.vartime_via[a]);
+            for (int f = 0; f < kFactCount; ++f) {
+              if (cs.to[f][a] == 0) continue;
+              add(call.offset, kFactSinks[f].rule,
+                  "key material (" + witness + ") reaches " +
+                      kFactSinks[f].reaches + " through call chain " +
+                      cs.via[f][a]);
               reported = true;
             }
             if (reported) break;

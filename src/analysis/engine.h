@@ -2,7 +2,7 @@
 // cross-TU call graph, runs every analysis pass, applies inline
 // suppressions, and returns fingerprinted findings in stable order.
 //
-// Suppression mirrors analock-lint: a comment
+// Suppression is one inline comment, the only suppression syntax:
 //
 //     // analock-verify: allow(rule[, rule...]) rationale
 //

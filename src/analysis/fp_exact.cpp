@@ -12,38 +12,25 @@
 // partial-sum boundaries move with the worker count).
 //
 // fp-contract — `std::fma`/`fmaf` calls: the fused result differs from
-// the unfused `a*b + c` the scalar reference path computes.
+// the unfused `a*b + c` the scalar reference path computes. Also
+// `#pragma STDC FP_CONTRACT ON`, which licenses that fusion for a whole
+// translation unit and is flagged in every file.
 //
 // Scope: files named receiver_batch.cpp, batch_evaluator.cpp, or
 // fft_plan.cpp (the batch lane set), plus any file annotated
 // `// analock: bit_exact`. Everything else may trade exactness for
-// speed freely.
+// speed freely. Compiler flags that do the same build-wide
+// (-ffast-math, -ffp-contract=fast, ...) are rejected at configure time
+// by cmake/fp_flags.cmake.
 #include <cctype>
 #include <string>
 
 #include "analysis/analyses.h"
+#include "analysis/lexer.h"
 
 namespace analock::analysis {
 
 namespace {
-
-bool contains_word(const std::string& text, const std::string& word) {
-  std::size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
-    const std::size_t end = pos + word.size();
-    const bool right_ok =
-        end >= text.size() ||
-        (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-         text[end] != '_');
-    if (left_ok && right_ok) return true;
-    ++pos;
-  }
-  return false;
-}
 
 std::string basename_of(const std::string& path) {
   const std::size_t slash = path.find_last_of("/\\");
@@ -100,25 +87,49 @@ int count_indexed_uses(const std::string& text, const std::string& word) {
   std::size_t pos = 0;
   const std::string needle = word + "[";
   while ((pos = text.find(needle, pos)) != std::string::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
-    if (left_ok) ++count;
+    if (pos == 0 || !is_word_char(text[pos - 1])) ++count;
     pos += needle.size();
   }
   return count;
 }
 
-void emit(const ParsedFile& file, std::size_t offset, const char* rule,
-          std::string message, std::vector<Finding>& out) {
-  Finding f;
-  f.file = file.source->path;
-  f.line = file.source->line_of(offset);
-  f.col = file.source->col_of(offset);
-  f.rule = rule;
-  f.message = std::move(message);
-  out.push_back(std::move(f));
+/// Offset of the '#' of every `#pragma STDC FP_CONTRACT ON` line.
+std::vector<std::size_t> fp_contract_pragmas(const SourceFile& source) {
+  std::vector<std::size_t> out;
+  const std::string_view code = source.stripped;
+  std::size_t pos = 0;
+  while ((pos = code.find("FP_CONTRACT", pos)) != std::string_view::npos) {
+    const std::size_t line_begin =
+        source.line_starts[static_cast<std::size_t>(source.line_of(pos) - 1)];
+    std::size_t line_end = code.find('\n', pos);
+    if (line_end == std::string_view::npos) line_end = code.size();
+    pos = line_end;
+    // Words of the directive: '#' pragma STDC FP_CONTRACT ON.
+    std::vector<std::string_view> words;
+    std::size_t hash = std::string_view::npos;
+    for (std::size_t k = line_begin; k < line_end;) {
+      const char c = code[k];
+      if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+        ++k;
+      } else if (c == '#' && words.empty() && hash == std::string_view::npos) {
+        hash = k++;
+      } else {
+        std::size_t e = k;
+        while (e < line_end &&
+               std::isspace(static_cast<unsigned char>(code[e])) == 0) {
+          ++e;
+        }
+        words.push_back(code.substr(k, e - k));
+        k = e;
+      }
+    }
+    if (hash != std::string_view::npos && words.size() == 4 &&
+        words[0] == "pragma" && words[1] == "STDC" &&
+        words[2] == "FP_CONTRACT" && words[3] == "ON") {
+      out.push_back(hash);
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -126,6 +137,17 @@ void emit(const ParsedFile& file, std::size_t offset, const char* rule,
 void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
                            std::vector<Finding>& out) {
   for (const ParsedFile& file : files) {
+    const auto emit = [&](std::size_t offset, const char* rule,
+                          std::string message) {
+      out.push_back(
+          Finding::at(*file.source, offset, rule, std::move(message)));
+    };
+    for (const std::size_t offset : fp_contract_pragmas(*file.source)) {
+      emit(offset, "fp-contract",
+           "#pragma STDC FP_CONTRACT ON lets the compiler fuse a*b+c into "
+           "one rounding across this translation unit; the result differs "
+           "from the unfused scalar reference path");
+    }
     if (!in_scope(file)) continue;
     for (const FunctionDef& fn : file.functions) {
       const std::vector<Range> concurrent = concurrent_ranges(fn);
@@ -133,11 +155,10 @@ void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
       for (const CallSite& call : fn.calls) {
         if (call.base_name == "reduce" ||
             call.base_name == "transform_reduce") {
-          emit(file, call.offset, "fp-reassoc",
+          emit(call.offset, "fp-reassoc",
                "std::" + call.base_name +
                    "() has unspecified association order; bit-exact lane "
-                   "code must use a sequential left fold",
-               out);
+                   "code must use a sequential left fold");
           continue;
         }
         if (call.base_name == "accumulate") {
@@ -150,20 +171,18 @@ void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
             }
           }
           if (has_policy) {
-            emit(file, call.offset, "fp-reassoc",
+            emit(call.offset, "fp-reassoc",
                  "std::accumulate() with an execution policy reassociates "
                  "the reduction; bit-exact lane code must fold "
-                 "sequentially",
-                 out);
+                 "sequentially");
           }
           continue;
         }
         if (call.base_name == "fma" || call.base_name == "fmaf") {
-          emit(file, call.offset, "fp-contract",
+          emit(call.offset, "fp-contract",
                "std::" + call.base_name +
                    "() fuses the multiply-add; the result differs from the "
-                   "unfused a*b+c computed by the scalar reference path",
-               out);
+                   "unfused a*b+c computed by the scalar reference path");
         }
       }
 
@@ -175,12 +194,11 @@ void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
               count_indexed_uses(write.rhs, write.head) >= 2 &&
               (write.rhs.find('+') != std::string::npos ||
                write.rhs.find('-') != std::string::npos)) {
-            emit(file, write.offset, "fp-reassoc",
+            emit(write.offset, "fp-reassoc",
                  "pairwise/tree combination of '" + write.head +
                      "' elements; the reduction shape is "
                      "split-count-dependent, so results vary with the "
-                     "partition",
-                 out);
+                     "partition");
           }
           continue;
         }
@@ -202,12 +220,11 @@ void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
         const bool floaty = type_is_float(type) ||
                             (type.empty() && looks_like_accumulator(write.head));
         if (!floaty) continue;
-        emit(file, write.offset, "fp-reassoc",
+        emit(write.offset, "fp-reassoc",
              "'" + write.head +
                  "' accumulates across lanes inside a parallel region; "
                  "partial-sum boundaries move with the thread count, so "
-                 "the rounded result is not bit-exact",
-             out);
+                 "the rounded result is not bit-exact");
       }
     }
   }

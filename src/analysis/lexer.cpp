@@ -10,10 +10,6 @@ bool is_ident_start(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
 bool is_digit(char c) {
   return std::isdigit(static_cast<unsigned char>(c)) != 0;
 }
@@ -31,7 +27,7 @@ bool at_raw_string(std::string_view text, std::size_t i, std::size_t& start) {
     return false;
   }
   // The prefix must not be the tail of a longer identifier.
-  if (i > 0 && is_ident_char(text[i - 1])) return false;
+  if (i > 0 && is_word_char(text[i - 1])) return false;
   start = r;
   return true;
 }
@@ -87,10 +83,10 @@ std::string strip_source(std::string_view text) {
       // identifier never open a char literal.
       ++i;
       while (i < n) {
-        if (is_ident_char(text[i])) {
+        if (is_word_char(text[i])) {
           ++i;
-        } else if (text[i] == '\'' && i + 1 < n && is_ident_char(text[i + 1]) &&
-                   is_ident_char(text[i - 1])) {
+        } else if (text[i] == '\'' && i + 1 < n && is_word_char(text[i + 1]) &&
+                   is_word_char(text[i - 1])) {
           i += 2;  // digit separator
         } else {
           break;
@@ -146,7 +142,7 @@ std::vector<Token> tokenize(std::string_view stripped) {
     }
     if (is_ident_start(c)) {
       std::size_t j = i + 1;
-      while (j < n && is_ident_char(stripped[j])) ++j;
+      while (j < n && is_word_char(stripped[j])) ++j;
       tokens.push_back(
           {TokKind::kIdentifier, stripped.substr(i, j - i), i});
       i = j;
@@ -155,7 +151,7 @@ std::vector<Token> tokenize(std::string_view stripped) {
     if (is_digit(c)) {
       std::size_t j = i + 1;
       while (j < n &&
-             (is_ident_char(stripped[j]) || stripped[j] == '\'' ||
+             (is_word_char(stripped[j]) || stripped[j] == '\'' ||
               ((stripped[j] == '+' || stripped[j] == '-') &&
                (stripped[j - 1] == 'e' || stripped[j - 1] == 'E' ||
                 stripped[j - 1] == 'p' || stripped[j - 1] == 'P')) ||

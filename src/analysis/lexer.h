@@ -1,11 +1,10 @@
 // Offset-preserving C++ lexing for the analock-verify engine.
 //
-// strip_source() is the C++ port of analock_lint.py's strip_code(): it
-// blanks comments and string/char literals while keeping the text the
-// same length, so offsets and line numbers in the stripped image map
-// 1:1 onto the original file. On top of the Python version it also
-// understands raw string literals (R"delim(...)delim", including the
-// u8R/uR/LR prefixes), which regex-level stripping cannot handle.
+// strip_source() blanks comments and string/char literals while keeping
+// the text the same length, so offsets and line numbers in the stripped
+// image map 1:1 onto the original file. It understands raw string
+// literals (R"delim(...)delim", including the u8R/uR/LR prefixes),
+// which regex-level stripping cannot handle.
 //
 // tokenize() then produces a flat token stream over the stripped text:
 // identifiers, numbers (with C++14 digit separators), and punctuation,
@@ -13,6 +12,7 @@
 // >>, ==, !=, +=, -=, &&, ||, <=, >=) kept as single tokens.
 #pragma once
 
+#include <cctype>
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -46,5 +46,49 @@ struct Token {
 /// Offsets of each line start ("\n"-delimited), always starting with 0.
 [[nodiscard]] std::vector<std::size_t> compute_line_starts(
     std::string_view text);
+
+/// True for the characters of an identifier: [A-Za-z0-9_].
+[[nodiscard]] inline bool is_word_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+/// True when `text[pos, pos + len)` is a whole word: no identifier
+/// character directly before or after it.
+[[nodiscard]] inline bool whole_word_at(std::string_view text,
+                                        std::size_t pos, std::size_t len) {
+  const std::size_t end = pos + len;
+  return (pos == 0 || !is_word_char(text[pos - 1])) &&
+         (end >= text.size() || !is_word_char(text[end]));
+}
+
+/// Whole-word containment of `word` in `text`.
+[[nodiscard]] inline bool contains_word(std::string_view text,
+                                        std::string_view word) {
+  std::size_t pos = 0;
+  while ((pos = text.find(word, pos)) != std::string_view::npos) {
+    if (whole_word_at(text, pos, word.size())) return true;
+    ++pos;
+  }
+  return false;
+}
+
+/// Applies `fn` to each identifier run in `text`, stopping early when
+/// `fn` returns false.
+template <typename Fn>
+void for_each_identifier(std::string_view text, Fn fn) {
+  std::size_t i = 0;
+  const std::size_t n = text.size();
+  while (i < n) {
+    const char c = text[i];
+    if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
+      std::size_t j = i + 1;
+      while (j < n && is_word_char(text[j])) ++j;
+      if (!fn(text.substr(i, j - i))) return;
+      i = j;
+    } else {
+      ++i;
+    }
+  }
+}
 
 }  // namespace analock::analysis

@@ -210,16 +210,12 @@ void run_lock_order_analysis(const std::vector<ParsedFile>& files,
     for (std::size_t i = 1; i < back_path.size(); ++i) {
       cycle += " -> " + short_name(back_path[i]);
     }
-    Finding f;
-    f.file = site.source->path;
-    f.line = line;
-    f.col = site.source->col_of(site.offset);
-    f.rule = "lock-order-cycle";
-    f.message = "acquiring '" + short_name(site.to) + "' while holding '" +
-                short_name(site.from) +
-                "' completes a lock-order cycle: " + cycle +
-                "; a concurrent thread taking the opposite order deadlocks";
-    out.push_back(std::move(f));
+    out.push_back(Finding::at(
+        *site.source, site.offset, "lock-order-cycle",
+        "acquiring '" + short_name(site.to) + "' while holding '" +
+            short_name(site.from) + "' completes a lock-order cycle: " +
+            cycle +
+            "; a concurrent thread taking the opposite order deadlocks"));
   }
 }
 

@@ -81,16 +81,12 @@ void run_lock_analysis(const std::vector<ParsedFile>& files,
           const std::string& mutex_name = member_it->second;
           if (fn.requires_mutex == mutex_name) continue;
           if (held_at(fn, mutex_name, access.offset)) continue;
-          Finding f;
-          f.file = source.path;
-          f.line = source.line_of(access.offset);
-          f.col = source.col_of(access.offset);
-          f.rule = "guarded-by";
-          f.message = "member '" + access.name + "' of " + fn.class_name +
-                      " is guarded by '" + mutex_name +
-                      "' but accessed in " + fn.base_name +
-                      "() without holding it";
-          out.push_back(std::move(f));
+          out.push_back(Finding::at(
+              source, access.offset, "guarded-by",
+              "member '" + access.name + "' of " + fn.class_name +
+                  " is guarded by '" + mutex_name +
+                  "' but accessed in " + fn.base_name +
+                  "() without holding it"));
         }
       }
 
@@ -106,15 +102,11 @@ void run_lock_analysis(const std::vector<ParsedFile>& files,
           const std::string& mutex_name = req_it->second;
           if (fn.requires_mutex == mutex_name) continue;
           if (held_at(fn, mutex_name, call.offset)) continue;
-          Finding f;
-          f.file = source.path;
-          f.line = source.line_of(call.offset);
-          f.col = source.col_of(call.offset);
-          f.rule = "guarded-by";
-          f.message = "call to " + call.base_name + "() requires '" +
-                      mutex_name + "' held (annotated analock: requires), "
-                      "but " + fn.base_name + "() does not hold it";
-          out.push_back(std::move(f));
+          out.push_back(Finding::at(
+              source, call.offset, "guarded-by",
+              "call to " + call.base_name + "() requires '" +
+                  mutex_name + "' held (annotated analock: requires), "
+                  "but " + fn.base_name + "() does not hold it"));
         }
       }
     }

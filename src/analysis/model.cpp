@@ -1,6 +1,7 @@
 #include "analysis/model.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace analock::analysis {
 
@@ -43,8 +44,15 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"fp-unordered-accum",
        "floating-point accumulation ordered by unordered-container "
        "iteration"},
+      {"unordered-iter",
+       "range-for over an unordered container (hash iteration order "
+       "varies run to run)"},
       {"rng-source",
-       "std <random> engine constructed from a non-sim::Rng source"},
+       "std <random> engine constructed from a non-sim::Rng source, or an "
+       "ambient entropy source (random_device, rand/srand, time(nullptr))"},
+      {"determinism-clock",
+       "ambient steady/system/high_resolution clock read outside an "
+       "obs::Clock now_ns body"},
       {"parallel-shared-write",
        "by-reference capture written inside a parallel region without "
        "lane-disjoint indexing, a held lock, or an atomic type"},
@@ -60,7 +68,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "accumulation) inside bit-exact lane code"},
       {"fp-contract",
        "fused-multiply-add or contraction-sensitive expression inside "
-       "bit-exact lane code (result differs from unfused a*b+c)"},
+       "bit-exact lane code, or '#pragma STDC FP_CONTRACT ON' in any file "
+       "(result differs from unfused a*b+c)"},
       {"secret-branch",
        "if/while/ternary/switch condition (or short-circuit return) "
        "decided by key/PUF material, directly or through a call chain"},
@@ -73,6 +82,8 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"ct-leak-call",
        "key/PUF material passed to a known variable-time callee "
        "(memcmp/strcmp/std::find/map lookup); use analock::ct_equal"},
+      {"secret-compare",
+       "early-exit ==/!= on key/PUF material; use analock::ct_equal"},
   };
   return rules;
 }
@@ -82,6 +93,17 @@ bool is_known_rule(std::string_view rule) {
     if (rule == info.id) return true;
   }
   return false;
+}
+
+Finding Finding::at(const SourceFile& source, std::size_t offset,
+                    std::string rule, std::string message) {
+  Finding f;
+  f.file = source.path;
+  f.line = source.line_of(offset);
+  f.col = source.col_of(offset);
+  f.rule = std::move(rule);
+  f.message = std::move(message);
+  return f;
 }
 
 std::string Finding::render() const {

@@ -51,6 +51,12 @@ struct Finding {
   std::string message;
   std::string fingerprint;  ///< stable hash, see compute_fingerprint()
 
+  /// The finding for `rule` at byte `offset` of `source`; the engine
+  /// attaches the fingerprint.
+  [[nodiscard]] static Finding at(const SourceFile& source,
+                                  std::size_t offset, std::string rule,
+                                  std::string message);
+
   /// GCC-style one-line rendering: file:line:col: warning: msg [rule]
   [[nodiscard]] std::string render() const;
 };

@@ -29,28 +29,11 @@
 #include <string>
 
 #include "analysis/analyses.h"
+#include "analysis/lexer.h"
 
 namespace analock::analysis {
 
 namespace {
-
-bool contains_word(const std::string& text, const std::string& word) {
-  std::size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
-    const std::size_t end = pos + word.size();
-    const bool right_ok =
-        end >= text.size() ||
-        (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-         text[end] != '_');
-    if (left_ok && right_ok) return true;
-    ++pos;
-  }
-  return false;
-}
 
 bool lock_names_mutex(const std::string& arg, const std::string& mutex_name) {
   if (arg == mutex_name) return true;
@@ -299,18 +282,13 @@ void run_parallel_analysis(const std::vector<ParsedFile>& files,
           }
           if (guarded_ok) continue;
 
-          Finding f;
-          f.file = source.path;
-          f.line = source.line_of(write.offset);
-          f.col = source.col_of(write.offset);
-          f.rule = "parallel-shared-write";
-          f.message =
+          out.push_back(Finding::at(
+              source, write.offset, "parallel-shared-write",
               "'" + head + "' is shared across lanes but written inside a "
               "parallel region without lane-disjoint indexing (by " +
-              (induction.empty() ? std::string("the induction variable")
-                                 : "'" + *induction.begin() + "'") +
-              "), a guarded_by lock held, or an atomic type";
-          out.push_back(std::move(f));
+                  (induction.empty() ? std::string("the induction variable")
+                                     : "'" + *induction.begin() + "'") +
+                  "), a guarded_by lock held, or an atomic type"));
         }
 
         // ---- parallel-unsafe-call --------------------------------------
@@ -370,12 +348,8 @@ void run_parallel_analysis(const std::vector<ParsedFile>& files,
               break;
             }
           }
-          Finding f;
-          f.file = source.path;
-          f.line = source.line_of(call.offset);
-          f.col = source.col_of(call.offset);
-          f.rule = "parallel-unsafe-call";
-          f.message =
+          out.push_back(Finding::at(
+              source, call.offset, "parallel-unsafe-call",
               touches_static
                   ? "call to " + call.base_name +
                         "() from a parallel region reaches mutable static "
@@ -385,8 +359,7 @@ void run_parallel_analysis(const std::vector<ParsedFile>& files,
                         "'// analock: thread_safe'"
                   : "call to " + call.base_name +
                         "() from a parallel region, but the callee is not "
-                        "annotated '// analock: thread_safe'";
-          out.push_back(std::move(f));
+                        "annotated '// analock: thread_safe'"));
         }
       }
     }

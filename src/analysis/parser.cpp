@@ -45,52 +45,28 @@ std::string trim(std::string_view text) {
   return std::string(text.substr(b, e - b));
 }
 
-/// Whole-word containment ('_' counts as a word character).
-bool contains_word(std::string_view text, std::string_view word) {
-  std::size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string_view::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
-    const std::size_t end = pos + word.size();
-    const bool right_ok =
-        end >= text.size() ||
-        (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-         text[end] != '_');
-    if (left_ok && right_ok) return true;
-    ++pos;
-  }
-  return false;
-}
-
 /// Matching-bracket maps over a token stream (token index -> token
-/// index). Unbalanced brackets match to the end of the stream.
+/// index) for (), [] and {}. Unmatched brackets map to the end of the
+/// stream.
 struct BracketMap {
-  std::vector<std::size_t> paren_close;  ///< index of ')' for each '('
-  std::vector<std::size_t> brace_close;  ///< index of '}' for each '{'
+  std::vector<std::size_t> close_of;  ///< closer of each '(' '[' '{'
+  std::vector<std::size_t> open_of;   ///< opener of each ')' ']' '}'
 
   explicit BracketMap(const std::vector<Token>& toks)
-      : paren_close(toks.size(), toks.size()),
-        brace_close(toks.size(), toks.size()) {
-    std::vector<std::size_t> parens;
-    std::vector<std::size_t> braces;
+      : close_of(toks.size(), toks.size()), open_of(toks.size(), toks.size()) {
+    constexpr std::string_view kOpeners = "([{";
+    constexpr std::string_view kClosers = ")]}";
+    std::vector<std::size_t> open[3];
     for (std::size_t i = 0; i < toks.size(); ++i) {
-      const std::string_view t = toks[i].text;
-      if (t == "(") {
-        parens.push_back(i);
-      } else if (t == ")") {
-        if (!parens.empty()) {
-          paren_close[parens.back()] = i;
-          parens.pop_back();
-        }
-      } else if (t == "{") {
-        braces.push_back(i);
-      } else if (t == "}") {
-        if (!braces.empty()) {
-          brace_close[braces.back()] = i;
-          braces.pop_back();
-        }
+      if (toks[i].text.size() != 1) continue;
+      const char c = toks[i].text[0];
+      if (const std::size_t kind = kOpeners.find(c); kind != kOpeners.npos) {
+        open[kind].push_back(i);
+      } else if (const std::size_t shut = kClosers.find(c);
+                 shut != kClosers.npos && !open[shut].empty()) {
+        close_of[open[shut].back()] = i;
+        open_of[i] = open[shut].back();
+        open[shut].pop_back();
       }
     }
   }
@@ -210,7 +186,7 @@ class FileParser {
     if (j < toks_.size() && toks_[j].is("{")) {
       scopes_.push_back({ScopeEntry::Kind::kNamespace,
                          name.empty() ? std::string("<anon>") : name,
-                         brackets_->brace_close[j]});
+                         brackets_->close_of[j]});
       return j + 1;
     }
     // Namespace alias or malformed: skip to ';'.
@@ -242,9 +218,9 @@ class FileParser {
       } else if (t == ">>") {
         angle = std::max(0, angle - 2);
       } else if (t == "(") {
-        j = brackets_->paren_close[j];
+        j = brackets_->close_of[j];
       } else if (angle == 0 && t == "{") {
-        const std::size_t close = brackets_->brace_close[j];
+        const std::size_t close = brackets_->close_of[j];
         scopes_.push_back({ScopeEntry::Kind::kClass, name, close});
         class_ranges_.push_back(
             {name, toks_[j].offset,
@@ -262,7 +238,7 @@ class FileParser {
     std::size_t j = i + 1;
     while (j < toks_.size() && !toks_[j].is("{") && !toks_[j].is(";")) ++j;
     if (j < toks_.size() && toks_[j].is("{")) {
-      return brackets_->brace_close[j] + 1;
+      return brackets_->close_of[j] + 1;
     }
     return j + 1;
   }
@@ -280,7 +256,7 @@ class FileParser {
         depth -= 2;
         if (depth <= 0) return i + 1;
       } else if (t == "(") {
-        i = brackets_->paren_close[i];
+        i = brackets_->close_of[i];
       }
       ++i;
     }
@@ -354,7 +330,7 @@ class FileParser {
     std::string chain;
     std::size_t name_start = 0;
     if (!collect_name_chain(paren, chain, name_start)) return false;
-    const std::size_t close = brackets_->paren_close[paren];
+    const std::size_t close = brackets_->close_of[paren];
     if (close >= toks_.size()) return false;
 
     // Scan past trailing qualifiers to find '{' (definition), ';'
@@ -367,7 +343,7 @@ class FileParser {
         if (in_trailing_return && j >= 1 &&
             (toks_[j - 1].is_ident() || toks_[j - 1].is(">"))) {
           // Brace-init inside a trailing return type: skip it.
-          j = brackets_->brace_close[j] + 1;
+          j = brackets_->close_of[j] + 1;
           continue;
         }
         break;
@@ -385,7 +361,7 @@ class FileParser {
         continue;
       }
       if (t == "(") {  // noexcept(...), throw(...)
-        j = brackets_->paren_close[j] + 1;
+        j = brackets_->close_of[j] + 1;
         continue;
       }
       if (t == "->") {
@@ -404,7 +380,7 @@ class FileParser {
     if (j >= toks_.size() || !toks_[j].is("{")) return false;
 
     const std::size_t body_open = j;
-    const std::size_t body_close = brackets_->brace_close[body_open];
+    const std::size_t body_close = brackets_->close_of[body_open];
 
     FunctionDef def;
     def.name_offset = toks_[name_start].offset;
@@ -430,12 +406,12 @@ class FileParser {
     while (j < toks_.size()) {
       const std::string_view t = toks_[j].text;
       if (t == "(") {
-        j = brackets_->paren_close[j] + 1;
+        j = brackets_->close_of[j] + 1;
         continue;
       }
       if (t == "{") {
         if (j >= 1 && (toks_[j - 1].is_ident() || toks_[j - 1].is(">"))) {
-          j = brackets_->brace_close[j] + 1;
+          j = brackets_->close_of[j] + 1;
           continue;
         }
         return j;
@@ -505,11 +481,7 @@ class FileParser {
       Param p;
       // The trailing identifier, if preceded by type text, is the name.
       std::size_t e = decl.size();
-      while (e > 0 && (std::isalnum(static_cast<unsigned char>(
-                           decl[e - 1])) != 0 ||
-                       decl[e - 1] == '_')) {
-        --e;
-      }
+      while (e > 0 && is_word_char(decl[e - 1])) --e;
       const std::string tail = decl.substr(e);
       const std::string head = trim(std::string_view(decl).substr(0, e));
       if (!tail.empty() && !head.empty() &&
@@ -626,20 +598,14 @@ class FileParser {
         record_subscript(def, i, body_close);
       }
 
-      if (t == "/" || t == "%") record_divmod(def, i, body_open, body_close);
+      if (t == "/" || t == "%" || t == "==" || t == "!=") {
+        record_binary_op(def, i, body_open, body_close);
+      }
 
       if (t == "break") def.break_offsets.push_back(tok.offset);
 
       if (t == "return") {
-        std::size_t j = i + 1;
-        int depth = 0;
-        while (j < body_close) {
-          const std::string_view rt = toks_[j].text;
-          if (rt == "(" || rt == "[" || rt == "{") ++depth;
-          if (rt == ")" || rt == "]" || rt == "}") --depth;
-          if (rt == ";" && depth <= 0) break;
-          ++j;
-        }
+        const std::size_t j = statement_end(i + 1, body_close, false);
         ReturnExpr ret;
         ret.text = slice(code_, toks_, i + 1, j);
         ret.offset = tok.offset;
@@ -680,17 +646,8 @@ class FileParser {
       if (t == "+=" || t == "-=" || t == "*=" || t == "/=") {
         std::size_t j = i;
         // Walk back over a possible subscript to the assigned identifier.
-        if (j > 0 && toks_[j - 1].is("]")) {
-          int depth = 0;
-          while (j > 0) {
-            --j;
-            if (toks_[j].is("]")) ++depth;
-            if (toks_[j].is("[")) {
-              if (--depth == 0) break;
-            }
-          }
-        }
-        if (j > 0 && toks_[j - 1].is_ident()) {
+        if (j > 0 && toks_[j - 1].is("]")) j = brackets_->open_of[j - 1];
+        if (j > 0 && j < toks_.size() && toks_[j - 1].is_ident()) {
           def.compound_assigns.push_back(
               {std::string(toks_[j - 1].text), tok.offset});
         }
@@ -717,16 +674,8 @@ class FileParser {
       const Token& prev = toks_[j - 1];
       if (prev.is("]")) {
         // Walk back over one balanced subscript group.
-        int depth = 0;
-        std::size_t k = j;
-        while (k > 0) {
-          --k;
-          if (toks_[k].is("]")) ++depth;
-          if (toks_[k].is("[")) {
-            if (--depth == 0) break;
-          }
-        }
-        if (depth != 0 || k == 0) return;
+        const std::size_t k = brackets_->open_of[j - 1];
+        if (k == 0 || k >= toks_.size()) return;
         const std::string inner = slice(code_, toks_, k + 1, j - 1);
         subscript = subscript.empty() ? inner : inner + " " + subscript;
         j = k;
@@ -776,7 +725,7 @@ class FileParser {
                        const std::vector<std::size_t>& brace_stack,
                        std::size_t body_close_tok,
                        std::set<std::size_t>& decl_init_parens) {
-    const std::size_t close = brackets_->paren_close[paren];
+    const std::size_t close = brackets_->close_of[paren];
     if (close >= toks_.size()) return;
     const std::size_t first = paren + 1;
     if (first >= close || !toks_[first].is_ident() ||
@@ -801,7 +750,7 @@ class FileParser {
     for (std::size_t k = start; k <= name_tok; ++k) chain += toks_[k].text;
 
     const std::size_t paren = name_tok + 1;
-    const std::size_t close = brackets_->paren_close[paren];
+    const std::size_t close = brackets_->close_of[paren];
     CallSite call;
     call.callee = chain;
     call.base_name = std::string(toks_[name_tok].text);
@@ -822,7 +771,7 @@ class FileParser {
   /// parallel_region` instead.
   void extract_parallel_region(FunctionDef& def, std::size_t name_tok) {
     const std::size_t paren = name_tok + 1;
-    const std::size_t close = brackets_->paren_close[paren];
+    const std::size_t close = brackets_->close_of[paren];
     if (close >= toks_.size()) return;
     // The lambda intro is a '[' directly after '(' or a top-level ','
     // (a '[' after an identifier is a subscript).
@@ -836,18 +785,8 @@ class FileParser {
     }
     if (intro == 0) return;
     // Matching ']' of the capture list.
-    std::size_t intro_close = intro;
-    int depth = 0;
-    for (std::size_t k = intro; k < close; ++k) {
-      if (toks_[k].is("[")) ++depth;
-      if (toks_[k].is("]")) {
-        if (--depth == 0) {
-          intro_close = k;
-          break;
-        }
-      }
-    }
-    if (intro_close == intro) return;
+    const std::size_t intro_close = brackets_->close_of[intro];
+    if (intro_close >= close) return;
 
     ParallelRegion region;
     region.offset = toks_[name_tok].offset;
@@ -865,8 +804,7 @@ class FileParser {
         std::string name;
         for (std::size_t c = 1; c < piece.size(); ++c) {
           const char ch = piece[c];
-          if (std::isalnum(static_cast<unsigned char>(ch)) != 0 ||
-              ch == '_') {
+          if (is_word_char(ch)) {
             name += ch;
           } else {
             break;
@@ -877,8 +815,7 @@ class FileParser {
         // Copy capture (`name`, `name = expr`, `*this`): lane-local.
         std::string name;
         for (const char ch : piece) {
-          if (std::isalnum(static_cast<unsigned char>(ch)) != 0 ||
-              ch == '_') {
+          if (is_word_char(ch)) {
             name += ch;
           } else if (name.empty() && ch == '*') {
             continue;  // *this
@@ -894,7 +831,7 @@ class FileParser {
     // trailing-return tokens).
     std::size_t j = intro_close + 1;
     if (j < close && toks_[j].is("(")) {
-      const std::size_t params_close = brackets_->paren_close[j];
+      const std::size_t params_close = brackets_->close_of[j];
       if (params_close >= close) return;
       for (const Param& p : parse_params(j, params_close)) {
         if (!p.name.empty()) region.params.push_back(p.name);
@@ -903,7 +840,7 @@ class FileParser {
     }
     while (j < close && !toks_[j].is("{")) ++j;
     if (j >= close) return;
-    const std::size_t body_close_tok = brackets_->brace_close[j];
+    const std::size_t body_close_tok = brackets_->close_of[j];
     region.body_begin = toks_[j].offset + 1;
     region.body_end = body_close_tok < toks_.size()
                           ? toks_[body_close_tok].offset
@@ -921,7 +858,6 @@ class FileParser {
     std::size_t j = i;
     int angle = 0;
     std::vector<std::size_t> ident_toks;
-    std::size_t last_tok = i;
     while (j < body_close) {
       const std::string_view t = toks_[j].text;
       if (toks_[j].is_ident()) {
@@ -945,22 +881,13 @@ class FileParser {
       } else {
         break;
       }
-      last_tok = j;
     }
     if (j >= body_close || ident_toks.size() < 2) return false;
     // Array declarator (`double buf[N] = {};`): the '[' follows the
     // name directly; skip the bracket group to find the terminator.
     std::size_t term_tok = j;
     if (toks_[term_tok].is("[") && term_tok == ident_toks.back() + 1) {
-      int bracket_depth = 0;
-      while (term_tok < body_close) {
-        if (toks_[term_tok].is("[")) ++bracket_depth;
-        if (toks_[term_tok].is("]") && --bracket_depth == 0) {
-          ++term_tok;
-          break;
-        }
-        ++term_tok;
-      }
+      term_tok = brackets_->close_of[term_tok] + 1;
       if (term_tok >= body_close) return false;
     }
     const std::string_view term = toks_[term_tok].text;
@@ -995,16 +922,7 @@ class FileParser {
     if (term == "=") decl_assign_toks_.insert(term_tok);
     if (term != ";" && term != ",") {
       // Initializer: to the ';' or a further-declarator ',' at depth 0.
-      std::size_t k = term_tok;
-      int depth = 0;
-      while (k < body_close) {
-        const std::string_view it = toks_[k].text;
-        if (it == "(" || it == "[" || it == "{") ++depth;
-        if (it == ")" || it == "]" || it == "}") --depth;
-        if (it == ";" && depth <= 0) break;
-        if (it == "," && depth == 0 && k > term_tok) break;
-        ++k;
-      }
+      const std::size_t k = statement_end(term_tok, body_close, true);
       decl.init = slice(code_, toks_, term_tok, k);
     }
 
@@ -1016,12 +934,12 @@ class FileParser {
     if (term == "(" || term == "{") {
       decl_init_parens.insert(term_tok);
       end_tok = term == "("
-                    ? brackets_->paren_close[term_tok]
-                    : brackets_->brace_close[term_tok];
+                    ? brackets_->close_of[term_tok]
+                    : brackets_->close_of[term_tok];
       if (is_lock) {
         const std::size_t scope_close_tok =
             brace_stack.empty() ? body_close_tok
-                                : brackets_->brace_close[brace_stack.back()];
+                                : brackets_->close_of[brace_stack.back()];
         const std::size_t scope_end =
             scope_close_tok < toks_.size() ? toks_[scope_close_tok].offset
                                            : code_.size();
@@ -1036,7 +954,6 @@ class FileParser {
       }
     }
     const std::string shared_type = def.locals.emplace_back(std::move(decl)).type;
-    (void)last_tok;
 
     // Additional declarators in the same statement: `double a = x, b;`.
     // Depth-0 commas inside a confirmed declaration separate
@@ -1062,28 +979,11 @@ class FileParser {
           extra.offset = toks_[n].offset;
           std::size_t after = n + 1;
           if (after < body_close && toks_[after].is("[")) {
-            int bd = 0;
-            while (after < body_close) {
-              if (toks_[after].is("[")) ++bd;
-              if (toks_[after].is("]") && --bd == 0) {
-                ++after;
-                break;
-              }
-              ++after;
-            }
+            after = std::min(brackets_->close_of[after] + 1, body_close);
           }
           if (after < body_close && toks_[after].is("=")) {
             decl_assign_toks_.insert(after);
-            std::size_t k2 = after;
-            int d2 = 0;
-            while (k2 < body_close) {
-              const std::string_view it2 = toks_[k2].text;
-              if (it2 == "(" || it2 == "[" || it2 == "{") ++d2;
-              if (it2 == ")" || it2 == "]" || it2 == "}") --d2;
-              if (it2 == ";" && d2 <= 0) break;
-              if (it2 == "," && d2 == 0 && k2 > after) break;
-              ++k2;
-            }
+            const std::size_t k2 = statement_end(after, body_close, true);
             extra.init = slice(code_, toks_, after, k2);
           } else if (after < body_close &&
                      (toks_[after].is("(") || toks_[after].is("{"))) {
@@ -1103,26 +1003,35 @@ class FileParser {
     return true;
   }
 
+  /// First token at or after `first` (and before `limit`) that ends an
+  /// expression: a ';' at bracket depth <= 0 or, with `at_comma`, a
+  /// depth-0 ',' after `first` (the next declarator).
+  std::size_t statement_end(std::size_t first, std::size_t limit,
+                            bool at_comma) const {
+    int depth = 0;
+    std::size_t k = first;
+    for (; k < limit; ++k) {
+      const std::string_view t = toks_[k].text;
+      if (t == "(" || t == "[" || t == "{") ++depth;
+      if (t == ")" || t == "]" || t == "}") --depth;
+      if (t == ";" && depth <= 0) break;
+      if (at_comma && t == "," && depth == 0 && k > first) break;
+    }
+    return k;
+  }
+
   /// Body extent after a loop/condition close paren: a brace block or a
   /// single statement up to the next ';' at depth 0.
   void body_extent(std::size_t start_tok, std::size_t body_close,
                    std::size_t& begin, std::size_t& end) const {
     if (start_tok < body_close && toks_[start_tok].is("{")) {
-      const std::size_t close_tok = brackets_->brace_close[start_tok];
+      const std::size_t close_tok = brackets_->close_of[start_tok];
       begin = toks_[start_tok].offset + 1;
       end = close_tok < toks_.size() ? toks_[close_tok].offset
                                      : code_.size();
       return;
     }
-    std::size_t k = start_tok;
-    int d = 0;
-    while (k < body_close) {
-      const std::string_view t = toks_[k].text;
-      if (t == "(" || t == "[" || t == "{") ++d;
-      if (t == ")" || t == "]" || t == "}") --d;
-      if (t == ";" && d <= 0) break;
-      ++k;
-    }
+    const std::size_t k = statement_end(start_tok, body_close, false);
     begin = start_tok < toks_.size() ? toks_[start_tok].offset
                                      : code_.size();
     end = k < toks_.size() ? toks_[k].offset : code_.size();
@@ -1130,7 +1039,7 @@ class FileParser {
 
   void handle_range_for(FunctionDef& def, std::size_t paren,
                         std::size_t body_close) {
-    const std::size_t close = brackets_->paren_close[paren];
+    const std::size_t close = brackets_->close_of[paren];
     if (close >= body_close) return;
     // Find the ':' at depth 1 (directly inside the for parens).
     std::size_t colon = 0;
@@ -1146,19 +1055,19 @@ class FileParser {
       if (t == ";") return;  // classic for loop
     }
     if (colon == 0) return;
-    RangeForLoop loop;
-    loop.range_text = slice(code_, toks_, colon + 1, close);
+    LoopSite loop;
+    loop.bound_text = slice(code_, toks_, colon + 1, close);
+    loop.offset = toks_[paren - 1].offset;
+    loop.range_for = true;
     body_extent(close + 1, body_close, loop.body_begin, loop.body_end);
-    def.loops.push_back({loop.range_text, toks_[paren - 1].offset,
-                         loop.body_begin, loop.body_end});
-    def.range_fors.push_back(std::move(loop));
+    def.loops.push_back(std::move(loop));
   }
 
   /// Classic-for middle clause (`for (init; COND; step)`): the loop's
   /// trip-count bound. Range-fors never reach the semicolon scan.
   void handle_for_bound(FunctionDef& def, std::size_t kw_tok,
                         std::size_t paren, std::size_t body_close) {
-    const std::size_t close = brackets_->paren_close[paren];
+    const std::size_t close = brackets_->close_of[paren];
     if (close >= toks_.size()) return;
     std::vector<std::size_t> semis;
     int d = 0;
@@ -1181,7 +1090,7 @@ class FileParser {
   /// do-while, whose body precedes the keyword).
   void record_condition(FunctionDef& def, std::size_t kw_tok,
                         std::size_t paren, std::size_t body_close) {
-    const std::size_t close = brackets_->paren_close[paren];
+    const std::size_t close = brackets_->close_of[paren];
     if (close >= toks_.size()) return;
     std::string text = slice(code_, toks_, paren + 1, close);
     // C++17 init-statement (`if (init; cond)`): the condition is after
@@ -1259,46 +1168,25 @@ class FileParser {
   /// Subscript `base[index]`: the index text between the brackets.
   void record_subscript(FunctionDef& def, std::size_t open_tok,
                         std::size_t body_close) {
-    int d = 0;
-    std::size_t k = open_tok;
-    while (k < body_close) {
-      if (toks_[k].is("[")) ++d;
-      if (toks_[k].is("]") && --d == 0) break;
-      ++k;
-    }
+    const std::size_t k = brackets_->close_of[open_tok];
     if (k >= body_close) return;
     std::string inner = slice(code_, toks_, open_tok + 1, k);
     if (inner.empty()) return;
     def.subscripts.push_back({std::move(inner), toks_[open_tok].offset});
   }
 
-  /// Division/modulo operands: the postfix chain directly left of the
-  /// operator, and the right-hand side up to the next top-level
+  /// Division/modulo/equality operands: the postfix chain directly left
+  /// of the operator, and the right-hand side up to the next top-level
   /// expression boundary.
-  void record_divmod(FunctionDef& def, std::size_t op_tok,
-                     std::size_t body_open, std::size_t body_close) {
+  void record_binary_op(FunctionDef& def, std::size_t op_tok,
+                        std::size_t body_open, std::size_t body_close) {
     // Left operand: walk a postfix-expression chain backwards.
     std::size_t j = op_tok;
     while (j > body_open + 1) {
       const Token& prev = toks_[j - 1];
       if (prev.is(")") || prev.is("]")) {
-        const std::string_view open = prev.is(")") ? "(" : "[";
-        const std::string_view close = prev.text;
-        int d = 0;
-        std::size_t k = j;
-        bool balanced = false;
-        while (k > body_open) {
-          --k;
-          if (toks_[k].text == close) {
-            ++d;
-          } else if (toks_[k].text == open) {
-            if (--d == 0) {
-              balanced = true;
-              break;
-            }
-          }
-        }
-        if (!balanced) break;
+        const std::size_t k = brackets_->open_of[j - 1];
+        if (k <= body_open || k >= toks_.size()) break;  // unbalanced
         j = k;
         continue;
       }
@@ -1335,7 +1223,8 @@ class FileParser {
     }
     const std::string rhs = slice(code_, toks_, rstart, k);
     if (lhs.empty() && rhs.empty()) return;
-    def.divmods.push_back({lhs, rhs, toks_[op_tok].offset});
+    def.binary_ops.push_back(
+        {std::string(toks_[op_tok].text), lhs, rhs, toks_[op_tok].offset});
   }
 
   // -------------------------------------------------- guarded_by collection
@@ -1390,7 +1279,7 @@ class FileParser {
         std::string member;
         std::string current;
         for (const char c : decl_line) {
-          if (std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_') {
+          if (is_word_char(c)) {
             current += c;
             continue;
           }

@@ -67,12 +67,6 @@ struct MemberAccess {
   std::size_t offset = 0;
 };
 
-struct RangeForLoop {
-  std::string range_text;        ///< expression after ':'
-  std::size_t body_begin = 0;    ///< offset just inside the loop body
-  std::size_t body_end = 0;
-};
-
 struct CompoundAssign {
   std::string lhs;               ///< identifier on the left of +=/-=/*=
   std::size_t offset = 0;
@@ -97,10 +91,12 @@ struct SubscriptSite {
   std::size_t offset = 0;  ///< offset of the '['
 };
 
-/// One '/' or '%' (including '/=', '%=') with its operand texts: the
-/// left operand is the postfix chain directly before the operator, the
-/// right operand runs to the next top-level expression boundary.
-struct DivModSite {
+/// One '/', '%' (including '/=', '%='), '==' or '!=' with its operand
+/// texts: the left operand is the postfix chain directly before the
+/// operator, the right operand runs to the next top-level expression
+/// boundary.
+struct BinaryOpSite {
+  std::string op;  ///< "/", "%", "==" or "!="
   std::string lhs;
   std::string rhs;
   std::size_t offset = 0;
@@ -113,6 +109,7 @@ struct LoopSite {
   std::size_t offset = 0;      ///< offset of the loop keyword
   std::size_t body_begin = 0;  ///< offset just inside the loop body
   std::size_t body_end = 0;
+  bool range_for = false;      ///< bound_text is a range-for's range
 };
 
 /// One store: `head[sub] = rhs`, `head.field = rhs`, `head += rhs`, ...
@@ -162,13 +159,12 @@ struct FunctionDef {
   std::vector<LockHold> locks;
   std::vector<ReturnExpr> returns;
   std::vector<MemberAccess> accesses;   ///< bare identifier occurrences
-  std::vector<RangeForLoop> range_fors;
   std::vector<CompoundAssign> compound_assigns;
   std::vector<WriteSite> writes;
   std::vector<ParallelRegion> parallel_regions;
   std::vector<ConditionSite> conditions;
   std::vector<SubscriptSite> subscripts;
-  std::vector<DivModSite> divmods;
+  std::vector<BinaryOpSite> binary_ops;
   std::vector<LoopSite> loops;
   std::vector<std::size_t> break_offsets;  ///< offsets of `break` tokens
 };

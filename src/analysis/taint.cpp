@@ -1,12 +1,12 @@
 // Interprocedural secret-taint analysis.
 //
-// The oracle is name- and type-based, mirroring analock_lint.py: the
-// repo's own naming convention marks key material (config_key, id_key,
-// puf_*, key_* ...), the Key64/WrappedKey types mark it structurally,
-// and .bits()/.to_hex() accessors expose raw key words anywhere.
+// The oracle is name- and type-based: the repo's own naming convention
+// marks key material (config_key, id_key, puf_*, key_* ...), the
+// Key64/WrappedKey types mark it structurally, and .bits()/.to_hex()
+// accessors expose raw key words anywhere.
 //
-// On top of the lint's single-expression view this pass computes
-// per-function summaries over the cross-TU call graph:
+// On top of that single-expression view this pass computes per-function
+// summaries over the cross-TU call graph:
 //
 //   param_to_sink[i]   param i reaches a sink inside the callee
 //                      (directly or through deeper calls, to a depth);
@@ -23,6 +23,7 @@
 #include <string>
 
 #include "analysis/analyses.h"
+#include "analysis/lexer.h"
 
 namespace analock::analysis {
 
@@ -46,67 +47,6 @@ const char* const kBenignPrefixes[] = {
 const char* const kBenignSuffixes[] = {
     "_prob", "_rate", "_sigma", "_stddev", "_noise", "_pct",
 };
-
-bool contains_word(std::string_view text, std::string_view word) {
-  std::size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string_view::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
-    const std::size_t end = pos + word.size();
-    const bool right_ok =
-        end >= text.size() ||
-        (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-         text[end] != '_');
-    if (left_ok && right_ok) return true;
-    pos += 1;
-  }
-  return false;
-}
-
-/// Splits `text` into identifier runs and applies `fn` to each.
-template <typename Fn>
-void for_each_identifier(std::string_view text, Fn fn) {
-  std::size_t i = 0;
-  const std::size_t n = text.size();
-  while (i < n) {
-    const char c = text[i];
-    if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
-      std::size_t j = i + 1;
-      while (j < n && (std::isalnum(static_cast<unsigned char>(
-                           text[j])) != 0 ||
-                       text[j] == '_')) {
-        ++j;
-      }
-      if (!fn(text.substr(i, j - i))) return;
-      i = j;
-    } else {
-      ++i;
-    }
-  }
-}
-
-bool has_secret_accessor(std::string_view text) {
-  // .bits( / ->bits( / .to_hex( / ->to_hex(
-  for (const std::string_view acc : {"bits", "to_hex"}) {
-    std::size_t pos = 0;
-    while ((pos = text.find(acc, pos)) != std::string_view::npos) {
-      const std::size_t end = pos + acc.size();
-      const bool deref =
-          (pos >= 1 && text[pos - 1] == '.') ||
-          (pos >= 2 && text[pos - 2] == '-' && text[pos - 1] == '>');
-      std::size_t k = end;
-      while (k < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[k])) != 0) {
-        ++k;
-      }
-      if (deref && k < text.size() && text[k] == '(') return true;
-      pos = end;
-    }
-  }
-  return false;
-}
 
 bool is_secret_type(std::string_view type) {
   return contains_word(type, "Key64") || contains_word(type, "WrappedKey");
@@ -180,7 +120,7 @@ std::string taint_witness(std::string_view expr, const FunctionDef& fn,
     }
     bool bare_ident = !trimmed.empty();
     for (const char c : trimmed) {
-      if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '_') {
+      if (!is_word_char(c)) {
         bare_ident = false;
         break;
       }
@@ -208,10 +148,7 @@ std::string taint_witness(std::string_view expr, const FunctionDef& fn,
     std::size_t pos = 0;
     while ((pos = expr.find(def->base_name, pos)) != std::string_view::npos) {
       const std::size_t end = pos + def->base_name.size();
-      const bool left_ok =
-          pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                           expr[pos - 1])) == 0 &&
-                       expr[pos - 1] != '_');
+      const bool left_ok = pos == 0 || !is_word_char(expr[pos - 1]);
       std::size_t k = end;
       while (k < expr.size() &&
              std::isspace(static_cast<unsigned char>(expr[k])) != 0) {
@@ -399,6 +336,26 @@ void compute_summaries(const std::vector<ParsedFile>& files,
 
 }  // namespace
 
+bool has_secret_accessor(std::string_view text) {
+  for (const std::string_view acc : {"bits", "to_hex"}) {
+    std::size_t pos = 0;
+    while ((pos = text.find(acc, pos)) != std::string_view::npos) {
+      const std::size_t end = pos + acc.size();
+      const bool deref =
+          (pos >= 1 && text[pos - 1] == '.') ||
+          (pos >= 2 && text[pos - 2] == '-' && text[pos - 1] == '>');
+      std::size_t k = end;
+      while (k < text.size() &&
+             std::isspace(static_cast<unsigned char>(text[k])) != 0) {
+        ++k;
+      }
+      if (deref && k < text.size() && text[k] == '(') return true;
+      pos = end;
+    }
+  }
+  return false;
+}
+
 bool is_secret_identifier(std::string_view identifier) {
   std::string lower;
   lower.reserve(identifier.size());
@@ -442,15 +399,11 @@ void run_taint_analysis(const std::vector<ParsedFile>& files,
             const std::string witness =
                 taint_witness(arg, fn, ctx, max_depth);
             if (witness.empty()) continue;
-            Finding f;
-            f.file = source.path;
-            f.line = source.line_of(call.offset);
-            f.col = source.col_of(call.offset);
-            f.rule = "taint-sink";
-            f.message = "key material (" + witness + ") reaches sink " +
-                        call.callee +
-                        "; secrets must not enter obs/log output";
-            out.push_back(std::move(f));
+            out.push_back(Finding::at(
+                source, call.offset, "taint-sink",
+                "key material (" + witness + ") reaches sink " +
+                    call.callee +
+                    "; secrets must not enter obs/log output"));
             break;
           }
           continue;
@@ -468,15 +421,11 @@ void run_taint_analysis(const std::vector<ParsedFile>& files,
             const std::string witness =
                 taint_witness(call.args[a], fn, ctx, max_depth);
             if (witness.empty()) continue;
-            Finding f;
-            f.file = source.path;
-            f.line = source.line_of(call.offset);
-            f.col = source.col_of(call.offset);
-            f.rule = "taint-call";
-            f.message = "key material (" + witness +
-                        ") flows into a sink through call chain " +
-                        call.base_name + " -> " + cs.sink_via[a];
-            out.push_back(std::move(f));
+            out.push_back(Finding::at(
+                source, call.offset, "taint-call",
+                "key material (" + witness +
+                    ") flows into a sink through call chain " +
+                    call.base_name + " -> " + cs.sink_via[a]));
             reported = true;
             break;
           }
@@ -487,26 +436,17 @@ void run_taint_analysis(const std::vector<ParsedFile>& files,
       for (const auto& [offset, stmt] : stream_insert_statements(source, fn)) {
         const std::string witness = taint_witness(stmt, fn, ctx, max_depth);
         if (witness.empty()) continue;
-        Finding f;
-        f.file = source.path;
-        f.line = source.line_of(offset + stmt.size() -
-                                stmt.size());  // statement start
-        f.col = 1;
         // Anchor at the first non-space char of the statement.
-        {
-          std::size_t lead = 0;
-          while (lead < stmt.size() &&
-                 std::isspace(static_cast<unsigned char>(stmt[lead])) != 0) {
-            ++lead;
-          }
-          f.line = source.line_of(offset + lead);
-          f.col = source.col_of(offset + lead);
+        std::size_t lead = 0;
+        while (lead < stmt.size() &&
+               std::isspace(static_cast<unsigned char>(stmt[lead])) != 0) {
+          ++lead;
         }
-        f.rule = "taint-sink";
-        f.message = "key material (" + witness +
-                    ") inserted into an output stream; secrets must not "
-                    "enter obs/log output";
-        out.push_back(std::move(f));
+        out.push_back(Finding::at(
+            source, offset + lead, "taint-sink",
+            "key material (" + witness +
+                ") inserted into an output stream; secrets must not "
+                "enter obs/log output"));
       }
     }
   }

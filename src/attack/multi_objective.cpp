@@ -84,7 +84,6 @@ MultiObjectiveResult CoordinateDescentAttack::run_from(
            ++v) {
         const lock::Key64 cand = key.with_field(L::kTestMux, v);
         // Attacker-side hypothesis keys, no secret operand.
-        // analock-lint: allow(secret-compare)
         if (cand == key) continue;
         const double snr = measure(cand);
         if (snr > best) {

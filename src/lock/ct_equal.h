@@ -6,8 +6,8 @@
 // latency reveals how many leading limbs matched. GA- and SAT-style
 // key-recovery attacks feed on exactly this kind of implementation
 // leakage, so every comparison that touches secret key material goes
-// through ct_equal instead. The analock-lint `secret-compare` rule
-// enforces this mechanically (see tools/analock_lint/).
+// through ct_equal instead. The analock-verify `secret-compare` rule
+// enforces this mechanically (src/analysis/ct_flow.cpp).
 //
 // The fold is branch-free: XOR the operands, OR-reduce all difference
 // bits into one word, and map {0 -> equal, nonzero -> unequal} without a

@@ -60,9 +60,10 @@ class Key64 {
   /// candidate keys, test assertions). Any comparison where an operand is
   /// real secret material (provisioned configuration keys, PUF id keys,
   /// decrypted activation plaintext) must go through analock::ct_equal
-  /// (lock/ct_equal.h); the analock-lint `secret-compare` rule flags
-  /// violations and tools/analock_lint/allowlist.conf lists the vetted
-  /// non-secret call sites.
+  /// (lock/ct_equal.h). analock-verify's `secret-compare` rule flags an
+  /// `==`/`!=` whose operand is named as key material; a vetted
+  /// exception carries an inline `analock-verify: allow(secret-compare)`
+  /// comment with its rationale.
   friend constexpr bool operator==(const Key64&, const Key64&) = default;
 
  private:

@@ -4,10 +4,10 @@
 
 namespace analock::lock {
 
-// Compile-time mirror of analock-lint's layout rules: every field fits in
-// the word, no two fields overlap, and the fields plus the four single
-// mode bits tile exactly the paper's 64 key bits. A layout edit that
-// breaks the invariant fails right here instead of scrambling keys.
+// Compile-time layout rules: every field fits in the word, no two
+// fields overlap, and the fields plus the four single mode bits tile
+// exactly the paper's 64 key bits. A layout edit that breaks the
+// invariant fails right here instead of scrambling keys.
 namespace {
 
 constexpr sim::BitRange kFields[] = {

@@ -20,9 +20,9 @@ struct BitRange {
   /// A range is well-formed when it is non-empty and fits entirely inside
   /// the 64-bit word. Everything below asserts this: `lsb + width > 64`
   /// would silently shift field bits off the top, and `lsb >= 64` is
-  /// outright shift UB. analock-lint's `layout-range` rule proves this
-  /// statically for literal ranges; these asserts cover ranges built at
-  /// runtime where the linter cannot see the values.
+  /// outright shift UB. The key layout's static_asserts
+  /// (lock/key_layout.cpp) prove this for the literal field ranges; these
+  /// asserts cover ranges built at runtime.
   [[nodiscard]] constexpr bool valid() const {
     return width >= 1 && lsb < 64 && width <= 64 - lsb;
   }

@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
     fault::FaultInjector injector(plan);
     if (plan.active()) calibrator.set_fault_injector(&injector);
     const auto r = calibrator.run();
+    // analock-verify: allow(taint-sink) throwaway diagnostics dump internal state
     std::printf(
         "chip %d: success=%d failure=%s key=%s snr_mod=%.1f snr_rx=%.1f "
         "sfdr=%.1f ferr=%.2fMHz meas=%zu retries=%u faults=%llu\n",

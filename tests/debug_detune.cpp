@@ -20,6 +20,7 @@ int main() {
                                master.fork("chip", 0));
   const auto cal = calibrator.run();
   lock::LockEvaluator ev(rf::standard_max_3ghz(), pv, master.fork("chip", 0));
+  // analock-verify: allow(taint-sink) throwaway diagnostics dump internal state
   std::printf("correct: mod=%.1f rx=%.1f sfdr=%.1f\n",
               ev.snr_modulator_db(cal.key), ev.snr_receiver_db(cal.key),
               ev.sfdr_db(cal.key));
@@ -29,6 +30,7 @@ int main() {
   for (int d : {-8, -4, -2, -1, 1, 2, 4, 8, 16}) {
     const auto c = static_cast<std::uint32_t>(static_cast<int>(coarse0) + d);
     const Key64 k = cal.key.with_field(L::kCapCoarse, c);
+    // analock-verify: allow(taint-sink) throwaway diagnostics dump internal state
     std::printf("  coarse %+3d: mod=%6.1f rx=%6.1f sfdr=%6.1f\n", d,
                 ev.snr_modulator_db(k), ev.snr_receiver_db(k), ev.sfdr_db(k));
   }
@@ -36,10 +38,12 @@ int main() {
   // Open loop, comparator clocked (tank tuned): the high-Q filter +
   // slicer class.
   const Key64 open_clk = cal.key.with_bit(L::kFeedbackEnable, false);
+  // analock-verify: allow(taint-sink) throwaway diagnostics dump internal state
   std::printf("fb=0 clk=1: mod=%.1f rx=%.1f sfdr=%.1f\n",
               ev.snr_modulator_db(open_clk), ev.snr_receiver_db(open_clk),
               ev.sfdr_db(open_clk));
   const Key64 open_unclk = open_clk.with_bit(L::kCompClockEnable, false);
+  // analock-verify: allow(taint-sink) throwaway diagnostics dump internal state
   std::printf("fb=0 clk=0: mod=%.1f rx=%.1f sfdr=%.1f\n",
               ev.snr_modulator_db(open_unclk), ev.snr_receiver_db(open_unclk),
               ev.sfdr_db(open_unclk));
@@ -48,6 +52,7 @@ int main() {
   other.tank_c_rel += 0.08;
   lock::LockEvaluator ev2(rf::standard_max_3ghz(), other,
                           master.fork("other"));
+  // analock-verify: allow(taint-sink) throwaway diagnostics dump internal state
   std::printf("cross-chip(+8%% C): mod=%.1f rx=%.1f sfdr=%.1f\n",
               ev2.snr_modulator_db(cal.key), ev2.snr_receiver_db(cal.key),
               ev2.sfdr_db(cal.key));

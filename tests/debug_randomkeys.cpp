@@ -18,6 +18,7 @@ int main() {
                                master.fork("chip", 0));
   const auto cal = calibrator.run();
   lock::LockEvaluator ev(rf::standard_max_3ghz(), pv, master.fork("chip", 0));
+  // analock-verify: allow(taint-sink) throwaway diagnostics dump internal state
   std::printf("correct: mod=%.1f rx=%.1f sfdr=%.1f  caps=(%u,%u) q=%u\n",
               ev.snr_modulator_db(cal.key), ev.snr_receiver_db(cal.key),
               ev.sfdr_db(cal.key), cal.config.modulator.cap_coarse,

@@ -36,6 +36,23 @@ std::vector<std::string> rules_of(const std::vector<Finding>& findings) {
   return rules;
 }
 
+/// Findings of one source analyzed alone.
+std::vector<Finding> run_one(std::string path, std::string text) {
+  Engine engine;
+  engine.add_source(std::move(path), std::move(text));
+  return engine.run();
+}
+
+/// "rule@line" per finding, in the engine's stable order.
+std::vector<std::string> sites_of(const std::vector<Finding>& findings) {
+  std::vector<std::string> sites;
+  sites.reserve(findings.size());
+  for (const Finding& f : findings) {
+    sites.push_back(f.rule + "@" + std::to_string(f.line));
+  }
+  return sites;
+}
+
 // ------------------------------------------------------------------ lexer
 
 TEST(StripSource, BlanksLineAndBlockCommentsPreservingLength) {
@@ -343,6 +360,96 @@ TEST(EngineDeterminism, SimRngDerivedEngineIsClean) {
   EXPECT_TRUE(engine.run().empty());
 }
 
+TEST(EngineDeterminism, UnorderedIterationFlagged) {
+  const std::vector<Finding> findings = run_one(
+      "iter.cpp",
+      "std::vector<int> order(const std::unordered_set<int>& slots) {\n"
+      "  std::vector<int> out;\n"
+      "  for (const int s : slots) out.push_back(s);\n"
+      "  return out;\n"
+      "}\n"
+      "bool has(const std::unordered_set<int>& slots, int s) {\n"
+      "  return slots.count(s) > 0;\n"
+      "}\n");
+  EXPECT_EQ(sites_of(findings), std::vector<std::string>{"unordered-iter@3"});
+}
+
+TEST(EngineDeterminism, AmbientRngSourcesFlagged) {
+  const std::vector<Finding> findings = run_one(
+      "ambient.cpp",
+      "unsigned device() {\n"
+      "  std::random_device entropy;\n"
+      "  return entropy();\n"
+      "}\n"
+      "int libc() { return rand(); }\n"
+      "void seed() { srand(42); }\n"
+      "long long wall() { return static_cast<long long>(time(nullptr)); }\n"
+      "std::mt19937 fresh() { return std::mt19937{}; }\n"
+      "void fill(std::time_t* out) { time(out); }\n");
+  EXPECT_EQ(sites_of(findings),
+            (std::vector<std::string>{"rng-source@2", "rng-source@5",
+                                      "rng-source@6", "rng-source@7",
+                                      "rng-source@8"}));
+}
+
+TEST(EngineDeterminism, AmbientClockReadFlagged) {
+  const std::vector<Finding> findings = run_one(
+      "clock.cpp",
+      "long long stamp() {\n"
+      "  return std::chrono::steady_clock::now().time_since_epoch().count();\n"
+      "}\n"
+      "auto wall() { return std::chrono::system_clock::now(); }\n");
+  EXPECT_EQ(sites_of(findings),
+            (std::vector<std::string>{"determinism-clock@2",
+                                      "determinism-clock@4"}));
+}
+
+// One hazard, one finding: each case below mirrors a site of the pinned
+// e2e corpus where a naive port of the new rules would double-report.
+
+TEST(EngineDeterminism, ClockNowNsBodyIsExempt) {
+  // src/obs/clock.h: SteadyClock::now_ns is the sanctioned read.
+  EXPECT_TRUE(run_one(
+      "src/obs/clock.h",
+      "class SteadyClock final : public Clock {\n"
+      " public:\n"
+      "  [[nodiscard]] std::uint64_t now_ns() const override {\n"
+      "    return static_cast<std::uint64_t>(\n"
+      "        std::chrono::duration_cast<std::chrono::nanoseconds>(\n"
+      "            std::chrono::steady_clock::now().time_since_epoch())\n"
+      "            .count());\n"
+      "  }\n"
+      "};\n").empty());
+}
+
+TEST(EngineDeterminism, FloatAccumulatingLoopIsOnlyFpUnorderedAccum) {
+  // tests/verify_fixtures/violation_det_unordered.cpp:8-11.
+  const std::vector<Finding> findings = run_one(
+      "accum.cpp",
+      "double total_weight(\n"
+      "    const std::unordered_map<std::string, double>& weights) {\n"
+      "  double sum = 0.0;\n"
+      "  for (const auto& [name, w] : weights) {\n"
+      "    sum += w;\n"
+      "  }\n"
+      "  return sum;\n"
+      "}\n");
+  EXPECT_EQ(sites_of(findings),
+            std::vector<std::string>{"fp-unordered-accum@5"});
+}
+
+TEST(EngineDeterminism, RandomDeviceSeedingReportedEngineIsOneFinding) {
+  // tests/verify_fixtures/violation_rng_source.cpp:13-14.
+  const std::vector<Finding> findings = run_one(
+      "seeded.cpp",
+      "int ambient_seeded() {\n"
+      "  std::random_device rd;\n"
+      "  std::mt19937_64 gen(rd());\n"
+      "  return static_cast<int>(gen() & 0x7fffffff);\n"
+      "}\n");
+  EXPECT_EQ(sites_of(findings), std::vector<std::string>{"rng-source@3"});
+}
+
 // --------------------------------------------------------- parallel model
 
 TEST(ParserParallel, ExtractsRegionCapturesParamsAndBodyExtent) {
@@ -534,7 +641,81 @@ TEST(EngineFpExact, ScopedToBatchLaneFilesAndAnnotation) {
             ann_rules.end());
 }
 
+TEST(EngineFpExact, ContractPragmaFlaggedInEveryFile) {
+  const std::vector<Finding> findings = run_one(
+      "src/other/helper.cpp",
+      "#pragma STDC FP_CONTRACT ON\n"
+      "#pragma STDC FP_CONTRACT OFF\n"
+      "double f(double a, double b, double c) { return a * b + c; }\n");
+  EXPECT_EQ(sites_of(findings), std::vector<std::string>{"fp-contract@1"});
+}
+
 // ------------------------------------------------------------------ ct-flow
+
+TEST(EngineCtFlow, SecretCompareFlagged) {
+  const std::vector<Finding> findings = run_one(
+      "src/lock/a.cpp",
+      "bool accepts(const Key64& stored_config_key, const Key64& probe) {\n"
+      "  return stored_config_key == probe;\n"
+      "}\n"
+      "bool rejects(const Key64& probe, const Key64& user_key_slot) {\n"
+      "  return probe != user_key_slot.bits();\n"
+      "}\n");
+  EXPECT_EQ(sites_of(findings),
+            (std::vector<std::string>{"secret-compare@2",
+                                      "secret-compare@5"}));
+}
+
+TEST(EngineCtFlow, MemcmpResultCompareIsOnlyCtLeakCall) {
+  // tests/verify_fixtures/ct/violation_ct_leak_call.cpp:11.
+  const std::vector<Finding> findings = run_one(
+      "src/lock/a.cpp",
+      "bool tag_check(const unsigned char* private_key,\n"
+      "               const unsigned char* probe) {\n"
+      "  return std::memcmp(private_key, probe, 8) == 0;\n"
+      "}\n");
+  EXPECT_EQ(sites_of(findings), std::vector<std::string>{"ct-leak-call@3"});
+}
+
+TEST(EngineCtFlow, CompareInsideSecretBranchIsOnlySecretBranch) {
+  // tests/verify_fixtures/ct/violation_secret_branch.cpp:11,25,29.
+  const std::vector<Finding> findings = run_one(
+      "src/lock/a.cpp",
+      "int gate_if(std::uint64_t chip_key) {\n"
+      "  if ((chip_key & 1u) != 0) return penalty();\n"
+      "  return 0;\n"
+      "}\n"
+      "int gate_ternary(std::uint64_t key_word) {\n"
+      "  return (key_word & 1u) != 0 ? 2 : 3;\n"
+      "}\n"
+      "bool gate_short_circuit(std::uint64_t wrapped_key, bool armed) {\n"
+      "  return armed && (wrapped_key & 1u) != 0;\n"
+      "}\n");
+  EXPECT_EQ(sites_of(findings),
+            (std::vector<std::string>{"secret-branch@2", "secret-branch@6",
+                                      "secret-branch@9"}));
+}
+
+TEST(EngineCtFlow, LengthCompareIsPublic) {
+  // tests/verify_fixtures/ct/clean_ct.cpp:28.
+  EXPECT_TRUE(run_one(
+      "src/lock/a.cpp",
+      "int occupancy(\n"
+      "    const std::vector<std::optional<std::uint64_t>>& user_keys) {\n"
+      "  if (user_keys.size() == 0) return 0;\n"
+      "  return user_keys.size() != 1 ? 2 : 1;\n"
+      "}\n").empty());
+}
+
+TEST(EngineCtFlow, BenignKeyNamesCompareClean) {
+  // src/attack/multi_objective.cpp:88: attacker-side candidate keys.
+  EXPECT_TRUE(run_one(
+      "src/attack/multi_objective.cpp",
+      "void sweep(lock::Key64 key) {\n"
+      "  const lock::Key64 cand = key.with_field(L::kTestMux, 1);\n"
+      "  if (cand == key) return;\n"
+      "}\n").empty());
+}
 
 TEST(EngineCtFlow, SecretBranchFlagged) {
   Engine engine;

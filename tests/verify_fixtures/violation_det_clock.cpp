@@ -1,5 +1,5 @@
-// Seeded violation: ambient wall-clock reads outside the obs::Clock
-// abstraction. This file is linter input only — never compiled.
+// Determinism violation: ambient wall-clock reads outside the obs::Clock
+// abstraction. Runs must replay bit-exactly, so time is injected.
 #include <chrono>
 #include <cstdint>
 
@@ -16,5 +16,13 @@ double wall_elapsed() {
   return std::chrono::duration<double>(t1.time_since_epoch()).count() -
          std::chrono::duration<double>(t0.time_since_epoch()).count();
 }
+
+// The injectable clock's now_ns is the one sanctioned read.
+struct WallClock {
+  std::uint64_t now_ns() const {
+    return static_cast<std::uint64_t>(
+        std::chrono::steady_clock::now().time_since_epoch().count());
+  }
+};
 
 }  // namespace fixture

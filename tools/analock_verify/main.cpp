@@ -46,7 +46,7 @@ const char* const kUsage =
 
 const std::set<std::string> kSourceSuffixes = {".cpp", ".cc", ".cxx", ".h",
                                                ".hpp"};
-const std::set<std::string> kExcludedDirs = {"build", ".git", "lint_fixtures",
+const std::set<std::string> kExcludedDirs = {"build", ".git",
                                              "verify_fixtures", "third_party"};
 
 bool is_excluded_dir(const fs::path& p) {

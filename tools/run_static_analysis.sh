@@ -1,26 +1,29 @@
 #!/usr/bin/env bash
 # Runs the full static-analysis stack over the repository:
 #
-#   1. analock-lint tree scan      (domain regex rules; always available)
-#   2. analock-lint fixture self-test (the linter's own golden tests)
-#   3. analock-verify              (the C++ deep analyzer: interprocedural
-#                                   secret taint, guarded_by lock checks,
-#                                   determinism dataflow, parallel-region
-#                                   safety, lock-order cycles, FP
-#                                   bit-exactness; built on demand)
-#   4. analock-verify self-test    (golden // expect: fixtures, including
+#   1. analock-verify              (the repo's one static analyzer:
+#                                   interprocedural secret taint,
+#                                   guarded_by lock checks, determinism,
+#                                   parallel-region safety, lock-order
+#                                   cycles, FP bit-exactness, constant-
+#                                   time flow; built on demand) over
+#                                   src bench examples tests tools
+#   2. analock-verify self-test    (golden // expect: fixtures, including
 #                                   the parallelism and constant-time
 #                                   fixtures)
-#   5. SARIF structure check       (2.1.0 shape of both emitted logs)
-#   6. clang-tidy                  (curated .clang-tidy profile; skipped
+#   3. SARIF structure check       (2.1.0 shape of both emitted logs)
+#   4. clang-tidy                  (curated .clang-tidy profile; skipped
 #                                   with a notice when not installed)
+#
+# Value-unsafe FP compiler flags are rejected when CMake configures the
+# build (cmake/fp_flags.cmake), so every configure below checks them.
 #
 # Usage: tools/run_static_analysis.sh [build-dir]
 #
 # The build dir (default: build) hosts the analock_verify binary and the
 # compile_commands.json consumed by clang-tidy; the top-level CMakeLists
 # exports the database unconditionally, so one configure serves both.
-# analock-verify writes analock_verify.sarif (the src scan) and
+# analock-verify writes analock_verify.sarif (the repository scan) and
 # analock_fixtures.sarif (the fixture scan) into the build dir; both are
 # validated against the SARIF 2.1.0 structure (check_sarif.py).
 #
@@ -31,7 +34,6 @@ set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-$ROOT/build}"
-LINT="$ROOT/tools/analock_lint/analock_lint.py"
 VERIFY_BIN="$BUILD_DIR/tools/analock_verify/analock_verify"
 
 STAGE_NAMES=()
@@ -60,12 +62,6 @@ run_stage() {
   fi
 }
 
-run_stage "analock-lint: tree scan" \
-  python3 "$LINT" --root "$ROOT" --jobs 0 src bench examples tests tools
-
-run_stage "analock-lint: fixture self-test" \
-  python3 "$LINT" --self-test "$ROOT/tests/lint_fixtures"
-
 echo
 echo "== analock-verify: build =="
 if [ ! -x "$VERIFY_BIN" ]; then
@@ -78,8 +74,9 @@ if [ -x "$VERIFY_BIN" ]; then
   SARIF_OUT="$BUILD_DIR/analock_verify.sarif"
   FIXTURE_SARIF_OUT="$BUILD_DIR/analock_fixtures.sarif"
 
-  run_stage "analock-verify: deep analysis (src)" \
-    "$VERIFY_BIN" --root "$ROOT/src" \
+  run_stage "analock-verify: repository scan" \
+    "$VERIFY_BIN" --root "$ROOT/src" --root "$ROOT/bench" \
+    --root "$ROOT/examples" --root "$ROOT/tests" --root "$ROOT/tools" \
     --diff-baseline "$ROOT/tools/analock_verify/baseline.sarif" \
     --sarif "$SARIF_OUT"
 
@@ -92,14 +89,14 @@ if [ -x "$VERIFY_BIN" ]; then
   run_stage "analock-verify: constant-time fixture self-test" \
     "$VERIFY_BIN" --self-test "$ROOT/tests/verify_fixtures/ct"
 
-  # Fixture scan as a SARIF log: CI merges this with the src scan into
-  # one artifact, and the schema check guards the emitter on a log that
-  # is guaranteed to carry results.
+  # Fixture scan as a SARIF log: CI merges this with the repository
+  # scan into one artifact, and the schema check guards the emitter on a
+  # log that is guaranteed to carry results.
   run_stage "analock-verify: fixture SARIF emit" \
     "$VERIFY_BIN" --root "$ROOT/tests/verify_fixtures" \
     --sarif "$FIXTURE_SARIF_OUT" --exit-zero
 
-  run_stage "analock-verify: SARIF structure check (src)" \
+  run_stage "analock-verify: SARIF structure check (repo)" \
     python3 "$ROOT/tools/analock_verify/check_sarif.py" "$SARIF_OUT"
 
   run_stage "analock-verify: SARIF structure check (fixtures)" \
