@@ -109,7 +109,7 @@ bool is_ambient_clock_read(const CallSite& call) {
 
 struct Temporary {
   std::size_t offset = 0;
-  std::string name;
+  std::string_view name;  ///< a static type name
 };
 
 /// `Engine{}` / `Engine()` and `random_device{}` / `random_device()`
@@ -136,7 +136,7 @@ std::vector<Temporary> rng_temporaries(std::string_view code) {
       const std::size_t close = skip_space(open + 1);
       const char closer = code[open] == '{' ? '}' : ')';
       if (close < code.size() && code[close] == closer) {
-        out.push_back({at, std::string(name)});
+        out.push_back({at, name});
       }
     }
   };
@@ -263,7 +263,7 @@ void run_determinism_analysis(const std::vector<ParsedFile>& files,
           continue;
         }
         report(temp.offset, "rng-source",
-               "default-constructed std::" + temp.name +
+               "default-constructed std::" + std::string(temp.name) +
                    " temporary is ambient entropy; derive the seed from a "
                    "named sim::Rng stream (Rng::fork)");
       }

@@ -1,10 +1,9 @@
 // RNG-source violations: ambient entropy that no engine declaration
-// carries, plus engines whose seed is not a sim::Rng draw even when
-// std::shuffle / std::sample consume them later.
+// carries, plus an engine whose seed is not a sim::Rng draw even though
+// std::shuffle consumes it later.
 #include <algorithm>
 #include <cstdlib>
 #include <ctime>
-#include <iterator>
 #include <random>
 #include <vector>
 
@@ -32,21 +31,10 @@ std::mt19937 default_engine() {
 }
 
 // The engine is the source: the finding sits on its declaration, not on
-// the shuffle or sample that draws from it.
+// the shuffle that draws from it.
 void literal_shuffle(std::vector<int>& order) {
   std::mt19937 engine(42);  // expect: rng-source
   std::shuffle(order.begin(), order.end(), engine);
-}
-
-void literal_sample(const std::vector<int>& pool, std::vector<int>& picked) {
-  std::mt19937_64 engine(7);  // expect: rng-source
-  std::sample(pool.begin(), pool.end(), std::back_inserter(picked), 3,
-              engine);
-}
-
-void default_declared() {
-  std::mt19937 engine;  // expect: rng-source
-  (void)engine;
 }
 
 }  // namespace fixture

@@ -13,4 +13,9 @@ void leak_stream(const std::string& puf_response_secret) {
   std::cout << "resp=" << puf_response_secret << "\n";  // expect: taint-sink
 }
 
+void leak_into_obs(const Key64& config_key) {
+  obs::event("calib.done", {{"key", config_key.to_hex()}});  // expect: taint-sink
+  obs::set_gauge("lock.word", static_cast<double>(config_key.bits()));  // expect: taint-sink
+}
+
 }  // namespace fixture

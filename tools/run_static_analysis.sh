@@ -80,14 +80,10 @@ if [ -x "$VERIFY_BIN" ]; then
     --diff-baseline "$ROOT/tools/analock_verify/baseline.sarif" \
     --sarif "$SARIF_OUT"
 
+  # The fixture tree includes parallel/ and ct/; ctest also runs those
+  # two subtrees as gates of their own.
   run_stage "analock-verify: fixture self-test" \
     "$VERIFY_BIN" --self-test "$ROOT/tests/verify_fixtures"
-
-  run_stage "analock-verify: parallel fixture self-test" \
-    "$VERIFY_BIN" --self-test "$ROOT/tests/verify_fixtures/parallel"
-
-  run_stage "analock-verify: constant-time fixture self-test" \
-    "$VERIFY_BIN" --self-test "$ROOT/tests/verify_fixtures/ct"
 
   # Fixture scan as a SARIF log: CI merges this with the repository
   # scan into one artifact, and the schema check guards the emitter on a
