@@ -7,7 +7,8 @@
 #         -P tests/fp_flags_check.cmake
 
 set(rejected_cases
-  # The two spellings the build-file fixture of the former linter held.
+  # A directory option and a CMAKE_CXX_FLAGS append, as build files
+  # usually spell them.
   "add_compile_options(-ffast-math)"
   "set(CMAKE_CXX_FLAGS \"\${CMAKE_CXX_FLAGS} -ffp-contract=fast\")"
   "set(CMAKE_CXX_FLAGS_RELEASE \"-O2 -funsafe-math-optimizations\")"
