@@ -15,6 +15,7 @@
 #include "lock/evaluator.h"
 #include "lock/key_layout.h"
 #include "rf/receiver.h"
+#include "rf/receiver_batch.h"
 #include "rf/standards.h"
 #include "sim/process.h"
 #include "sim/rng.h"
@@ -34,7 +35,7 @@ int main() {
               100.0 * process.tank_c_rel, 100.0 * process.tank_l_rel,
               process.tank_q_intrinsic, process.loop_delay_parasitic);
 
-  rf::Receiver dut(mode, process, chip_rng.fork("calibration-dut"));
+  rf::ReceiverBatch dut(mode, process, chip_rng.fork("calibration-dut"));
 
   std::printf("steps 1-5: comparator -> buffer, output buffer -> pad, Gmin "
               "off, loop off, -Gm max (oscillation mode)\n");

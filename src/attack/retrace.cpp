@@ -7,6 +7,7 @@
 #include "lock/key_layout.h"
 #include "obs/trace.h"
 #include "rf/receiver.h"
+#include "rf/receiver_batch.h"
 
 namespace analock::attack {
 
@@ -58,8 +59,8 @@ RetraceResult RetraceAttack::run(CalibrationKnowledge knowledge) {
     }
     case CalibrationKnowledge::kOscillationTrick: {
       // Steps 1-7 reconstructed: the tank is tuned properly...
-      rf::Receiver dut(*standard_, process_,
-                       chip_rng_.fork("calibration-dut"));
+      rf::ReceiverBatch dut(*standard_, process_,
+                            chip_rng_.fork("calibration-dut"));
       calib::OscillationTuner osc(dut);
       const auto tank = osc.tune(standard_->f0_hz);
       calib::QTuner q_tuner(dut);

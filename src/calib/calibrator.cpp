@@ -154,9 +154,6 @@ CalibrationResult Calibrator::run_impl(
     result.faults_injected = fault_count() - faults_at_start;
   };
 
-  // The device under test, owned by the ATE for the whole session.
-  rf::Receiver chip(*standard_, process_, chip_rng_.fork("calibration-dut"));
-
   std::uint32_t cap_coarse = 0;
   std::uint32_t cap_fine = 0;
   std::uint32_t q_enh = 0;
@@ -184,6 +181,12 @@ CalibrationResult Calibrator::run_impl(
     log_step(3, "RF input disabled (Gmin off)", 0);
     log_step(4, "feedback loop with DAC and loop delay off", 0);
     log_step(5, "-Gm set to maximum (oscillation mode)", 63);
+
+    // The device under test in oscillation mode: a one-lane batch whose
+    // noise streams run on from measurement to measurement, as the
+    // chip's do on the ATE. It lives only through steps 5-7.
+    rf::ReceiverBatch chip(*standard_, process_,
+                          chip_rng_.fork("calibration-dut"));
 
     // Step 6: tune Cc / Cf until the oscillation hits the center
     // frequency, retrying within the hardening budget if it diverges.

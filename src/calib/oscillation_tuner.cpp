@@ -1,7 +1,11 @@
 #include "calib/oscillation_tuner.h"
 
+#include <array>
+#include <cassert>
 #include <cmath>
 #include <vector>
+
+#include "par/thread_pool.h"
 
 namespace analock::calib {
 
@@ -54,7 +58,23 @@ rf::ModulatorConfig oscillation_mode_config(std::uint32_t cap_coarse,
   return cfg;
 }
 
-OscillationTuner::OscillationTuner(rf::Receiver& chip, Options options)
+std::vector<double> capture_oscillation(rf::ReceiverBatch& chip,
+                                        std::uint32_t cap_coarse,
+                                        std::uint32_t cap_fine,
+                                        std::uint32_t q_enh,
+                                        std::size_t settle,
+                                        std::size_t measure) {
+  assert(chip.lanes() == 1 && "oscillation readings drive a one-lane chip");
+  // VGLNA gain and digital mode stay at their defaults: with Gmin off
+  // and only the modulator captured, neither reaches the output.
+  std::array<rf::ReceiverConfig, 1> cfg{};
+  cfg[0].modulator = oscillation_mode_config(cap_coarse, cap_fine, q_enh);
+  chip.configure(cfg);
+  const std::vector<double> zeros(settle + measure, 0.0);
+  return chip.capture_modulator(zeros, settle, par::ThreadPool::shared());
+}
+
+OscillationTuner::OscillationTuner(rf::ReceiverBatch& chip, Options options)
     : chip_(&chip), options_(options) {}
 
 FrequencyMeasurement OscillationTuner::measure(std::uint32_t cap_coarse,
@@ -67,14 +87,9 @@ FrequencyMeasurement OscillationTuner::measure_at_q(std::uint32_t cap_coarse,
                                                     std::uint32_t q_code,
                                                     std::size_t settle) {
   ++measurements_;
-  rf::ReceiverConfig cfg = chip_->config();
-  cfg.modulator = oscillation_mode_config(cap_coarse, cap_fine, q_code);
-  chip_->configure(cfg);
-  chip_->reset();
-  const std::vector<double> zeros(settle + options_.measure, 0.0);
-  const auto capture = chip_->capture_modulator(zeros, settle);
-  return measure_frequency(capture.output, chip_->fs_hz(),
-                           options_.hysteresis);
+  const std::vector<double> capture = capture_oscillation(
+      *chip_, cap_coarse, cap_fine, q_code, settle, options_.measure);
+  return measure_frequency(capture, chip_->fs_hz(), options_.hysteresis);
 }
 
 std::uint32_t OscillationTuner::fine_tune(std::uint32_t cap_coarse,

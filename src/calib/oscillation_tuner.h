@@ -2,11 +2,18 @@
 // (-Gm at maximum, loop open, input off) and tune the Cc / Cf capacitor
 // arrays until the oscillation frequency equals the desired center
 // frequency fs/4.
+//
+// The chip is a one-lane rf::ReceiverBatch: every measurement configures
+// it and captures, and its noise streams continue from one capture to
+// the next exactly as a scalar rf::Receiver's do across reset(), so each
+// reading is bit-identical to the scalar chip's.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
-#include "rf/receiver.h"
+#include "rf/receiver_batch.h"
 
 namespace analock::calib {
 
@@ -38,9 +45,9 @@ class OscillationTuner {
 
   /// Operates on a chip instance through its public capture interface —
   /// exactly what off-chip ATE calibration can do.
-  explicit OscillationTuner(rf::Receiver& chip)
+  explicit OscillationTuner(rf::ReceiverBatch& chip)
       : OscillationTuner(chip, Options{}) {}
-  OscillationTuner(rf::Receiver& chip, Options options);
+  OscillationTuner(rf::ReceiverBatch& chip, Options options);
 
   /// Measures the oscillation frequency with the given capacitor codes
   /// (all other settings forced to the calibration state: -Gm max, loop
@@ -70,7 +77,7 @@ class OscillationTuner {
   [[nodiscard]] std::size_t measurements() const { return measurements_; }
 
  private:
-  rf::Receiver* chip_;
+  rf::ReceiverBatch* chip_;
   Options options_;
   std::size_t measurements_ = 0;
 };
@@ -79,5 +86,14 @@ class OscillationTuner {
 [[nodiscard]] rf::ModulatorConfig oscillation_mode_config(
     std::uint32_t cap_coarse, std::uint32_t cap_fine,
     std::uint32_t q_enh = 63);
+
+/// One oscillation-mode reading of the one-lane `chip`: programs
+/// oscillation_mode_config(cap_coarse, cap_fine, q_enh), runs `settle` +
+/// `measure` zero-input samples on the shared pool and returns the last
+/// `measure` outputs.
+[[nodiscard]] std::vector<double> capture_oscillation(
+    rf::ReceiverBatch& chip, std::uint32_t cap_coarse,
+    std::uint32_t cap_fine, std::uint32_t q_enh, std::size_t settle,
+    std::size_t measure);
 
 }  // namespace analock::calib

@@ -7,21 +7,18 @@
 
 namespace analock::calib {
 
-QTuner::QTuner(rf::Receiver& chip, Options options)
+QTuner::QTuner(rf::ReceiverBatch& chip, Options options)
     : chip_(&chip), options_(options) {}
 
 bool QTuner::oscillates(std::uint32_t cap_coarse, std::uint32_t cap_fine,
                         std::uint32_t q_code) {
   ++measurements_;
-  rf::ReceiverConfig cfg = chip_->config();
-  cfg.modulator = oscillation_mode_config(cap_coarse, cap_fine, q_code);
-  chip_->configure(cfg);
-  chip_->reset();
-  const std::vector<double> zeros(options_.settle + options_.measure, 0.0);
-  const auto capture = chip_->capture_modulator(zeros, options_.settle);
+  const std::vector<double> capture =
+      capture_oscillation(*chip_, cap_coarse, cap_fine, q_code,
+                          options_.settle, options_.measure);
   double sum_sq = 0.0;
-  for (const double x : capture.output) sum_sq += x * x;
-  const double rms = std::sqrt(sum_sq / static_cast<double>(capture.output.size()));
+  for (const double x : capture) sum_sq += x * x;
+  const double rms = std::sqrt(sum_sq / static_cast<double>(capture.size()));
   return rms > options_.oscillation_rms;
 }
 

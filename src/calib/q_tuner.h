@@ -1,11 +1,15 @@
 // Calibration step 7: with the tank tuned, reduce the Q-enhancement
 // transconductor -Gm gradually from its maximum until the oscillation
 // vanishes — leaving the highest non-oscillating Q the chip supports.
+//
+// Like the OscillationTuner it drives a one-lane rf::ReceiverBatch whose
+// noise streams continue across captures, bit-identical to the scalar
+// chip.
 #pragma once
 
 #include <cstdint>
 
-#include "rf/receiver.h"
+#include "rf/receiver_batch.h"
 
 namespace analock::calib {
 
@@ -26,8 +30,8 @@ class QTuner {
     bool converged = false;
   };
 
-  explicit QTuner(rf::Receiver& chip) : QTuner(chip, Options{}) {}
-  QTuner(rf::Receiver& chip, Options options);
+  explicit QTuner(rf::ReceiverBatch& chip) : QTuner(chip, Options{}) {}
+  QTuner(rf::ReceiverBatch& chip, Options options);
 
   /// True when the tank oscillates at this -Gm code (capacitors fixed at
   /// the codes found by the OscillationTuner).
@@ -38,7 +42,7 @@ class QTuner {
   Result tune(std::uint32_t cap_coarse, std::uint32_t cap_fine);
 
  private:
-  rf::Receiver* chip_;
+  rf::ReceiverBatch* chip_;
   Options options_;
   std::size_t measurements_ = 0;
 };

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "dsp/fir.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace analock::rf {
@@ -18,28 +19,9 @@ constexpr std::size_t kChannelTaps = 31;
 
 }  // namespace
 
-/// The named scalar noise streams, each with the window of raw unit
-/// deviates it drew for the current stretch of the transient. Lane
-/// values are formed as `0.0 + rms[lane] * g[i]`, the exact expression
-/// GaussianNoise applies per draw.
-struct ReceiverBatch::NoiseStreams {
-  enum Id : std::size_t { kVg, kGm, kPre, kCmp, kDac, kBuf, kT1, kT2, kCount };
-  struct Stream {
-    sim::Rng rng;
-    bool needed;
-    std::vector<double> window;
-  };
-  std::array<Stream, kCount> streams;
-
-  /// Current window of stream `id`; nullptr for a stream no lane needs.
-  [[nodiscard]] const double* window(Id id) const {
-    const std::vector<double>& w = streams[id].window;
-    return w.empty() ? nullptr : w.data();
-  }
-};
-
-/// Dynamic state of one lane, carried from window to window. A freshly
-/// built receiver's state is all zeros with the slicer low.
+/// Dynamic state of one lane, carried from window to window. Every
+/// capture starts from a freshly reset receiver's state: all zeros with
+/// the slicer low.
 struct ReceiverBatch::LaneState {
   // Loop filter: resonators, the one-sample input history, delay ring.
   double r1s1 = 0.0, r1s2 = 0.0, r2s1 = 0.0, r2s2 = 0.0;
@@ -71,9 +53,16 @@ ReceiverBatch::ReceiverBatch(const Standard& standard,
                              const sim::Rng& rng,
                              std::span<const ReceiverConfig> configs)
     : standard_(&standard),
+      process_(process),
       rng_(rng),
+      noise_(make_noise()),
       fs_hz_(standard.fs_hz()),
-      lanes_(configs.size()) {
+      hb_taps_(dsp::design_halfband(kHbTaps)) {
+  configure(configs);
+}
+
+void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
+  lanes_ = configs.size();
   assert(lanes_ > 0 && "batch needs at least one lane");
   digital_mode_ = configs[0].digital_mode;
 
@@ -103,13 +92,17 @@ ReceiverBatch::ReceiverBatch(const Standard& standard,
   buf_gain_.resize(lanes_);
   buf_rms_.resize(lanes_);
 
+  bool any_gmin = false;
+  bool any_buffer = false;
+  bool all_gmin = true;
+  bool all_buffer = true;
   for (std::size_t l = 0; l < lanes_; ++l) {
     const ReceiverConfig& cfg = configs[l];
     assert(cfg.digital_mode == digital_mode_ &&
            "batch lanes must share the digital mode");
     // Probe receiver: the scalar blocks own every config->parameter map;
     // harvest the configured constants instead of re-deriving them.
-    Receiver probe(standard, process, rng_);
+    Receiver probe(*standard_, process_, rng_);
     probe.configure(cfg);
 
     const Vglna& vg = probe.vglna();
@@ -145,11 +138,17 @@ ReceiverBatch::ReceiverBatch(const Standard& standard,
     buf_gain_[l] = mod.out_buffer().gain();
     buf_rms_[l] = mod.out_buffer().noise_rms();
 
-    any_gmin_ = any_gmin_ || mc.gmin_enable;
-    any_buffer_ = any_buffer_ || mc.buffer_in_path;
+    any_gmin = any_gmin || mc.gmin_enable;
+    any_buffer = any_buffer || mc.buffer_in_path;
+    all_gmin = all_gmin && mc.gmin_enable;
+    all_buffer = all_buffer && mc.buffer_in_path;
   }
+  lanes_agree_ = any_gmin == all_gmin && any_buffer == all_buffer;
+  // The VGLNA stream stays needed without Gmin: the scalar VGLNA draws
+  // on every sample.
+  noise_.streams[NoiseStreams::kGm].needed = any_gmin;
+  noise_.streams[NoiseStreams::kBuf].needed = any_buffer;
 
-  hb_taps_ = dsp::design_halfband(kHbTaps);
   channel_taps_ = DigitalBackend::channel_taps_for_mode(digital_mode_);
 }
 
@@ -158,30 +157,47 @@ ReceiverBatch::NoiseStreams ReceiverBatch::make_noise() const {
   const sim::Rng mod_rng = rng_.fork("receiver-modulator");
   return {{{
       {rng_.fork("receiver-vglna").fork("vglna-noise"), true, {}},
-      {mod_rng.fork("sd-gmin").fork("gmin-noise"), any_gmin_, {}},
+      {mod_rng.fork("sd-gmin").fork("gmin-noise"), true, {}},
       {mod_rng.fork("sd-preamp").fork("preamp-noise"), true, {}},
       {mod_rng.fork("sd-comparator").fork("comparator-noise"), true, {}},
       {mod_rng.fork("sd-dac").fork("dac-noise"), true, {}},
-      {mod_rng.fork("sd-buffer").fork("buffer-noise"), any_buffer_, {}},
+      {mod_rng.fork("sd-buffer").fork("buffer-noise"), true, {}},
       {mod_rng.fork("sd-tank1"), true, {}},
       {mod_rng.fork("sd-tank2"), true, {}},
   }}};
 }
 
-void ReceiverBatch::fill_noise(std::size_t m, NoiseStreams& noise,
-                               par::ThreadPool& pool) {
+void ReceiverBatch::begin_capture(std::size_t n) {
+  assert(resumable_ &&
+         "an earlier capture mixed gmin_enable or buffer_in_path across "
+         "lanes; its noise streams no longer follow every lane's chip");
+  resumable_ = lanes_agree_;
+  // Sized here, on the caller: a window grown inside a pool worker would
+  // land in that thread's malloc arena, which keeps the pages.
+  const std::size_t window = std::min(kNoiseWindow, n);
+  std::uint64_t needed = 0;
+  for (NoiseStreams::Stream& stream : noise_.streams) {
+    if (!stream.needed) continue;
+    ++needed;
+    if (stream.window.size() < window) stream.window.resize(window);
+  }
+  obs::count("rf.batch.lane_samples", lanes_ * n);
+  obs::count("rf.batch.noise_samples", needed * n);
+}
+
+void ReceiverBatch::fill_noise(std::size_t m, par::ThreadPool& pool) {
   ANALOCK_SPAN_QUIET("rf.batch.noise");
   pool.parallel_for(NoiseStreams::kCount,
                     [&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
-      if (!noise.streams[s].needed) continue;
+      NoiseStreams::Stream& stream = noise_.streams[s];
+      if (!stream.needed) continue;
       // Draw from a local copy: neighbouring streams share cache lines,
       // and advancing them in place would bounce those between workers.
-      sim::Rng rng = noise.streams[s].rng;
-      std::vector<double>& window = noise.streams[s].window;
-      window.resize(m);
+      sim::Rng rng = stream.rng;
+      double* window = stream.window.data();
       for (std::size_t k = 0; k < m; ++k) window[k] = rng.gaussian();
-      noise.streams[s].rng = rng;
+      stream.rng = rng;
     }
   });
 }
@@ -190,7 +206,7 @@ void ReceiverBatch::fill_noise(std::size_t m, NoiseStreams& noise,
 void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
                               std::span<const double> rf, std::size_t offset,
                               std::size_t window, std::size_t settle,
-                              const NoiseStreams& noise, bool run_backend,
+                              bool run_backend,
                               std::size_t baseband_points,
                               std::size_t settle_baseband,
                               std::span<LaneState> state,
@@ -214,14 +230,14 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
   const std::size_t n = rf.size();
   const std::size_t n_mod = n > settle ? n - settle : 0;
   const double* rf_p = rf.data() + offset;
-  const double* nvg_p = noise.window(NoiseStreams::kVg);
-  const double* ngm_p = noise.window(NoiseStreams::kGm);
-  const double* nt1_p = noise.window(NoiseStreams::kT1);
-  const double* nt2_p = noise.window(NoiseStreams::kT2);
-  const double* npre_p = noise.window(NoiseStreams::kPre);
-  const double* ncmp_p = noise.window(NoiseStreams::kCmp);
-  const double* ndac_p = noise.window(NoiseStreams::kDac);
-  const double* nbuf_p = noise.window(NoiseStreams::kBuf);
+  const double* nvg_p = noise_.window(NoiseStreams::kVg);
+  const double* ngm_p = noise_.window(NoiseStreams::kGm);
+  const double* nt1_p = noise_.window(NoiseStreams::kT1);
+  const double* nt2_p = noise_.window(NoiseStreams::kT2);
+  const double* npre_p = noise_.window(NoiseStreams::kPre);
+  const double* ncmp_p = noise_.window(NoiseStreams::kCmp);
+  const double* ndac_p = noise_.window(NoiseStreams::kDac);
+  const double* nbuf_p = noise_.window(NoiseStreams::kBuf);
 
   // Chunk size keeps the pass-1 scratch (32 KiB) and both passes' noise
   // slices L1/L2-resident while amortizing the loop-switch overhead.
@@ -491,13 +507,13 @@ std::vector<double> ReceiverBatch::capture_modulator(
   ANALOCK_SPAN_QUIET("rf.batch.capture_modulator");
   assert(rf.size() > settle);
   std::vector<double> out(lanes_ * (rf.size() - settle));
-  NoiseStreams noise = make_noise();
+  begin_capture(rf.size());
   std::vector<LaneState> state(lanes_);
   for (std::size_t offset = 0; offset < rf.size(); offset += kNoiseWindow) {
     const std::size_t window = std::min(kNoiseWindow, rf.size() - offset);
-    fill_noise(window, noise, pool);
+    fill_noise(window, pool);
     pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
-      run_lanes(begin, end, rf, offset, window, settle, noise,
+      run_lanes(begin, end, rf, offset, window, settle,
                 /*run_backend=*/false, 0, 0, state, out, {});
     });
   }
@@ -512,13 +528,13 @@ std::vector<std::complex<double>> ReceiverBatch::capture_receiver(
   assert(rf.size() >=
          receiver_input_length(baseband_points, settle, settle_baseband));
   std::vector<std::complex<double>> out(lanes_ * baseband_points);
-  NoiseStreams noise = make_noise();
+  begin_capture(rf.size());
   std::vector<LaneState> state(lanes_);
   for (std::size_t offset = 0; offset < rf.size(); offset += kNoiseWindow) {
     const std::size_t window = std::min(kNoiseWindow, rf.size() - offset);
-    fill_noise(window, noise, pool);
+    fill_noise(window, pool);
     pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
-      run_lanes(begin, end, rf, offset, window, settle, noise,
+      run_lanes(begin, end, rf, offset, window, settle,
                 /*run_backend=*/true, baseband_points, settle_baseband, state,
                 {}, out);
     });

@@ -1,27 +1,41 @@
 // Structure-of-arrays batch stepper: advances N receiver configurations
 // (key candidates) in lockstep through one transient. It is the only
 // measurement pipeline: lock::BatchEvaluator runs every oracle reading
-// through it, a per-key reading being a batch of one.
+// through it, a per-key reading being a batch of one, and the
+// calibration tuners drive a one-lane batch as the chip on the bench.
 //
-// Bit-exactness contract: for every lane, the produced capture equals —
-// to the last bit — what a freshly constructed scalar `rf::Receiver`
-// seeded from the same `rng` and configured with the same
-// `ReceiverConfig` would produce. Three properties make that possible:
+// Bit-exactness contract: lane l of the k-th capture equals — to the
+// last bit — what a scalar `rf::Receiver` built from the same `rng` and
+// taken through the same sequence (configure with lane l's config,
+// reset, capture) would produce at its k-th capture. Four properties make
+// that possible:
 //
 //   1. `sim::Rng::fork` is const and depends only on the parent's seed
-//      material, so every scalar receiver built from the same evaluator
-//      RNG replays identical noise streams regardless of the key. The
-//      batch therefore draws each named stream (VGLNA, Gmin, tanks,
-//      preamp, comparator, DAC, buffer) once, as raw unit deviates, and
-//      scales per lane by that lane's configured RMS with the same
-//      `0.0 + rms * g` expression `sim::GaussianNoise` uses.
-//   2. Every per-lane constant (gains, DAC levels, pole parameters,
+//      material, so every scalar receiver built from the same RNG starts
+//      identical noise streams regardless of the key. The batch forks
+//      each named stream (VGLNA, Gmin, tanks, preamp, comparator, DAC,
+//      buffer) once, at construction, draws it once for all lanes as raw
+//      unit deviates, and scales per lane by that lane's configured RMS
+//      with the same `0.0 + rms * g` expression `sim::GaussianNoise` uses.
+//   2. `Receiver::reset` clears block state but not the noise sources, so
+//      the scalar chip's k-th capture continues its streams where capture
+//      k-1 stopped. The batch keeps the stream states (Box–Muller cache
+//      included) between captures in the same way, while lane state
+//      starts from zero on every capture.
+//   3. Every per-lane constant (gains, DAC levels, pole parameters,
 //      noise RMS values) is harvested from a probe scalar `Receiver`
 //      configured per lane — the config->parameter maps are never
 //      re-derived here.
-//   3. The per-sample arithmetic is the same inline kernels the scalar
+//   4. The per-sample arithmetic is the same inline kernels the scalar
 //      blocks call (`Vglna::Stage::process`, `cubic_soft`,
 //      `Resonator::advance`, `soft_rail`), applied in the same order.
+//
+// The scalar Gmin transconductor and output buffer draw noise only while
+// enabled (the VGLNA draws on every sample, used or not); the batch
+// draws those two streams when any lane enables them. A capture whose
+// lanes disagree on `gmin_enable` or `buffer_in_path` is still exact, but
+// it advances the streams differently from some lanes' scalar chips, so
+// it must be the batch's last: the next capture asserts.
 //
 // The transient streams in windows of kNoiseWindow samples: each window
 // first draws the next kNoiseWindow deviates of every noise stream (one
@@ -30,9 +44,11 @@
 // between windows, so noise memory is O(kNoiseWindow), not
 // O(transient), and the draw order and per-lane arithmetic are those of
 // one uninterrupted pass: results are independent of the thread count
-// by construction.
+// by construction. The windows are sized on the calling thread and kept
+// across captures.
 #pragma once
 
+#include <array>
 #include <complex>
 #include <cstddef>
 #include <cstdint>
@@ -47,12 +63,25 @@ namespace analock::rf {
 
 class ReceiverBatch {
  public:
-  /// Builds lane state for `configs`, probing one scalar Receiver per
-  /// lane. All configs must share `digital_mode`. `rng` must be the
-  /// same stream a scalar `Receiver(standard, process, rng)` would get.
+  /// Forks the noise streams and configures the lanes (see configure).
+  /// `rng` must be the stream a scalar `Receiver(standard, process, rng)`
+  /// would get.
   ReceiverBatch(const Standard& standard,
                 const sim::ProcessVariation& process, const sim::Rng& rng,
                 std::span<const ReceiverConfig> configs);
+
+  /// One lane at the default configuration, like a freshly built scalar
+  /// Receiver: the chip the calibration tuners reconfigure capture by
+  /// capture.
+  ReceiverBatch(const Standard& standard,
+                const sim::ProcessVariation& process, const sim::Rng& rng)
+      : ReceiverBatch(standard, process, rng,
+                      std::array<ReceiverConfig, 1>{}) {}
+
+  /// Rebuilds lane state for `configs` (one lane each), probing one
+  /// scalar Receiver per lane; the noise streams carry on. All configs
+  /// must share `digital_mode`.
+  void configure(std::span<const ReceiverConfig> configs);
 
   [[nodiscard]] std::size_t lanes() const { return lanes_; }
   [[nodiscard]] double fs_hz() const { return fs_hz_; }
@@ -67,15 +96,17 @@ class ReceiverBatch {
   /// stepping chunk, while modulator captures still fit in one.
   static constexpr std::size_t kNoiseWindow = 32768;
 
-  /// Batched Receiver::capture_modulator: drives every lane with `rf`
-  /// and returns the post-settle modulator outputs, lane-major — lane l
-  /// occupies [l*(rf.size()-settle), (l+1)*(rf.size()-settle)).
+  /// Batched `Receiver::reset(); Receiver::capture_modulator`: drives
+  /// every lane with `rf` and returns the post-settle modulator outputs,
+  /// lane-major — lane l occupies [l*(rf.size()-settle),
+  /// (l+1)*(rf.size()-settle)).
   [[nodiscard]] std::vector<double> capture_modulator(
       std::span<const double> rf, std::size_t settle, par::ThreadPool& pool);
 
-  /// Batched Receiver::capture_receiver limited to the baseband product:
-  /// exactly `baseband_points` complex samples per lane, lane-major,
-  /// after dropping `settle_baseband` leading baseband outputs.
+  /// Batched `Receiver::reset(); Receiver::capture_receiver` limited to
+  /// the baseband product: exactly `baseband_points` complex samples per
+  /// lane, lane-major, after dropping `settle_baseband` leading baseband
+  /// outputs.
   /// `rf.size()` must cover receiver_input_length(baseband_points,
   /// settle, settle_baseband).
   [[nodiscard]] std::vector<std::complex<double>> capture_receiver(
@@ -84,34 +115,58 @@ class ReceiverBatch {
       par::ThreadPool& pool);
 
  private:
-  struct NoiseStreams;
   struct LaneState;
+
+  /// The named scalar noise streams. Each keeps its generator from
+  /// capture to capture and holds the window of raw unit deviates it
+  /// drew for the current stretch of the transient.
+  struct NoiseStreams {
+    enum Id : std::size_t {
+      kVg, kGm, kPre, kCmp, kDac, kBuf, kT1, kT2, kCount
+    };
+    struct Stream {
+      sim::Rng rng;
+      bool needed = true;  ///< some lane reads it in the current config
+      std::vector<double> window;
+    };
+    std::array<Stream, kCount> streams;
+
+    /// Current window of stream `id`; nullptr for a stream no lane needs.
+    [[nodiscard]] const double* window(Id id) const {
+      return streams[id].needed ? streams[id].window.data() : nullptr;
+    }
+  };
 
   /// Forks the named scalar noise streams, their windows still empty.
   [[nodiscard]] NoiseStreams make_noise() const;
 
+  /// Checks the stream-continuation precondition, sizes the windows for
+  /// an `n`-sample transient and charges the capture's work counters.
+  void begin_capture(std::size_t n);
+
   /// Draws the next `m` deviates of every needed stream into its window.
-  static void fill_noise(std::size_t m, NoiseStreams& noise,
-                         par::ThreadPool& pool);
+  void fill_noise(std::size_t m, par::ThreadPool& pool);
 
   /// Advances lanes [begin, end) through samples [offset, offset +
   /// window) of the transient, resuming from and saving back `state[l]`.
-  /// `noise` holds those samples' deviates. When `run_backend` is false,
-  /// writes post-settle modulator outputs into `mod_out` (lane-major,
-  /// n - settle per lane); otherwise runs the digital backend and writes
-  /// `baseband_points` baseband samples per lane into `bb_out`. Callers
-  /// pass `run_backend` as a literal so the compiler can clone the
-  /// stepper per mode; a runtime flag measurably slows both.
+  /// The noise windows hold those samples' deviates. When `run_backend`
+  /// is false, writes post-settle modulator outputs into `mod_out`
+  /// (lane-major, n - settle per lane); otherwise runs the digital
+  /// backend and writes `baseband_points` baseband samples per lane into
+  /// `bb_out`. Callers pass `run_backend` as a literal so the compiler
+  /// can clone the stepper per mode; a runtime flag measurably slows
+  /// both.
   void run_lanes(std::size_t begin, std::size_t end,
                  std::span<const double> rf, std::size_t offset,
-                 std::size_t window, std::size_t settle,
-                 const NoiseStreams& noise, bool run_backend,
+                 std::size_t window, std::size_t settle, bool run_backend,
                  std::size_t baseband_points, std::size_t settle_baseband,
                  std::span<LaneState> state, std::span<double> mod_out,
                  std::span<std::complex<double>> bb_out) const;
 
   const Standard* standard_;
+  sim::ProcessVariation process_;
   sim::Rng rng_;
+  NoiseStreams noise_;
   double fs_hz_;
   std::size_t lanes_ = 0;
   std::uint32_t digital_mode_ = 0;
@@ -131,8 +186,11 @@ class ReceiverBatch {
   std::vector<double> dly_frac_;
   std::vector<std::uint8_t> mux_, buf_in_;
   std::vector<double> buf_gain_, buf_rms_;
-  bool any_gmin_ = false;
-  bool any_buffer_ = false;
+  /// Lanes agree on gmin_enable and buffer_in_path, so a capture leaves
+  /// every lane's streams where its scalar chip would leave them.
+  bool lanes_agree_ = true;
+  /// No earlier capture broke the stream continuation (see the header).
+  bool resumable_ = true;
 
   // Shared digital-chain taps (mode is uniform across lanes).
   std::vector<double> hb_taps_;

@@ -2,7 +2,7 @@
 #include <cstdio>
 
 #include "calib/oscillation_tuner.h"
-#include "rf/receiver.h"
+#include "rf/receiver_batch.h"
 #include "rf/standards.h"
 #include "sim/process.h"
 #include "sim/rng.h"
@@ -13,7 +13,7 @@ int main() {
   const rf::Standard& mode = rf::standard_max_3ghz();
   sim::Rng master(2026);
   const auto pv = sim::ProcessVariation::monte_carlo(master, 0);
-  rf::Receiver chip(mode, pv, master.fork("chip", 0));
+  rf::ReceiverBatch chip(mode, pv, master.fork("chip", 0));
   calib::OscillationTuner tuner(chip);
   for (std::uint32_t coarse : {0u, 4u, 8u, 9u, 10u, 12u, 16u, 32u, 64u, 128u, 255u}) {
     const auto m = tuner.measure(coarse, 128);

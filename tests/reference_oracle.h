@@ -89,8 +89,13 @@ inline lock::PerformanceReport evaluate(const lock::LockEvaluator& evaluator,
                                         const lock::Key64& key) {
   const lock::EvaluatorOptions& options = evaluator.options();
   lock::PerformanceReport report;
+  // These calls resolve by name to LockEvaluator's (key, dbm) overloads,
+  // whose dbm argument sizes a stimulus; only that length reaches the
+  // ReceiverBatch sample counters, never key bits.
+  // analock-verify: allow(taint-call) stimulus length, not key material
   report.snr_modulator_db = snr_modulator_db(evaluator, key, options.input_dbm);
   report.snr_receiver_db = snr_receiver_db(evaluator, key, options.input_dbm);
+  // analock-verify: allow(taint-call) stimulus length, not key material
   report.sfdr_db = sfdr_db(evaluator, key, options.two_tone_dbm);
   const rf::PerformanceSpec& spec = evaluator.standard().spec;
   report.snr_ok = report.snr_receiver_db >= spec.min_snr_db;

@@ -1,6 +1,7 @@
 // Bit-exactness and infrastructure tests for the batched evaluation
 // engine: FFT plans, the thread pool, batched periodograms, ReceiverBatch
-// parity with rf::Receiver across chunk boundaries, and BatchEvaluator
+// parity with rf::Receiver across chunk boundaries and across sequential
+// captures, its work counters, and BatchEvaluator
 // parity with the block-level reference recipe (reference_oracle.h) and
 // with per-key LockEvaluator calls.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "calib/oscillation_tuner.h"
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/spectrum.h"
@@ -17,6 +19,7 @@
 #include "lock/batch_evaluator.h"
 #include "lock/evaluator.h"
 #include "lock/key_layout.h"
+#include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "reference_oracle.h"
 #include "rf/receiver.h"
@@ -289,6 +292,170 @@ TEST(ReceiverBatch, ReceiverCaptureMatchesReceiverAcrossChunks) {
           << "lanes=" << lanes << " lane=" << l;
     }
   }
+}
+
+/// One capture of a sequential-parity run: the config of lane 0 (later
+/// lanes shift its tank codes, keeping its Gmin and buffer flags), the
+/// transient length and settle, and — for a receiver capture — the
+/// baseband points (0 selects a modulator capture).
+struct SequentialStep {
+  rf::ReceiverConfig config;
+  std::size_t n;
+  std::size_t settle;
+  std::size_t baseband_points = 0;
+};
+
+/// Oscillation-mode readings as the calibration tuners take them, with
+/// varied Cc/Cf/q and the tuners' lengths (6144, 36864, and 65536, which
+/// crosses a noise window). The odd-length capture leaves a cached
+/// Box–Muller deviate in every stream for the next one to consume; the
+/// Gmin-on, buffer-off capture advances the Gmin stream and skips the
+/// buffer's; a closing receiver capture runs the backend after them.
+std::vector<SequentialStep> sequential_steps(const rf::Standard& standard) {
+  auto osc = [](std::uint32_t cc, std::uint32_t cf, std::uint32_t q) {
+    rf::ReceiverConfig c;
+    c.modulator = calib::oscillation_mode_config(cc, cf, q);
+    return c;
+  };
+  rf::ReceiverConfig gmin_live = osc(9, 96, 30);
+  gmin_live.modulator.gmin_enable = true;
+  gmin_live.modulator.buffer_in_path = false;
+  rf::ReceiverConfig mission;
+  mission.digital_mode = standard.digital_mode;
+  constexpr std::size_t kPoints = 128;
+  return {
+      {osc(9, 128, 63), 36864, 4096},
+      {osc(12, 40, 63), 6144, 4096},
+      {osc(9, 200, 27), 6144 + 1001, 4096},
+      {gmin_live, 6144, 4096},
+      {osc(8, 0, 26), 65536, 32768},
+      {osc(9, 255, 63), 36864, 4096},
+      {mission, rf::receiver_input_length(kPoints, 100, 16), 100, kPoints},
+  };
+}
+
+/// Lane `lane`'s config at `step`: lane 0 runs the step's config, the
+/// others shift its tank codes.
+rf::ReceiverConfig lane_config(const SequentialStep& step, std::size_t lane) {
+  rf::ReceiverConfig c = step.config;
+  c.modulator.cap_coarse += static_cast<std::uint32_t>(lane);
+  c.modulator.cap_fine = (c.modulator.cap_fine + 37 * lane) % 256;
+  return c;
+}
+
+TEST(ReceiverBatch, SequentialCapturesMatchReceiver) {
+  // A batch reconfigured and captured again and again continues its
+  // noise streams like a scalar chip taken through configure / reset /
+  // capture: every capture of every lane matches to the last bit.
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(911);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 2);
+  const sim::Rng rng = chip_rng.fork("chip");
+  const auto steps = sequential_steps(standard);
+  ASSERT_GE(steps.size(), 6u);
+
+  // Scalar references, one chip per lane, shared by both pool sizes.
+  constexpr std::size_t kMaxLanes = 3;
+  std::vector<std::vector<std::vector<double>>> want(kMaxLanes);
+  for (std::size_t l = 0; l < kMaxLanes; ++l) {
+    rf::Receiver ref(standard, pv, rng);
+    for (const SequentialStep& step : steps) {
+      ref.configure(lane_config(step, l));
+      ref.reset();
+      const std::vector<double> zeros(step.n, 0.0);
+      if (step.baseband_points == 0) {
+        want[l].push_back(ref.capture_modulator(zeros, step.settle).output);
+        continue;
+      }
+      const auto bb =
+          ref.capture_receiver(zeros, step.settle, 16).baseband.samples;
+      std::vector<double> flat;
+      for (std::size_t i = 0; i < step.baseband_points; ++i) {
+        flat.push_back(bb[i].real());
+        flat.push_back(bb[i].imag());
+      }
+      want[l].push_back(std::move(flat));
+    }
+  }
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{7}}) {
+    par::ThreadPool pool(threads);
+    for (const std::size_t lanes : {std::size_t{1}, kMaxLanes}) {
+      rf::ReceiverBatch batch(standard, pv, rng);
+      for (std::size_t k = 0; k < steps.size(); ++k) {
+        const SequentialStep& step = steps[k];
+        std::vector<rf::ReceiverConfig> configs;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          configs.push_back(lane_config(step, l));
+        }
+        batch.configure(configs);
+        const std::vector<double> zeros(step.n, 0.0);
+        std::vector<double> got;
+        if (step.baseband_points == 0) {
+          got = batch.capture_modulator(zeros, step.settle, pool);
+        } else {
+          for (const auto& z :
+               batch.capture_receiver(zeros, step.settle,
+                                      step.baseband_points, 16, pool)) {
+            got.push_back(z.real());
+            got.push_back(z.imag());
+          }
+        }
+        const std::size_t per_lane = want[0][k].size();
+        ASSERT_EQ(got.size(), lanes * per_lane);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          EXPECT_EQ(first_mismatch(std::span<const double>(got).subspan(
+                                       l * per_lane, per_lane),
+                                   want[l][k]),
+                    per_lane)
+              << "threads=" << threads << " lanes=" << lanes
+              << " capture=" << k << " lane=" << l;
+        }
+      }
+    }
+  }
+}
+
+TEST(ReceiverBatch, ChargesWorkCountersPerCapture) {
+  // One capture of n samples charges lanes * n lane-samples and, per
+  // stream some lane reads, n noise samples: 8 streams with Gmin and the
+  // buffer on, 6 with both off.
+  obs::Registry& reg = obs::registry();
+  const bool was_enabled = reg.enabled();
+  reg.reset_values();
+  reg.set_enabled(true);
+
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(912);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  rf::ReceiverConfig both_on;
+  both_on.modulator.buffer_in_path = true;
+  rf::ReceiverConfig both_off = both_on;
+  both_off.modulator.gmin_enable = false;
+  both_off.modulator.buffer_in_path = false;
+  const std::vector<rf::ReceiverConfig> configs(3, both_on);
+  rf::ReceiverBatch batch(standard, pv, chip_rng.fork("chip"), configs);
+  par::ThreadPool pool(2);
+  constexpr std::size_t kN = 5000;
+  const std::vector<double> zeros(kN, 0.0);
+  (void)batch.capture_modulator(zeros, 100, pool);
+  const std::uint64_t lane_samples =
+      reg.counter("rf.batch.lane_samples").value();
+  const std::uint64_t noise_samples =
+      reg.counter("rf.batch.noise_samples").value();
+  batch.configure({&both_off, 1});
+  (void)batch.capture_modulator(zeros, 100, pool);
+  const std::uint64_t lane_samples_2 =
+      reg.counter("rf.batch.lane_samples").value() - lane_samples;
+  const std::uint64_t noise_samples_2 =
+      reg.counter("rf.batch.noise_samples").value() - noise_samples;
+
+  reg.set_enabled(was_enabled);
+  reg.reset_values();
+  EXPECT_EQ(lane_samples, 3 * kN);
+  EXPECT_EQ(noise_samples, 8 * kN);
+  EXPECT_EQ(lane_samples_2, kN);
+  EXPECT_EQ(noise_samples_2, 6 * kN);
 }
 
 // ---------------------------------------------------------------------

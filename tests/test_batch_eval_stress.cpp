@@ -1,8 +1,9 @@
 // Concurrency stress for the batched evaluation engine. Registered as
 // ctest `tsan_batch_eval` with a fixed name so the tsan preset
 // (-DANALOCK_SANITIZE=thread) can target it for race detection: the
-// thread pool fan-out, the shared FFT twiddle cache, and the batch
-// stepper's shared-read/private-write layout all get hammered here.
+// thread pool fan-out, the shared FFT twiddle cache, the batch
+// stepper's shared-read/private-write layout, and its noise-stream state
+// carried from capture to capture all get hammered here.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -12,6 +13,8 @@
 #include "lock/batch_evaluator.h"
 #include "lock/evaluator.h"
 #include "par/thread_pool.h"
+#include "rf/receiver.h"
+#include "rf/receiver_batch.h"
 #include "rf/standards.h"
 #include "sim/process.h"
 #include "sim/rng.h"
@@ -69,6 +72,42 @@ TEST(BatchStress, BatchedEvaluationUnderThreads) {
   const auto again = batch.evaluate_batch(keys);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(reports[i].snr_receiver_db, again[i].snr_receiver_db) << i;
+  }
+}
+
+TEST(BatchStress, ContinuingCapturesUnderThreads) {
+  // A one-lane batch driven the way the calibration tuners drive it:
+  // pool workers advance the member noise streams in one capture and
+  // other workers resume them in the next. Every capture still matches
+  // the scalar chip's.
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(9002);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const sim::Rng rng = chip_rng.fork("chip");
+  // Oscillation mode: loop open, comparator as buffer, Gmin off, output
+  // buffer in path, pre-amplifier tap observed.
+  rf::ReceiverConfig cfg;
+  cfg.modulator.q_enh = 63;
+  cfg.modulator.feedback_enable = false;
+  cfg.modulator.comp_clock_enable = false;
+  cfg.modulator.gmin_enable = false;
+  cfg.modulator.buffer_in_path = true;
+  cfg.modulator.test_mux = 2;
+  par::ThreadPool pool(4);
+  rf::ReceiverBatch batch(standard, pv, rng);
+  rf::Receiver ref(standard, pv, rng);
+  for (std::uint32_t k = 0; k < 6; ++k) {
+    cfg.modulator.cap_fine = 40 * k;
+    const std::vector<double> zeros(k % 2 == 0 ? 6144 : 36865, 0.0);
+    batch.configure({&cfg, 1});
+    const auto got = batch.capture_modulator(zeros, 4096, pool);
+    ref.configure(cfg);
+    ref.reset();
+    const auto want = ref.capture_modulator(zeros, 4096).output;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "capture " << k << " sample " << i;
+    }
   }
 }
 

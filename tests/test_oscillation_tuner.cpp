@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "calib/oscillation_tuner.h"
+#include "rf/receiver_batch.h"
 #include "rf/standards.h"
 #include "sim/process.h"
 #include "sim/rng.h"
@@ -76,8 +77,9 @@ TEST_P(OscillationTunerChipTest, ConvergesOnMonteCarloChip) {
   sim::Rng master(4242);
   const auto pv = sim::ProcessVariation::monte_carlo(
       master, static_cast<std::uint64_t>(GetParam()));
-  rf::Receiver chip(rf::standard_max_3ghz(), pv,
-                    master.fork("chip", static_cast<std::uint64_t>(GetParam())));
+  rf::ReceiverBatch chip(
+      rf::standard_max_3ghz(), pv,
+      master.fork("chip", static_cast<std::uint64_t>(GetParam())));
   OscillationTuner tuner(chip);
   const auto result = tuner.tune(3.0e9);
   EXPECT_TRUE(result.converged) << "chip " << GetParam();
@@ -90,8 +92,8 @@ INSTANTIATE_TEST_SUITE_P(Chips, OscillationTunerChipTest,
 
 TEST(OscillationTuner, MeasureReportsOscillationAtMaxQ) {
   sim::Rng master(4242);
-  rf::Receiver chip(rf::standard_max_3ghz(),
-                    sim::ProcessVariation::nominal(), master);
+  rf::ReceiverBatch chip(rf::standard_max_3ghz(),
+                         sim::ProcessVariation::nominal(), master);
   OscillationTuner tuner(chip);
   const auto m = tuner.measure(9, 128);
   EXPECT_GT(m.rms, 0.3);
@@ -101,8 +103,8 @@ TEST(OscillationTuner, MeasureReportsOscillationAtMaxQ) {
 
 TEST(OscillationTuner, GentleOverdriveDiscriminatesFineCodes) {
   sim::Rng master(4242);
-  rf::Receiver chip(rf::standard_max_3ghz(),
-                    sim::ProcessVariation::nominal(), master);
+  rf::ReceiverBatch chip(rf::standard_max_3ghz(),
+                         sim::ProcessVariation::nominal(), master);
   OscillationTuner tuner(chip);
   const auto lo = tuner.measure_at_q(9, 32, 28, 32768);
   const auto hi = tuner.measure_at_q(9, 224, 28, 32768);
@@ -116,7 +118,8 @@ TEST(OscillationTuner, GentleOverdriveDiscriminatesFineCodes) {
 TEST(OscillationTuner, LowFrequencyStandardAlsoTunes) {
   sim::Rng master(4242);
   const auto pv = sim::ProcessVariation::monte_carlo(master, 3);
-  rf::Receiver chip(rf::standard_low_1p5ghz(), pv, master.fork("chip", 3));
+  rf::ReceiverBatch chip(rf::standard_low_1p5ghz(), pv,
+                         master.fork("chip", 3));
   OscillationTuner tuner(chip);
   const auto result = tuner.tune(1.5e9);
   EXPECT_TRUE(result.converged);

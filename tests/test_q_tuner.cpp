@@ -8,6 +8,7 @@
 #include <cmath>
 #include <utility>
 #include "rf/lc_tank.h"
+#include "rf/receiver_batch.h"
 #include "rf/standards.h"
 #include "sim/process.h"
 #include "sim/rng.h"
@@ -33,7 +34,7 @@ std::pair<std::uint32_t, std::uint32_t> nominal_caps() {
 TEST(QTuner, FindsThresholdOnNominalChip) {
   sim::Rng master(51);
   const auto pv = sim::ProcessVariation::nominal();
-  rf::Receiver chip(rf::standard_max_3ghz(), pv, master);
+  rf::ReceiverBatch chip(rf::standard_max_3ghz(), pv, master);
   QTuner tuner(chip);
   const auto [cc, cf] = nominal_caps();
   const auto result = tuner.tune(cc, cf);
@@ -48,7 +49,7 @@ TEST(QTuner, FindsThresholdOnNominalChip) {
 TEST(QTuner, ChosenCodeDoesNotOscillateThresholdDoes) {
   sim::Rng master(51);
   const auto pv = sim::ProcessVariation::nominal();
-  rf::Receiver chip(rf::standard_max_3ghz(), pv, master);
+  rf::ReceiverBatch chip(rf::standard_max_3ghz(), pv, master);
   QTuner tuner(chip);
   const auto [cc, cf] = nominal_caps();
   const auto result = tuner.tune(cc, cf);
@@ -63,8 +64,9 @@ TEST_P(QTunerChipTest, ThresholdTracksIntrinsicQ) {
   sim::Rng master(52);
   const auto pv = sim::ProcessVariation::monte_carlo(
       master, static_cast<std::uint64_t>(GetParam()));
-  rf::Receiver chip(rf::standard_max_3ghz(), pv,
-                    master.fork("chip", static_cast<std::uint64_t>(GetParam())));
+  rf::ReceiverBatch chip(
+      rf::standard_max_3ghz(), pv,
+      master.fork("chip", static_cast<std::uint64_t>(GetParam())));
   // Tune the caps first so the oscillation is at band center.
   calib::OscillationTuner osc(chip);
   const auto caps = osc.tune(3.0e9);
@@ -83,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(Chips, QTunerChipTest, ::testing::Values(0, 1, 5));
 TEST(QTuner, OscillatesPredicateAgreesWithTank) {
   sim::Rng master(53);
   const auto pv = sim::ProcessVariation::nominal();
-  rf::Receiver chip(rf::standard_max_3ghz(), pv, master);
+  rf::ReceiverBatch chip(rf::standard_max_3ghz(), pv, master);
   QTuner tuner(chip);
   const auto [cc, cf] = nominal_caps();
   EXPECT_TRUE(tuner.oscillates(cc, cf, 63));
