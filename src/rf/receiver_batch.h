@@ -126,7 +126,7 @@ class ReceiverBatch {
     };
     struct Stream {
       sim::Rng rng;
-      bool needed = true;  ///< some lane reads it in the current config
+      bool needed = true;  ///< the lanes' scalar chips draw it this capture
       std::vector<double> window;
     };
     std::array<Stream, kCount> streams;
