@@ -1,9 +1,10 @@
-// The three analysis passes of analock-verify. Each takes the parsed
+// The seven analysis passes of analock-verify. Each takes the parsed
 // files (plus the cross-TU call graph where relevant) and appends
 // findings; the engine owns suppression, fingerprints, and ordering.
+// Taint and ct_flow share one secret oracle and one secret-flow fixed
+// point (secret_flow.h); each seeds it with its own facts.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
 #include "analysis/callgraph.h"
@@ -14,8 +15,9 @@ namespace analock::analysis {
 
 /// Interprocedural secret taint: key/PUF material flowing into obs
 /// events/metrics, printf-family calls, `.emit()` sinks, and stream
-/// inserts — directly (taint-sink) or through call chains up to
-/// `max_depth` hops (taint-call).
+/// inserts — directly (taint-sink) or through a call chain that reaches
+/// one (taint-call). A witness looks through up to `max_depth` nested
+/// calls of one expression.
 void run_taint_analysis(const std::vector<ParsedFile>& files,
                         const CallGraph& graph, int max_depth,
                         std::vector<Finding>& out);
@@ -65,21 +67,13 @@ void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
 /// data-dependent memory access (secret-index), operand-dependent
 /// latency and loop shapes (vartime-op), and secrets passed to known
 /// variable-time library callees (ct-leak-call). Per-function
-/// returns-secret / param-flows-to-branch/index/vartime summaries are
-/// fixed-pointed over the call graph; `// analock: ct_safe` blesses a
-/// reviewed constant-time function (ct_equal implicitly) and
+/// returns-secret / param-flows-to-branch/index/vartime summaries come
+/// from the shared secret-flow fixed point; `// analock: ct_safe`
+/// blesses a reviewed constant-time function (ct_equal implicitly) and
 /// `// analock: declassified(reason)` marks an audited deliberate
 /// release on its line and the line below.
 void run_ct_flow_analysis(const std::vector<ParsedFile>& files,
                           const CallGraph& graph, int max_depth,
                           std::vector<Finding>& out);
-
-/// True when `identifier` names key/PUF material by the repo's naming
-/// convention (the taint oracle). Exposed for tests.
-[[nodiscard]] bool is_secret_identifier(std::string_view identifier);
-
-/// True when `text` calls a raw-word accessor, `.bits()` / `.to_hex()`
-/// (or through `->`): the oracle's other half, secret on any receiver.
-[[nodiscard]] bool has_secret_accessor(std::string_view text);
 
 }  // namespace analock::analysis

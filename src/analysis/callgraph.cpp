@@ -5,7 +5,7 @@ namespace analock::analysis {
 CallGraph::CallGraph(const std::vector<ParsedFile>& files) {
   for (const ParsedFile& file : files) {
     for (std::size_t i = 0; i < file.functions.size(); ++i) {
-      FunctionRef ref{&file, i};
+      FunctionRef ref{&file, i, all_.size()};
       all_.push_back(ref);
       by_base_[file.functions[i].base_name].push_back(ref);
     }

@@ -20,6 +20,7 @@ namespace analock::analysis {
 struct FunctionRef {
   const ParsedFile* file = nullptr;
   std::size_t index = 0;  ///< into file->functions
+  std::size_t id = 0;     ///< position in CallGraph::all()
 
   [[nodiscard]] const FunctionDef& def() const {
     return file->functions[index];

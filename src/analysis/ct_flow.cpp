@@ -30,9 +30,11 @@
 // The secret oracle is the shared name convention (is_secret_identifier)
 // plus the .bits()/.to_hex() accessors; taint is deliberately nominal,
 // NOT type-based, so evaluator/attack code sweeping public *candidate*
-// keys (Key64-typed but benign-named) stays quiet. Per-function
-// summaries (returns-secret, param-flows-to-branch/index/vartime) are
-// computed over the cross-TU call graph to a fixed point.
+// keys (Key64-typed but benign-named) stays quiet. This pass seeds the
+// shared secret-flow fixed point (secret_flow.h) with three facts per
+// parameter (reaches a branch, a subscript, a variable-time op) and
+// its own returns-secret base; SecretFlow composes them over the
+// cross-TU call graph.
 //
 // Escape hatches, both auditable in review:
 //
@@ -53,65 +55,18 @@
 // `x.has_value()` chains are stripped before tainting, mirroring
 // ct_equal's own early length check.
 #include <algorithm>
-#include <array>
 #include <cctype>
-#include <map>
 #include <set>
 #include <string>
 
 #include "analysis/analyses.h"
 #include "analysis/lexer.h"
+#include "analysis/secret_flow.h"
 
 namespace analock::analysis {
 
 namespace {
 
-/// True for member-call names that collide with the std:: vocabulary
-/// (atomic load/store, smart-pointer get, optional value, ...). Such
-/// calls are opaque to cross-TU name resolution: `enabled_.load()` must
-/// not resolve to a repo function that happens to be called `load`.
-bool is_std_vocab_name(std::string_view base_name) {
-  static const std::set<std::string_view> kStdNames = {
-      "load", "store", "exchange", "get", "value",
-      "reset", "swap", "data", "read",
-  };
-  return kStdNames.count(base_name) > 0;
-}
-
-bool is_opaque_member_call(const CallSite& call) {
-  return call.callee != call.base_name && is_std_vocab_name(call.base_name);
-}
-
-/// First secret-named identifier in `expr` that is used as *data*. An
-/// identifier immediately followed by '(' is a callee: its secrecy is
-/// judged by its summary, because a function merely *named*
-/// install_wrapped_key is not itself key material.
-std::string first_secret_name(std::string_view expr) {
-  std::size_t i = 0;
-  const std::size_t n = expr.size();
-  while (i < n) {
-    const char c = expr[i];
-    if (std::isalpha(static_cast<unsigned char>(c)) == 0 && c != '_') {
-      ++i;
-      continue;
-    }
-    std::size_t j = i + 1;
-    while (j < n && is_word_char(expr[j])) ++j;
-    std::size_t k = j;
-    while (k < n && std::isspace(static_cast<unsigned char>(expr[k])) != 0) {
-      ++k;
-    }
-    const bool is_callee = k < n && expr[k] == '(';
-    if (!is_callee && is_secret_identifier(expr.substr(i, j - i))) {
-      return std::string(expr.substr(i, j - i));
-    }
-    i = j;
-  }
-  return {};
-}
-
-/// Per-function constant-time summary, fixed-pointed over the call
-/// graph. A ct_safe function's summary is all-clear by assertion.
 /// Where a parameter can flow inside a callee chain, and the rule and
 /// wording a call site passing key material there is reported with.
 enum Fact { kBranch, kIndex, kVartime, kFactCount };
@@ -122,27 +77,6 @@ constexpr struct {
     {"secret-branch", "a branch"},
     {"secret-index", "a subscript"},
     {"vartime-op", "a variable-time op"},
-};
-
-struct CtSummary {
-  std::array<std::vector<char>, kFactCount> to;  ///< [fact][param]
-  std::array<std::vector<std::string>, kFactCount> via;  ///< call chain
-  bool returns_tainted = false;
-};
-
-struct CtContext {
-  const CallGraph* graph = nullptr;
-  std::map<const FunctionDef*, CtSummary> summaries;
-  std::set<std::string> blessed;  ///< ct_safe base names + ct_equal
-  /// Lines (and the line below each) carrying a non-empty
-  /// `// analock: declassified(reason)`.
-  std::map<const SourceFile*, std::set<int>> declassified;
-
-  bool is_declassified(const SourceFile& source, std::size_t offset) const {
-    const auto it = declassified.find(&source);
-    if (it == declassified.end()) return false;
-    return it->second.count(source.line_of(offset)) > 0;
-  }
 };
 
 /// Walks a postfix chain backwards from `pos` (exclusive) over
@@ -192,7 +126,8 @@ std::size_t chain_start(std::string_view text, std::size_t pos) {
 /// `x.has_value()`, ...) so their operands don't register as taint: the
 /// comparator's boolean result and container lengths/presence are
 /// sanctioned releases.
-std::string strip_sanctioned(std::string_view expr, const CtContext& ctx) {
+std::string strip_sanctioned(
+    std::string_view expr, const std::set<std::string, std::less<>>& blessed) {
   std::string text(expr);
   const auto blank_range = [&text](std::size_t from, std::size_t to) {
     for (std::size_t k = from; k < to && k < text.size(); ++k) {
@@ -201,11 +136,7 @@ std::string strip_sanctioned(std::string_view expr, const CtContext& ctx) {
   };
   const auto blank_call_at = [&](std::size_t name_pos,
                                  std::size_t name_end) {
-    std::size_t k = name_end;
-    while (k < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[k])) != 0) {
-      ++k;
-    }
+    const std::size_t k = skip_space(text, name_end);
     if (k >= text.size() || text[k] != '(') return false;
     int d = 0;
     std::size_t close = k;
@@ -218,7 +149,7 @@ std::string strip_sanctioned(std::string_view expr, const CtContext& ctx) {
     return true;
   };
 
-  for (const std::string& name : ctx.blessed) {
+  for (const std::string& name : blessed) {
     std::size_t pos = 0;
     while ((pos = text.find(name, pos)) != std::string::npos) {
       const std::size_t end = pos + name.size();
@@ -238,20 +169,10 @@ std::string strip_sanctioned(std::string_view expr, const CtContext& ctx) {
       const bool member = (pos >= 1 && text[pos - 1] == '.') ||
                           (pos >= 2 && text[pos - 2] == '-' &&
                            text[pos - 1] == '>');
-      std::size_t k = end;
-      while (k < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[k])) != 0) {
-        ++k;
-      }
       // Empty argument list only: `.count(key)` stays a lookup.
-      std::size_t close = k;
-      if (k < text.size() && text[k] == '(') {
-        close = k + 1;
-        while (close < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[close])) != 0) {
-          ++close;
-        }
-      }
+      const std::size_t k = skip_space(text, end);
+      const std::size_t close =
+          k < text.size() && text[k] == '(' ? skip_space(text, k + 1) : k;
       if (member && close < text.size() && text[close] == ')') {
         blank_range(chain_start(text, pos), close + 1);
       }
@@ -261,44 +182,21 @@ std::string strip_sanctioned(std::string_view expr, const CtContext& ctx) {
   return text;
 }
 
-/// Non-empty witness when `expr` (already stripped of sanctioned
-/// subexpressions) carries key material: a secret-named identifier, a
+/// Non-empty witness when `expr`, stripped of sanctioned
+/// subexpressions, carries key material: a secret-named identifier, a
 /// raw-word accessor, or a call whose summary says it returns secrets.
-std::string ct_witness_stripped(std::string_view expr,
-                                const CtContext& ctx) {
-  const std::string named = first_secret_name(expr);
-  if (!named.empty()) return named;
-  if (has_secret_accessor(expr)) return "bits()/to_hex() accessor";
-  // Only a call can return key material.
-  if (expr.find('(') == std::string_view::npos) return {};
-
-  for (const auto& [def, summary] : ctx.summaries) {
-    if (!summary.returns_tainted) continue;
-    std::size_t pos = 0;
-    while ((pos = expr.find(def->base_name, pos)) !=
-           std::string_view::npos) {
-      const std::size_t end = pos + def->base_name.size();
-      const bool left_ok = pos == 0 || !is_word_char(expr[pos - 1]);
-      const bool member =
-          (pos >= 1 && expr[pos - 1] == '.') ||
-          (pos >= 2 && expr[pos - 2] == '-' && expr[pos - 1] == '>');
-      std::size_t k = end;
-      while (k < expr.size() &&
-             std::isspace(static_cast<unsigned char>(expr[k])) != 0) {
-        ++k;
-      }
-      if (left_ok && k < expr.size() && expr[k] == '(' &&
-          !(member && is_std_vocab_name(def->base_name))) {
-        return def->base_name + "() returns key material";
-      }
-      pos = end;
-    }
-  }
-  return {};
-}
-
-std::string ct_witness(std::string_view expr, const CtContext& ctx) {
-  return ct_witness_stripped(strip_sanctioned(expr, ctx), ctx);
+std::string ct_witness(std::string_view expr, const Releases& releases,
+                       const SecretFlow& flow) {
+  const std::string text = strip_sanctioned(expr, releases.blessed);
+  std::string witness = first_secret_name(text);
+  if (!witness.empty()) return witness;
+  if (has_secret_accessor(text)) return "bits()/to_hex() accessor";
+  any_callee(flow.graph(), text, [&](const FunctionRef& callee, std::size_t) {
+    if (!flow[callee].returns_tainted) return false;
+    witness = callee.def().base_name + "() returns key material";
+    return true;
+  });
+  return witness;
 }
 
 const char* condition_kind_name(ConditionSite::Kind kind) {
@@ -406,169 +304,59 @@ bool is_vartime_callee(const CallSite& call) {
   return kLookups.count(call.base_name) > 0 && call.callee != call.base_name;
 }
 
-void collect_declassified(const std::vector<ParsedFile>& files,
-                          CtContext& ctx) {
-  for (const ParsedFile& file : files) {
-    const SourceFile& source = *file.source;
-    std::set<int>& lines = ctx.declassified[&source];
-    const int line_count = static_cast<int>(source.line_starts.size());
-    for (int line = 1; line <= line_count; ++line) {
-      const std::string_view text = source.line_text(line);
-      const std::size_t tag = text.find("analock:");
-      if (tag == std::string_view::npos) continue;
-      const std::size_t ann = text.find("declassified(", tag);
-      if (ann == std::string_view::npos) continue;
-      const std::size_t open = ann + 13;
-      const std::size_t close = text.find(')', open);
-      if (close == std::string_view::npos) continue;
-      // An empty reason is not an audit trail: the annotation is
-      // ignored so the finding still surfaces.
-      bool has_reason = false;
-      for (std::size_t k = open; k < close; ++k) {
-        if (std::isspace(static_cast<unsigned char>(text[k])) == 0) {
-          has_reason = true;
-          break;
-        }
-      }
-      if (!has_reason) continue;
-      lines.insert(line);
-      lines.insert(line + 1);
+/// The branch/index/vartime facts and the returns-secret base of one
+/// function. A ct_safe function's parameters reach nothing by
+/// assertion; declassified sites and returns are deliberate releases.
+SecretSummary seed(const CallGraph& graph, const FunctionRef& ref,
+                   const Releases& releases) {
+  const FunctionDef& fn = ref.def();
+  const SourceFile& source = *ref.file->source;
+  SecretSummary s(kFactCount, fn.params.size());
+  std::vector<std::pair<Fact, std::string>> sites;  ///< stripped texts
+  const auto site = [&](Fact f, std::size_t offset, std::string_view text) {
+    if (releases.is_declassified(source, offset)) return;
+    sites.emplace_back(f, strip_sanctioned(text, releases.blessed));
+  };
+  if (!fn.is_ct_safe) {
+    for (const BranchText& b : branch_texts(fn, source)) {
+      site(kBranch, b.offset, b.text);
+    }
+    for (const SubscriptSite& sub : fn.subscripts) {
+      site(kIndex, sub.offset, sub.index_text);
+    }
+    for (const BinaryOpSite& dm : fn.binary_ops) {
+      if (is_compare(dm)) continue;
+      site(kVartime, dm.offset, dm.lhs);
+      site(kVartime, dm.offset, dm.rhs);
+    }
+    for (const LoopSite& loop : fn.loops) {
+      site(kVartime, loop.offset, loop.bound_text);
     }
   }
+  for (std::size_t i = 0; i < fn.params.size(); ++i) {
+    const std::string& name = fn.params[i].name;
+    if (name.empty()) continue;
+    for (const auto& [f, text] : sites) {
+      if (!s.reaches(f, i) && contains_word(text, name)) {
+        s.mark(f, i, fn.base_name);
+      }
+    }
+  }
+  for (const ReturnExpr& ret : fn.returns) {
+    if (releases.is_declassified(source, ret.offset)) continue;
+    const std::string stripped = strip_sanctioned(ret.text, releases.blessed);
+    s.returns_tainted = s.returns_tainted || has_secret_accessor(stripped) ||
+                       !first_secret_name(stripped).empty();
+    s.add_return(graph, stripped);
+  }
+  return s;
 }
 
-void compute_summaries(const CallGraph& graph, int max_depth,
-                       CtContext& ctx) {
-  // Blessed names first: witnesses during initialization already need
-  // the full set.
-  ctx.blessed.insert("ct_equal");
-  for (const FunctionRef& ref : graph.all()) {
-    if (ref.def().is_ct_safe) ctx.blessed.insert(ref.def().base_name);
-  }
-
-  // Direct facts.
-  for (const FunctionRef& ref : graph.all()) {
-    const FunctionDef& fn = ref.def();
-    const SourceFile& source = *ref.file->source;
-    CtSummary s;
-    for (int f = 0; f < kFactCount; ++f) {
-      s.to[f].assign(fn.params.size(), 0);
-      s.via[f].assign(fn.params.size(), std::string());
-    }
-    const auto mark = [&s, &fn](Fact f, std::size_t i) {
-      s.to[f][i] = 1;
-      s.via[f][i] = fn.base_name;
-    };
-    if (!fn.is_ct_safe) {
-      const std::vector<BranchText> branches = branch_texts(fn, source);
-      for (std::size_t i = 0; i < fn.params.size(); ++i) {
-        const std::string& name = fn.params[i].name;
-        if (name.empty()) continue;
-        for (const BranchText& b : branches) {
-          if (ctx.is_declassified(source, b.offset)) continue;
-          if (contains_word(strip_sanctioned(b.text, ctx), name)) {
-            mark(kBranch, i);
-            break;
-          }
-        }
-        for (const SubscriptSite& sub : fn.subscripts) {
-          if (ctx.is_declassified(source, sub.offset)) continue;
-          if (contains_word(strip_sanctioned(sub.index_text, ctx), name)) {
-            mark(kIndex, i);
-            break;
-          }
-        }
-        for (const BinaryOpSite& dm : fn.binary_ops) {
-          if (is_compare(dm)) continue;
-          if (ctx.is_declassified(source, dm.offset)) continue;
-          if (contains_word(strip_sanctioned(dm.lhs, ctx), name) ||
-              contains_word(strip_sanctioned(dm.rhs, ctx), name)) {
-            mark(kVartime, i);
-            break;
-          }
-        }
-        if (s.to[kVartime][i] == 0) {
-          for (const LoopSite& loop : fn.loops) {
-            if (ctx.is_declassified(source, loop.offset)) continue;
-            if (contains_word(strip_sanctioned(loop.bound_text, ctx),
-                              name)) {
-              mark(kVartime, i);
-              break;
-            }
-          }
-        }
-      }
-    }
-    // Base returns-secret: oracle names and raw accessors in a return
-    // expression (declassified returns are deliberate releases).
-    for (const ReturnExpr& ret : fn.returns) {
-      if (ctx.is_declassified(source, ret.offset)) continue;
-      const std::string stripped = strip_sanctioned(ret.text, ctx);
-      if (has_secret_accessor(stripped) ||
-          !first_secret_name(stripped).empty()) {
-        s.returns_tainted = true;
-        break;
-      }
-    }
-    ctx.summaries.emplace(&fn, std::move(s));
-  }
-
-  // Fixed point: compose returns-secret through return-expression call
-  // chains, and param flows through argument passing. Monotone boolean
-  // facts, so the loop terminates; max_depth bounds the rounds as a
-  // safety valve against resolver ambiguity blowups.
-  const int rounds = std::max(max_depth, 8);
-  for (int round = 0; round < rounds; ++round) {
-    bool changed = false;
-    for (const FunctionRef& ref : graph.all()) {
-      const FunctionDef& fn = ref.def();
-      const SourceFile& source = *ref.file->source;
-      CtSummary& s = ctx.summaries.at(&fn);
-
-      if (!s.returns_tainted) {
-        for (const ReturnExpr& ret : fn.returns) {
-          if (ctx.is_declassified(source, ret.offset)) continue;
-          const std::string stripped = strip_sanctioned(ret.text, ctx);
-          if (!ct_witness_stripped(stripped, ctx).empty()) {
-            s.returns_tainted = true;
-            changed = true;
-            break;
-          }
-        }
-      }
-
-      if (fn.is_ct_safe) continue;
-      for (const CallSite& call : fn.calls) {
-        if (ctx.blessed.count(call.base_name) > 0) continue;
-        if (is_opaque_member_call(call)) continue;
-        if (ctx.is_declassified(source, call.offset)) continue;
-        for (const FunctionRef& callee_ref : ctx.graph->resolve(call)) {
-          const FunctionDef& callee = callee_ref.def();
-          if (&callee == &fn) continue;
-          const CtSummary& cs = ctx.summaries.at(&callee);
-          for (std::size_t i = 0; i < fn.params.size(); ++i) {
-            const std::string& pname = fn.params[i].name;
-            if (pname.empty()) continue;
-            for (std::size_t a = 0;
-                 a < call.args.size() && a < cs.to[kBranch].size(); ++a) {
-              if (!contains_word(call.args[a], pname)) continue;
-              for (int f = 0; f < kFactCount; ++f) {
-                if (cs.to[f][a] == 0 || s.to[f][i] != 0) continue;
-                s.to[f][i] = 1;
-                s.via[f][i] = callee.base_name + " -> " + cs.via[f][a];
-                changed = true;
-              }
-            }
-          }
-        }
-      }
-    }
-    if (!changed) break;
-  }
-}
-
-void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
-            std::vector<Finding>& out) {
+void report(const std::vector<ParsedFile>& files, const Releases& releases,
+            const SecretFlow& flow, std::vector<Finding>& out) {
+  const auto witness_of = [&](std::string_view expr) {
+    return ct_witness(expr, releases, flow);
+  };
   for (const ParsedFile& file : files) {
     const SourceFile& source = *file.source;
     for (const FunctionDef& fn : file.functions) {
@@ -576,13 +364,13 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
 
       const auto add = [&](std::size_t offset, const char* rule,
                            std::string message) {
-        if (ctx.is_declassified(source, offset)) return;
+        if (releases.is_declassified(source, offset)) return;
         out.push_back(Finding::at(source, offset, rule, std::move(message)));
       };
 
       std::vector<BranchText> reported_branches;
       for (BranchText& b : branch_texts(fn, source)) {
-        const std::string witness = ct_witness(b.text, ctx);
+        const std::string witness = witness_of(b.text);
         if (witness.empty()) continue;
         add(b.offset, "secret-branch",
             std::string("key material (") + witness + ") decides a " +
@@ -601,8 +389,8 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
               return cmp.offset >= b.begin && cmp.offset < b.end;
             });
         if (in_reported_branch) continue;
-        const std::string witness = ct_witness(
-            blank_call_args(cmp.lhs) + " " + blank_call_args(cmp.rhs), ctx);
+        const std::string witness = witness_of(
+            blank_call_args(cmp.lhs) + " " + blank_call_args(cmp.rhs));
         if (witness.empty()) continue;
         add(cmp.offset, "secret-compare",
             "early-exit " + cmp.op + " on key material (" + witness +
@@ -610,7 +398,7 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
       }
 
       for (const SubscriptSite& sub : fn.subscripts) {
-        const std::string witness = ct_witness(sub.index_text, ctx);
+        const std::string witness = witness_of(sub.index_text);
         if (witness.empty()) continue;
         add(sub.offset, "secret-index",
             std::string("key material (") + witness +
@@ -626,7 +414,7 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
             local.init.find('-') == std::string::npos) {
           continue;
         }
-        const std::string witness = ct_witness(local.init, ctx);
+        const std::string witness = witness_of(local.init);
         if (witness.empty()) continue;
         add(local.offset, "secret-index",
             std::string("key material (") + witness +
@@ -636,8 +424,7 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
 
       for (const BinaryOpSite& dm : fn.binary_ops) {
         if (is_compare(dm)) continue;
-        const std::string witness =
-            ct_witness(dm.lhs + " " + dm.rhs, ctx);
+        const std::string witness = witness_of(dm.lhs + " " + dm.rhs);
         if (witness.empty()) continue;
         add(dm.offset, "vartime-op",
             std::string("variable-time division/modulo on key material "
@@ -646,42 +433,35 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
                 "dependent — use branch-free arithmetic");
       }
       for (const LoopSite& loop : fn.loops) {
-        const std::string witness = ct_witness(loop.bound_text, ctx);
+        const std::string witness = witness_of(loop.bound_text);
         if (witness.empty()) continue;
         add(loop.offset, "vartime-op",
             std::string("loop trip count bounded by key material (") +
                 witness + "); iteration count is observable timing");
+        const auto early_exit = [&](std::size_t at, const char* kind) {
+          if (at <= loop.body_begin || at >= loop.body_end) return;
+          add(at, "vartime-op",
+              std::string("early ") + kind +
+                  " inside a loop over key material (" + witness +
+                  "); exit position reveals how far the secret matched");
+        };
         for (const ReturnExpr& ret : fn.returns) {
-          if (ret.offset > loop.body_begin && ret.offset < loop.body_end) {
-            add(ret.offset, "vartime-op",
-                std::string("early return inside a loop over key "
-                            "material (") +
-                    witness +
-                    "); exit position reveals how far the secret "
-                    "matched");
-          }
+          early_exit(ret.offset, "return");
         }
         for (const std::size_t brk : fn.break_offsets) {
-          if (brk > loop.body_begin && brk < loop.body_end) {
-            add(brk, "vartime-op",
-                std::string("early break inside a loop over key "
-                            "material (") +
-                    witness +
-                    "); exit position reveals how far the secret "
-                    "matched");
-          }
+          early_exit(brk, "break");
         }
       }
 
       for (const CallSite& call : fn.calls) {
-        if (ctx.blessed.count(call.base_name) > 0) continue;
+        if (releases.blessed.count(call.base_name) > 0) continue;
         if (is_vartime_callee(call)) {
           std::string probe = call.callee;
           for (const std::string& arg : call.args) {
             probe += ' ';
             probe += arg;
           }
-          const std::string witness = ct_witness(probe, ctx);
+          const std::string witness = witness_of(probe);
           if (!witness.empty()) {
             add(call.offset, "ct-leak-call",
                 std::string("key material (") + witness +
@@ -693,27 +473,18 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
         // Interprocedural: a tainted argument into a parameter that
         // reaches a branch/index/vartime op inside the callee chain.
         if (is_opaque_member_call(call)) continue;
-        for (const FunctionRef& callee_ref : ctx.graph->resolve(call)) {
-          const FunctionDef& callee = callee_ref.def();
-          if (&callee == &fn) continue;
-          const CtSummary& cs = ctx.summaries.at(&callee);
-          bool reported = false;
-          for (std::size_t a = 0;
-               a < call.args.size() && a < cs.to[kBranch].size(); ++a) {
-            const std::string witness = ct_witness(call.args[a], ctx);
-            if (witness.empty()) continue;
-            for (int f = 0; f < kFactCount; ++f) {
-              if (cs.to[f][a] == 0) continue;
-              add(call.offset, kFactSinks[f].rule,
-                  "key material (" + witness + ") reaches " +
-                      kFactSinks[f].reaches + " through call chain " +
-                      cs.via[f][a]);
-              reported = true;
-            }
-            if (reported) break;
-          }
-          if (reported) break;
-        }
+        flow.report_call(
+            call, fn, witness_of,
+            [&](const SecretSummary& callee, std::size_t a,
+                const std::string& witness) {
+              for (int f = 0; f < kFactCount; ++f) {
+                if (!callee.reaches(f, a)) continue;
+                add(call.offset, kFactSinks[f].rule,
+                    "key material (" + witness + ") reaches " +
+                        kFactSinks[f].reaches + " through call chain " +
+                        callee.chain(f, a));
+              }
+            });
       }
     }
   }
@@ -724,11 +495,14 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
 void run_ct_flow_analysis(const std::vector<ParsedFile>& files,
                           const CallGraph& graph, int max_depth,
                           std::vector<Finding>& out) {
-  CtContext ctx;
-  ctx.graph = &graph;
-  collect_declassified(files, ctx);
-  compute_summaries(graph, max_depth, ctx);
-  report(files, ctx, out);
+  const Releases releases{blessed_callees(graph), declassified_lines(files)};
+  std::vector<SecretSummary> seeds;
+  seeds.reserve(graph.all().size());
+  for (const FunctionRef& ref : graph.all()) {
+    seeds.push_back(seed(graph, ref, releases));
+  }
+  const SecretFlow flow(graph, std::move(seeds), releases, max_depth);
+  report(files, releases, flow, out);
 }
 
 }  // namespace analock::analysis

@@ -85,14 +85,15 @@ std::vector<Finding> Engine::run() const {
       });
   const CallGraph graph(parsed);
 
+  const int depth = Options{}.max_depth;
   std::vector<Finding> findings;
-  run_taint_analysis(parsed, graph, options_.max_depth, findings);
+  run_taint_analysis(parsed, graph, depth, findings);
   run_lock_analysis(parsed, graph, findings);
   run_determinism_analysis(parsed, findings);
-  run_parallel_analysis(parsed, graph, options_.max_depth, findings);
+  run_parallel_analysis(parsed, graph, depth, findings);
   run_lock_order_analysis(parsed, graph, findings);
   run_fp_exact_analysis(parsed, findings);
-  run_ct_flow_analysis(parsed, graph, options_.max_depth, findings);
+  run_ct_flow_analysis(parsed, graph, depth, findings);
 
   // Apply inline suppressions and attach fingerprints.
   std::map<const SourceFile*, std::map<int, std::set<std::string>>> allows;

@@ -22,11 +22,12 @@ namespace analock::analysis {
 class Engine {
  public:
   struct Options {
-    int max_depth = 4;  ///< taint propagation depth across calls
+    /// Call depth bound: how many nested calls a taint witness looks
+    /// through, how deep a parallel region's callees are searched for
+    /// mutable statics, and (at least 8) the rounds of the secret-flow
+    /// fixed point.
+    int max_depth = 4;
   };
-
-  Engine() = default;
-  explicit Engine(Options options) : options_(options) {}
 
   /// Adds an in-memory source (unit tests, fixtures).
   void add_source(std::string path, std::string text);
@@ -42,7 +43,6 @@ class Engine {
   [[nodiscard]] std::vector<Finding> run() const;
 
  private:
-  Options options_;
   std::vector<std::unique_ptr<SourceFile>> sources_;
 };
 

@@ -52,6 +52,16 @@ struct Token {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
+/// First offset at or after `pos` that is not whitespace.
+[[nodiscard]] inline std::size_t skip_space(std::string_view text,
+                                            std::size_t pos) {
+  while (pos < text.size() &&
+         std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
+    ++pos;
+  }
+  return pos;
+}
+
 /// True when `text[pos, pos + len)` is a whole word: no identifier
 /// character directly before or after it.
 [[nodiscard]] inline bool whole_word_at(std::string_view text,

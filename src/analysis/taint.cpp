@@ -1,80 +1,28 @@
-// Interprocedural secret-taint analysis.
+// Interprocedural secret-taint analysis: key material reaching data
+// channels (obs events/metrics, printf-family calls, `.emit()` sinks,
+// stream inserts).
 //
-// The oracle is name- and type-based: the repo's own naming convention
-// marks key material (config_key, id_key, puf_*, key_* ...), the
-// Key64/WrappedKey types mark it structurally, and .bits()/.to_hex()
-// accessors expose raw key words anywhere.
-//
-// On top of that single-expression view this pass computes per-function
-// summaries over the cross-TU call graph:
-//
-//   param_to_sink[i]   param i reaches a sink inside the callee
-//                      (directly or through deeper calls, to a depth);
-//   param_to_return[i] param i appears in a return expression;
-//   returns_tainted     some return expression is itself tainted.
-//
+// This pass seeds the shared secret-flow fixed point (secret_flow.h)
+// with one fact per parameter, "reaches a sink": the parameter appears
+// in a sink call's argument or in a stream insert. A function returns
+// key material when a return expression names it, calls a raw-word
+// accessor, or returns a Key64/WrappedKey-typed param or local whole
+// (the type rule is taint's own). SecretFlow composes both facts
+// through call chains. At use sites a witness also follows
+// param_to_return (a parameter that appears in a return expression),
 // so one-hop laundering like log_debug(format_key(k)) is caught: the
 // argument is tainted because format_key's return carries its secret
 // param, and log_debug's param 0 reaches a printf sink.
 #include <algorithm>
-#include <cctype>
-#include <map>
-#include <set>
 #include <string>
 
 #include "analysis/analyses.h"
 #include "analysis/lexer.h"
+#include "analysis/secret_flow.h"
 
 namespace analock::analysis {
 
 namespace {
-
-const char* const kOracleNameParts[] = {
-    "secret",      "config_key", "user_key",  "id_key",  "wrapped_key",
-    "chip_key",    "private_key", "true_key", "keypair", "puf_key",
-    "key_bits",    "key_word",
-};
-
-// key_*/puf_* identifiers that are bookkeeping, not key material.
-const char* const kBenignPrefixes[] = {
-    "key_layout", "key_scheme", "key_manager", "key_slot",  "key_index",
-    "key_count",  "key_size",   "key_space",   "key_name",  "key_len",
-    "key_stream", "key_queries",
-};
-
-// Statistical parameters *about* key/PUF behaviour (flip probability,
-// noise sigma) are publishable tuning knobs, not the material itself.
-const char* const kBenignSuffixes[] = {
-    "_prob", "_rate", "_sigma", "_stddev", "_noise", "_pct",
-};
-
-bool is_secret_type(std::string_view type) {
-  return contains_word(type, "Key64") || contains_word(type, "WrappedKey");
-}
-
-struct Summary {
-  std::vector<bool> param_to_sink;
-  std::vector<std::string> sink_via;  ///< describes the path per param
-  std::vector<bool> param_to_return;
-  bool returns_tainted = false;
-};
-
-struct TaintContext {
-  const CallGraph* graph = nullptr;
-  std::map<const FunctionDef*, Summary> summaries;
-
-  /// Secret-typed locals/params of a function, by name.
-  std::set<std::string> secret_typed_names(const FunctionDef& fn) const {
-    std::set<std::string> names;
-    for (const Param& p : fn.params) {
-      if (!p.name.empty() && is_secret_type(p.type)) names.insert(p.name);
-    }
-    for (const VarDecl& local : fn.locals) {
-      if (is_secret_type(local.type)) names.insert(local.name);
-    }
-    return names;
-  }
-};
 
 bool is_sink_call(const CallSite& call) {
   const std::string& base = call.base_name;
@@ -88,102 +36,6 @@ bool is_sink_call(const CallSite& call) {
     return call.callee.find("obs::") != std::string::npos;
   }
   return false;
-}
-
-/// Returns a non-empty witness when `expr` carries key material. The
-/// context supplies function-local type knowledge and cross-TU
-/// returns_tainted / param_to_return summaries.
-std::string taint_witness(std::string_view expr, const FunctionDef& fn,
-                          const TaintContext& ctx, int depth) {
-  std::string witness;
-  for_each_identifier(expr, [&](std::string_view ident) {
-    if (is_secret_identifier(ident)) {
-      witness = std::string(ident);
-      return false;
-    }
-    return true;
-  });
-  if (!witness.empty()) return witness;
-
-  if (has_secret_accessor(expr)) return "bits()/to_hex() accessor";
-
-  // A secret-typed variable used whole as the expression.
-  {
-    std::string trimmed(expr);
-    while (!trimmed.empty() &&
-           std::isspace(static_cast<unsigned char>(trimmed.front())) != 0) {
-      trimmed.erase(trimmed.begin());
-    }
-    while (!trimmed.empty() &&
-           std::isspace(static_cast<unsigned char>(trimmed.back())) != 0) {
-      trimmed.pop_back();
-    }
-    bool bare_ident = !trimmed.empty();
-    for (const char c : trimmed) {
-      if (!is_word_char(c)) {
-        bare_ident = false;
-        break;
-      }
-    }
-    if (bare_ident) {
-      const std::set<std::string> tainted_names = ctx.secret_typed_names(fn);
-      if (tainted_names.count(trimmed) > 0) {
-        return trimmed + " (secret-typed)";
-      }
-    }
-  }
-
-  if (depth <= 0) return {};
-
-  // Calls inside the expression whose return value carries taint:
-  // either the callee returns secret material outright, or a tainted
-  // argument flows through param_to_return.
-  for (const auto& [def, summary] : ctx.summaries) {
-    const bool interesting =
-        summary.returns_tainted ||
-        std::find(summary.param_to_return.begin(),
-                  summary.param_to_return.end(),
-                  true) != summary.param_to_return.end();
-    if (!interesting) continue;
-    std::size_t pos = 0;
-    while ((pos = expr.find(def->base_name, pos)) != std::string_view::npos) {
-      const std::size_t end = pos + def->base_name.size();
-      const bool left_ok = pos == 0 || !is_word_char(expr[pos - 1]);
-      std::size_t k = end;
-      while (k < expr.size() &&
-             std::isspace(static_cast<unsigned char>(expr[k])) != 0) {
-        ++k;
-      }
-      if (!left_ok || k >= expr.size() || expr[k] != '(') {
-        pos = end;
-        continue;
-      }
-      if (summary.returns_tainted) {
-        return def->base_name + "() returns key material";
-      }
-      // Check tainted args against param_to_return.
-      int nest = 0;
-      std::size_t close = k;
-      for (; close < expr.size(); ++close) {
-        if (expr[close] == '(') ++nest;
-        if (expr[close] == ')' && --nest == 0) break;
-      }
-      const std::string_view args_text =
-          expr.substr(k + 1, close > k + 1 ? close - k - 1 : 0);
-      const std::vector<std::string> args = split_top_level_args(args_text);
-      for (std::size_t a = 0;
-           a < args.size() && a < summary.param_to_return.size(); ++a) {
-        if (!summary.param_to_return[a]) continue;
-        const std::string inner =
-            taint_witness(args[a], fn, ctx, depth - 1);
-        if (!inner.empty()) {
-          return inner + " via " + def->base_name + "()";
-        }
-      }
-      pos = end;
-    }
-  }
-  return {};
 }
 
 /// Statement-wise stream-insert scan of a function body (chained <<
@@ -217,178 +69,150 @@ std::vector<std::pair<std::size_t, std::string>> stream_insert_statements(
   return out;
 }
 
-void compute_summaries(const std::vector<ParsedFile>& files,
-                       const CallGraph& graph, int max_depth,
-                       TaintContext& ctx) {
-  // Initialize.
-  for (const FunctionRef& ref : graph.all()) {
-    const FunctionDef& fn = ref.def();
-    Summary s;
-    s.param_to_sink.assign(fn.params.size(), false);
-    s.sink_via.assign(fn.params.size(), std::string());
-    s.param_to_return.assign(fn.params.size(), false);
-    for (std::size_t i = 0; i < fn.params.size(); ++i) {
-      const std::string& name = fn.params[i].name;
-      if (name.empty()) continue;
-      for (const ReturnExpr& ret : fn.returns) {
-        if (contains_word(ret.text, name)) {
-          s.param_to_return[i] = true;
-          break;
-        }
-      }
-    }
-    for (const ReturnExpr& ret : fn.returns) {
-      // Base-level taint only here; call-based return taint composes
-      // at use sites via param_to_return.
-      std::string witness;
-      for_each_identifier(ret.text, [&](std::string_view ident) {
-        if (is_secret_identifier(ident)) {
-          witness = std::string(ident);
-          return false;
-        }
-        return true;
-      });
-      if (!witness.empty() || has_secret_accessor(ret.text)) {
-        s.returns_tainted = true;
+/// The argument texts of the call whose '(' sits at `open` in `expr`.
+std::vector<std::string> call_args(std::string_view expr, std::size_t open) {
+  int nest = 0;
+  std::size_t close = open;
+  for (; close < expr.size(); ++close) {
+    if (expr[close] == '(') ++nest;
+    if (expr[close] == ')' && --nest == 0) break;
+  }
+  return split_top_level_args(
+      expr.substr(open + 1, close > open + 1 ? close - open - 1 : 0));
+}
+
+/// Names of the Key64/WrappedKey-typed params and locals of `fn`.
+std::vector<std::string_view> secret_typed_names(const FunctionDef& fn) {
+  std::vector<std::string_view> names;
+  for (const Param& p : fn.params) {
+    if (!p.name.empty() && is_secret_type(p.type)) names.push_back(p.name);
+  }
+  for (const VarDecl& local : fn.locals) {
+    if (is_secret_type(local.type)) names.push_back(local.name);
+  }
+  return names;
+}
+
+/// The sink fact and the returns-secret base of one function.
+SecretSummary seed(const CallGraph& graph, const FunctionRef& ref) {
+  const FunctionDef& fn = ref.def();
+  SecretSummary s(1, fn.params.size());
+  const auto inserts = stream_insert_statements(*ref.file->source, fn);
+  for (std::size_t i = 0; i < fn.params.size(); ++i) {
+    const std::string& name = fn.params[i].name;
+    if (name.empty()) continue;
+    for (const CallSite& call : fn.calls) {
+      if (is_sink_call(call) &&
+          std::any_of(call.args.begin(), call.args.end(),
+                      [&](const std::string& arg) {
+                        return contains_word(arg, name);
+                      })) {
+        s.mark(0, i, call.callee);
         break;
       }
-      // Returning a secret-typed param or local whole.
-      for (const Param& p : fn.params) {
-        if (!p.name.empty() && is_secret_type(p.type) &&
-            contains_word(ret.text, p.name)) {
-          s.returns_tainted = true;
-          break;
-        }
-      }
-      for (const VarDecl& local : fn.locals) {
-        if (is_secret_type(local.type) &&
-            contains_word(ret.text, local.name)) {
-          s.returns_tainted = true;
-          break;
-        }
-      }
-      if (s.returns_tainted) break;
     }
-    ctx.summaries.emplace(&fn, std::move(s));
+    if (s.reaches(0, i)) continue;
+    for (const auto& [offset, stmt] : inserts) {
+      if (contains_word(stmt, name)) {
+        s.mark(0, i, "operator<<");
+        break;
+      }
+    }
   }
+  const std::vector<std::string_view> typed = secret_typed_names(fn);
+  for (const ReturnExpr& ret : fn.returns) {
+    s.add_return(graph, ret.text);
+    s.returns_tainted =
+        s.returns_tainted || !first_secret_name(ret.text).empty() ||
+        has_secret_accessor(ret.text) ||
+        std::any_of(typed.begin(), typed.end(), [&](std::string_view name) {
+          return contains_word(ret.text, name);
+        });
+  }
+  return s;
+}
 
-  // Propagate param -> sink facts through call chains, one hop per
-  // round, up to max_depth rounds.
-  for (int round = 0; round < max_depth; ++round) {
-    bool changed = false;
-    for (const FunctionRef& ref : graph.all()) {
-      const FunctionDef& fn = ref.def();
-      Summary& s = ctx.summaries.at(&fn);
-      for (std::size_t i = 0; i < fn.params.size(); ++i) {
-        if (s.param_to_sink[i] || fn.params[i].name.empty()) continue;
-        const std::string& pname = fn.params[i].name;
-        for (const CallSite& call : fn.calls) {
-          if (is_sink_call(call)) {
-            for (const std::string& arg : call.args) {
-              if (contains_word(arg, pname)) {
-                s.param_to_sink[i] = true;
-                s.sink_via[i] = call.callee;
-                changed = true;
-                break;
-              }
-            }
-          } else {
-            for (const FunctionRef& callee_ref : graph.resolve(call)) {
-              const FunctionDef& callee = callee_ref.def();
-              if (&callee == &fn) continue;
-              const Summary& cs = ctx.summaries.at(&callee);
-              for (std::size_t a = 0;
-                   a < call.args.size() && a < cs.param_to_sink.size();
-                   ++a) {
-                if (cs.param_to_sink[a] &&
-                    contains_word(call.args[a], pname)) {
-                  s.param_to_sink[i] = true;
-                  s.sink_via[i] =
-                      callee.base_name + " -> " + cs.sink_via[a];
-                  changed = true;
-                  break;
-                }
-              }
-              if (s.param_to_sink[i]) break;
-            }
-          }
-          if (s.param_to_sink[i]) break;
-        }
-      }
-      // Stream inserts count as sinks for parameters too.
-      for (std::size_t i = 0; i < fn.params.size(); ++i) {
-        if (s.param_to_sink[i] || fn.params[i].name.empty()) continue;
-        for (const auto& [offset, stmt] :
-             stream_insert_statements(*ref.file->source, fn)) {
-          (void)offset;
-          if (contains_word(stmt, fn.params[i].name)) {
-            s.param_to_sink[i] = true;
-            s.sink_via[i] = "operator<<";
-            break;
-          }
-        }
-      }
+/// Non-empty when `expr` carries key material: a secret-named
+/// identifier, a raw-word accessor, a secret-typed variable used whole,
+/// or (up to `depth` nested calls) a call whose value carries it.
+std::string taint_witness(const SecretFlow& flow, std::string_view expr,
+                          const FunctionDef& fn, int depth) {
+  std::string found;
+  for_each_identifier(expr, [&](std::string_view ident) {
+    if (!is_secret_identifier(ident)) return true;
+    found = std::string(ident);
+    return false;
+  });
+  if (!found.empty()) return found;
+  if (has_secret_accessor(expr)) return "bits()/to_hex() accessor";
+
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  const std::size_t first = expr.find_first_not_of(kSpace);
+  const std::string_view trimmed =
+      first == std::string_view::npos
+          ? std::string_view()
+          : expr.substr(first, expr.find_last_not_of(kSpace) + 1 - first);
+  if (!trimmed.empty() &&
+      std::all_of(trimmed.begin(), trimmed.end(), is_word_char)) {
+    const std::vector<std::string_view> typed = secret_typed_names(fn);
+    if (std::find(typed.begin(), typed.end(), trimmed) != typed.end()) {
+      return std::string(trimmed) + " (secret-typed)";
     }
-    if (!changed && round > 0) break;
   }
-  (void)files;
+  if (depth <= 0) return {};
+
+  // A call whose callee returns key material outright names the witness
+  // first; a tainted argument into a parameter that appears in one of
+  // the callee's return expressions is the fallback.
+  if (any_callee(flow.graph(), expr, [&](const FunctionRef& callee,
+                                         std::size_t) {
+        if (!flow[callee].returns_tainted) return false;
+        found = callee.def().base_name + "() returns key material";
+        return true;
+      })) {
+    return found;
+  }
+  any_callee(flow.graph(), expr, [&](const FunctionRef& callee,
+                                     std::size_t open) {
+    const FunctionDef& def = callee.def();
+    const auto returned = [&def](const Param& p) {
+      return !p.name.empty() &&
+             std::any_of(def.returns.begin(), def.returns.end(),
+                         [&p](const ReturnExpr& ret) {
+                           return contains_word(ret.text, p.name);
+                         });
+    };
+    if (std::none_of(def.params.begin(), def.params.end(), returned)) {
+      return false;
+    }
+    const std::vector<std::string> args = call_args(expr, open);
+    for (std::size_t a = 0; a < args.size() && a < def.params.size(); ++a) {
+      if (!returned(def.params[a])) continue;
+      const std::string inner = taint_witness(flow, args[a], fn, depth - 1);
+      if (inner.empty()) continue;
+      found = inner + " via " + def.base_name + "()";
+      return true;
+    }
+    return false;
+  });
+  return found;
 }
 
 }  // namespace
 
-bool has_secret_accessor(std::string_view text) {
-  for (const std::string_view acc : {"bits", "to_hex"}) {
-    std::size_t pos = 0;
-    while ((pos = text.find(acc, pos)) != std::string_view::npos) {
-      const std::size_t end = pos + acc.size();
-      const bool deref =
-          (pos >= 1 && text[pos - 1] == '.') ||
-          (pos >= 2 && text[pos - 2] == '-' && text[pos - 1] == '>');
-      std::size_t k = end;
-      while (k < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[k])) != 0) {
-        ++k;
-      }
-      if (deref && k < text.size() && text[k] == '(') return true;
-      pos = end;
-    }
-  }
-  return false;
-}
-
-bool is_secret_identifier(std::string_view identifier) {
-  std::string lower;
-  lower.reserve(identifier.size());
-  for (const char c : identifier) {
-    lower += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  for (const char* benign : kBenignPrefixes) {
-    if (lower.rfind(benign, 0) == 0) return false;
-  }
-  for (const char* benign : kBenignSuffixes) {
-    const std::string suffix(benign);
-    if (lower.size() >= suffix.size() &&
-        lower.compare(lower.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      return false;
-    }
-  }
-  for (const char* marker : kOracleNameParts) {
-    if (lower.find(marker) != std::string::npos) return true;
-  }
-  // puf_* / key_* prefixed identifiers carry material by convention.
-  if (lower.rfind("puf_", 0) == 0 || lower.rfind("key_", 0) == 0) {
-    return true;
-  }
-  return false;
-}
-
 void run_taint_analysis(const std::vector<ParsedFile>& files,
                         const CallGraph& graph, int max_depth,
                         std::vector<Finding>& out) {
-  TaintContext ctx;
-  ctx.graph = &graph;
-  compute_summaries(files, graph, max_depth, ctx);
+  std::vector<SecretSummary> seeds;
+  seeds.reserve(graph.all().size());
+  for (const FunctionRef& ref : graph.all()) {
+    seeds.push_back(seed(graph, ref));
+  }
+  const SecretFlow flow(graph, std::move(seeds),
+                        Releases{blessed_callees(graph), {}}, max_depth);
+  const auto witness_of = [&](std::string_view expr, const FunctionDef& fn) {
+    return taint_witness(flow, expr, fn, max_depth);
+  };
 
   for (const ParsedFile& file : files) {
     const SourceFile& source = *file.source;
@@ -396,8 +220,7 @@ void run_taint_analysis(const std::vector<ParsedFile>& files,
       for (const CallSite& call : fn.calls) {
         if (is_sink_call(call)) {
           for (const std::string& arg : call.args) {
-            const std::string witness =
-                taint_witness(arg, fn, ctx, max_depth);
+            const std::string witness = witness_of(arg, fn);
             if (witness.empty()) continue;
             out.push_back(Finding::at(
                 source, call.offset, "taint-sink",
@@ -410,40 +233,27 @@ void run_taint_analysis(const std::vector<ParsedFile>& files,
         }
         // Non-sink call: tainted argument into a param that reaches a
         // sink inside the callee (interprocedural laundering).
-        for (const FunctionRef& callee_ref : graph.resolve(call)) {
-          const FunctionDef& callee = callee_ref.def();
-          if (&callee == &fn) continue;
-          const Summary& cs = ctx.summaries.at(&callee);
-          bool reported = false;
-          for (std::size_t a = 0;
-               a < call.args.size() && a < cs.param_to_sink.size(); ++a) {
-            if (!cs.param_to_sink[a]) continue;
-            const std::string witness =
-                taint_witness(call.args[a], fn, ctx, max_depth);
-            if (witness.empty()) continue;
-            out.push_back(Finding::at(
-                source, call.offset, "taint-call",
-                "key material (" + witness +
-                    ") flows into a sink through call chain " +
-                    call.base_name + " -> " + cs.sink_via[a]));
-            reported = true;
-            break;
-          }
-          if (reported) break;
-        }
+        flow.report_call(
+            call, fn,
+            [&](const std::string& arg) {
+              return witness_of(arg, fn);
+            },
+            [&](const SecretSummary& callee, std::size_t a,
+                const std::string& witness) {
+              out.push_back(Finding::at(
+                  source, call.offset, "taint-call",
+                  "key material (" + witness +
+                      ") flows into a sink through call chain " +
+                      call.base_name + " -> " + callee.chain(0, a)));
+            });
       }
       // Direct stream inserts of tainted expressions.
       for (const auto& [offset, stmt] : stream_insert_statements(source, fn)) {
-        const std::string witness = taint_witness(stmt, fn, ctx, max_depth);
+        const std::string witness = witness_of(stmt, fn);
         if (witness.empty()) continue;
         // Anchor at the first non-space char of the statement.
-        std::size_t lead = 0;
-        while (lead < stmt.size() &&
-               std::isspace(static_cast<unsigned char>(stmt[lead])) != 0) {
-          ++lead;
-        }
         out.push_back(Finding::at(
-            source, offset + lead, "taint-sink",
+            source, offset + skip_space(stmt, 0), "taint-sink",
             "key material (" + witness +
                 ") inserted into an output stream; secrets must not "
                 "enter obs/log output"));

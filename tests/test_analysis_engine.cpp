@@ -315,6 +315,50 @@ TEST(EngineTaint, InlineAllowSuppressesOnSameAndNextLine) {
   EXPECT_TRUE(engine.run().empty());
 }
 
+/// Two key-returning callees defined in two sources, both called in one
+/// expression that reaches a printf and a branch.
+Engine two_callee_probe() {
+  Engine engine;
+  engine.add_source("src/lock/a.cpp",
+                    "namespace f {\n"
+                    "unsigned long a_word(unsigned long v) {\n"
+                    "  const unsigned long key_word = v ^ 1u;\n"
+                    "  return key_word;\n"
+                    "}\n"
+                    "}\n");
+  engine.add_source("src/lock/b.cpp",
+                    "namespace f {\n"
+                    "unsigned long b_word(unsigned long v) {\n"
+                    "  const unsigned long key_word = v ^ 2u;\n"
+                    "  return key_word;\n"
+                    "}\n"
+                    "}\n");
+  engine.add_source("src/lock/probe.cpp",
+                    "int probe(unsigned long v) {\n"
+                    "  std::printf(\"%lu\", f::b_word(v) + f::a_word(v));\n"
+                    "  if (f::b_word(v) + f::a_word(v) != 0) return 1;\n"
+                    "  return 0;\n"
+                    "}\n");
+  return engine;
+}
+
+/// The message of the first `rule` finding, or "" when there is none.
+std::string message_of(const std::vector<Finding>& findings,
+                       const std::string& rule) {
+  for (const Finding& f : findings) {
+    if (f.rule == rule) return f.message;
+  }
+  return {};
+}
+
+TEST(EngineTaint, WitnessNamesTheLeftmostCallee) {
+  const std::string message =
+      message_of(two_callee_probe().run(), "taint-sink");
+  EXPECT_NE(message.find("(b_word() returns key material)"),
+            std::string::npos)
+      << message;
+}
+
 TEST(EngineLocks, UnguardedAccessCaughtGuardedAccessClean) {
   Engine engine;
   engine.add_source("tally.cpp",
@@ -887,6 +931,44 @@ TEST(EngineCtFlow, ParamFlowsToBranchAcrossCall) {
     }
   }
   EXPECT_TRUE(call_site_flagged);
+}
+
+TEST(EngineCtFlow, WitnessNamesTheLeftmostCallee) {
+  const std::string message =
+      message_of(two_callee_probe().run(), "secret-branch");
+  EXPECT_NE(message.find("(b_word() returns key material)"),
+            std::string::npos)
+      << message;
+}
+
+// ------------------------------------------------------ engine/secret flow
+
+TEST(EngineSecretFlow, ChainDeeperThanMaxDepthReachesBothFamilies) {
+  // Six hops, callers declared first, so each fixed-point round moves
+  // the innermost facts one hop outwards: the chain needs more rounds
+  // than Engine::Options::max_depth (4).
+  Engine engine;
+  engine.add_source("src/lock/chain.cpp",
+                    "void entry(unsigned long chip_key) {\n"
+                    "  hop6(chip_key);\n"
+                    "}\n"
+                    "int hop6(unsigned long v) { return hop5(v); }\n"
+                    "int hop5(unsigned long v) { return hop4(v); }\n"
+                    "int hop4(unsigned long v) { return hop3(v); }\n"
+                    "int hop3(unsigned long v) { return hop2(v); }\n"
+                    "int hop2(unsigned long v) { return hop1(v); }\n"
+                    "int hop1(unsigned long v) {\n"
+                    "  std::printf(\"%lu\", v);\n"
+                    "  if (v != 0) return 1;\n"
+                    "  return 0;\n"
+                    "}\n");
+  const std::vector<Finding> findings = engine.run();
+  EXPECT_EQ(sites_of(findings),
+            (std::vector<std::string>{"secret-branch@2", "taint-call@2"}));
+  EXPECT_NE(message_of(findings, "taint-call")
+                .find("hop6 -> hop5 -> hop4 -> hop3 -> hop2 -> hop1 -> "
+                      "std::printf"),
+            std::string::npos);
 }
 
 // ------------------------------------------------------------------ sarif

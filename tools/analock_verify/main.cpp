@@ -39,7 +39,6 @@ const char* const kUsage =
     "                        FILE (a SARIF log); report only new ones\n"
     "  --update-baseline     rewrite the --diff-baseline file with the\n"
     "                        current findings (sorted by fingerprint)\n"
-    "  --max-depth N         taint propagation depth (default 4)\n"
     "  --self-test DIR       run against '// expect:' fixture tree\n"
     "  --exit-zero           always exit 0 when the scan itself worked\n"
     "  --list-rules          print the rule catalog and exit\n";
@@ -92,15 +91,13 @@ bool read_file(const fs::path& path, std::string& out) {
 /// must produce those findings on the same or previous line, and no
 /// unannotated finding may appear. All fixtures load into ONE engine so
 /// cross-TU fixtures resolve against each other.
-int run_self_test(const fs::path& fixture_dir, int max_depth) {
+int run_self_test(const fs::path& fixture_dir) {
   const std::vector<fs::path> files = gather_sources(fixture_dir);
   if (files.empty()) {
     std::cerr << "analock_verify: no fixtures under " << fixture_dir << "\n";
     return 2;
   }
-  Engine::Options options;
-  options.max_depth = max_depth;
-  Engine engine(options);
+  Engine engine;
 
   // (file, line) -> expected rules. The annotation covers its own line
   // and, for comment-only lines, the line below.
@@ -187,7 +184,6 @@ int main(int argc, char** argv) {
   std::string sarif_path;
   std::string baseline_path;
   std::string self_test_dir;
-  int max_depth = 4;
   bool exit_zero = false;
   bool update_baseline = false;
 
@@ -208,9 +204,6 @@ int main(int argc, char** argv) {
       baseline_path = next("--diff-baseline");
     } else if (arg == "--update-baseline") {
       update_baseline = true;
-    } else if (arg == "--max-depth") {
-      max_depth = std::atoi(next("--max-depth"));
-      if (max_depth < 1) max_depth = 1;
     } else if (arg == "--self-test") {
       self_test_dir = next("--self-test");
     } else if (arg == "--exit-zero") {
@@ -233,13 +226,11 @@ int main(int argc, char** argv) {
   }
 
   if (!self_test_dir.empty()) {
-    return run_self_test(self_test_dir, max_depth);
+    return run_self_test(self_test_dir);
   }
   if (roots.empty()) roots.push_back(".");
 
-  Engine::Options options;
-  options.max_depth = max_depth;
-  Engine engine(options);
+  Engine engine;
   std::size_t loaded = 0;
   for (const std::string& root : roots) {
     const fs::path root_path(root);
