@@ -69,32 +69,52 @@ RealFftPlan::RealFftPlan(std::size_t n) : n_(n), half_(n / 2) {
   }
 }
 
-void RealFftPlan::run(std::span<const double> input,
-                      std::span<cplx> out) const {
+void RealFftPlan::run(std::span<const double> input, std::span<cplx> out,
+                      std::span<const double> window) const {
   assert(input.size() == n_ && "real FFT input size mismatch");
   assert(out.size() == bins() && "real FFT output size mismatch");
+  assert((window.empty() || window.size() == n_) &&
+         "real FFT window size mismatch");
   const std::size_t m = n_ / 2;
   // Pack even samples into the real part, odd samples into the
-  // imaginary part, then run one half-size complex FFT.
-  std::vector<cplx> z(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    z[k] = {input[2 * k], input[2 * k + 1]};
+  // imaginary part of out[0..m), then run one half-size complex FFT
+  // there. Windowing while packing stores the same products as
+  // windowing into a separate buffer first.
+  const std::span<cplx> z = out.first(m);
+  if (window.empty()) {
+    for (std::size_t k = 0; k < m; ++k) {
+      z[k] = {input[2 * k], input[2 * k + 1]};
+    }
+  } else {
+    for (std::size_t k = 0; k < m; ++k) {
+      z[k] = {input[2 * k] * window[2 * k],
+              input[2 * k + 1] * window[2 * k + 1]};
+    }
   }
   half_.run(z);
 
-  // Unpack: with E/O the transforms of the even/odd subsequences,
+  // Unpack in place: with E/O the transforms of the even/odd
+  // subsequences,
   //   X[k] = E[k] + w^k O[k],  w = e^{-j 2 pi / n}
   // where E[k] = (Z[k] + conj(Z[m-k]))/2 and
   //       O[k] = -j (Z[k] - conj(Z[m-k]))/2, Z[m] := Z[0].
-  out[0] = {z[0].real() + z[0].imag(), 0.0};
-  out[m] = {z[0].real() - z[0].imag(), 0.0};
-  for (std::size_t k = 1; k < m; ++k) {
-    const cplx zk = z[k];
-    const cplx zc = std::conj(z[m - k]);
+  // X[k] and X[m-k] read the same two Z bins, so each pair is read
+  // before either is overwritten.
+  const auto unpack = [this](cplx zk, cplx zc, std::size_t k) {
     const cplx even = (zk + zc) * 0.5;
     const cplx diff = (zk - zc) * 0.5;
     const cplx odd = {diff.imag(), -diff.real()};  // -j * diff
-    out[k] = even + unpack_tw_[k] * odd;
+    return even + unpack_tw_[k] * odd;
+  };
+  const cplx z0 = z[0];
+  out[0] = {z0.real() + z0.imag(), 0.0};
+  out[m] = {z0.real() - z0.imag(), 0.0};
+  for (std::size_t k = 1; 2 * k <= m; ++k) {
+    const std::size_t j = m - k;
+    const cplx zk = z[k];
+    const cplx zj = z[j];
+    out[k] = unpack(zk, std::conj(zj), k);
+    if (j != k) out[j] = unpack(zj, std::conj(zk), j);
   }
 }
 

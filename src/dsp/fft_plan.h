@@ -14,6 +14,8 @@
 // complex FFT (real-even packing) and unpacks the half spectrum
 // X[0..N/2]; by conjugate symmetry that is the whole transform. The
 // `run_many` entry point processes lane-major batches of signals.
+// `run` packs into and unpacks within its output span, so callers that
+// shard lanes across pool workers allocate nothing inside them.
 #pragma once
 
 #include <cstddef>
@@ -57,8 +59,12 @@ class RealFftPlan {
 
   /// Forward FFT of one real signal. `input.size()` must equal size()
   /// and `out.size()` must equal bins(). Negative-frequency bins follow
-  /// from conjugate symmetry: X[n-k] == conj(out[k]) exactly.
-  void run(std::span<const double> input, std::span<cplx> out) const;
+  /// from conjugate symmetry: X[n-k] == conj(out[k]) exactly. `out` is
+  /// also the packing buffer, so the call allocates nothing. A non-empty
+  /// `window` (size() samples) multiplies the input as it is packed; the
+  /// spectrum is bit-identical to transforming a windowed copy.
+  void run(std::span<const double> input, std::span<cplx> out,
+           std::span<const double> window = {}) const;
 
   /// Forward FFT of `lanes` signals stored lane-major and contiguous:
   /// signal l occupies signals[l*size() .. (l+1)*size()), its spectrum

@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "dsp/fft_plan.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/units.h"
 
@@ -37,6 +38,17 @@ const RealFftPlan& real_plan_for(std::size_t n) {
   auto it = plans.find(n);
   if (it == plans.end()) it = plans.try_emplace(n, n).first;
   return it->second;
+}
+
+/// The plan a Sample-typed capture transforms with: the packed real FFT
+/// for real captures, the complex FFT for baseband ones.
+template <typename Sample>
+const auto& plan_for_samples(std::size_t n) {
+  if constexpr (std::is_same_v<Sample, double>) {
+    return real_plan_for(n);
+  } else {
+    return plan_for(n);
+  }
 }
 
 }  // namespace
@@ -73,58 +85,91 @@ void Periodogram::fill_two_sided(std::span<const cplx> spec, double norm) {
 template <typename Sample>
 std::vector<Periodogram> Periodogram::transform(
     std::span<const Sample> signals, std::size_t lanes, double fs_hz,
-    WindowKind window) {
+    WindowKind window, par::ThreadPool& pool) {
   constexpr bool kOneSided = std::is_same_v<Sample, double>;
   assert(lanes > 0 && signals.size() % lanes == 0);
   const std::size_t n = signals.size() / lanes;
   assert(is_power_of_two(n) && "capture length must be a power of two");
   const auto w = make_window(window, n);
   const double norm = energy_norm(w);
-  std::vector<Sample> xw(n);
-  std::vector<cplx> spec(kOneSided ? n / 2 + 1 : 0);
-  std::vector<Periodogram> out;
-  out.reserve(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
+  // Everything is sized here, on the caller: a buffer grown inside a pool
+  // worker would land in that thread's malloc arena, which keeps the
+  // pages. Each chunk of lanes gets its own scratch: the half spectrum
+  // of a real capture, or the windowed copy that the FFT transforms in
+  // place for a complex one.
+  std::vector<Periodogram> out(lanes,
+                               Periodogram(fs_hz, n, kOneSided, window));
+  for (Periodogram& p : out) p.power_.resize(kOneSided ? n / 2 + 1 : n);
+  const std::size_t chunks = std::min(pool.size(), lanes);
+  const std::size_t per_chunk = kOneSided ? n / 2 + 1 : n;
+  std::vector<cplx> scratch(chunks * per_chunk);
+  const auto& plan = plan_for_samples<Sample>(n);
+  // One chunk per worker at most, split here rather than by the pool, so
+  // a chunk's scratch index is its own loop variable.
+  pool.parallel_for(chunks, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t c = begin; c < end; ++c) {
+      transform_lanes<Sample>(
+          c * lanes / chunks, (c + 1) * lanes / chunks, signals, w, norm,
+          plan, std::span<cplx>(scratch).subspan(c * per_chunk, per_chunk),
+          out);
+    }
+  });
+  return out;
+}
+
+// analock: thread_safe parallel_region
+template <typename Sample, typename Plan>
+void Periodogram::transform_lanes(std::size_t begin, std::size_t end,
+                                  std::span<const Sample> signals,
+                                  std::span<const double> w, double norm,
+                                  const Plan& plan, std::span<cplx> scratch,
+                                  std::span<Periodogram> out) {
+  const std::size_t n = w.size();
+  for (std::size_t l = begin; l < end; ++l) {
     const auto x = signals.subspan(l * n, n);
-    for (std::size_t i = 0; i < n; ++i) xw[i] = x[i] * w[i];
-    Periodogram p(fs_hz, n, kOneSided, window);
-    if constexpr (kOneSided) {
-      real_plan_for(n).run(xw, spec);
-      p.fill_one_sided(spec, norm);
+    Periodogram& p = out[l];
+    if constexpr (std::is_same_v<Sample, double>) {
+      plan.run(x, scratch, w);
+      p.fill_one_sided(scratch, norm);
     } else {
-      plan_for(n).run(xw);
+      const std::span<cplx> xw = scratch;
+      for (std::size_t i = 0; i < n; ++i) xw[i] = x[i] * w[i];
+      plan.run(xw);
       p.fill_two_sided(xw, norm);
     }
-    out.push_back(std::move(p));
   }
-  return out;
 }
 
 Periodogram::Periodogram(std::span<const double> x, double fs_hz,
                          WindowKind window) {
   ANALOCK_SPAN_QUIET("dsp.periodogram");
-  *this = std::move(transform(x, 1, fs_hz, window).front());
+  *this = std::move(
+      transform(x, 1, fs_hz, window, par::ThreadPool::shared()).front());
 }
 
 Periodogram::Periodogram(std::span<const cplx> x, double fs_hz,
                          WindowKind window) {
   ANALOCK_SPAN_QUIET("dsp.periodogram");
-  *this = std::move(transform(x, 1, fs_hz, window).front());
+  *this = std::move(
+      transform(x, 1, fs_hz, window, par::ThreadPool::shared()).front());
 }
 
 std::vector<Periodogram> Periodogram::many_real(std::span<const double> signals,
                                                 std::size_t lanes,
                                                 double fs_hz,
-                                                WindowKind window) {
+                                                WindowKind window,
+                                                par::ThreadPool& pool) {
   ANALOCK_SPAN_QUIET("dsp.periodogram.batch");
-  return transform(signals, lanes, fs_hz, window);
+  obs::count("dsp.fft.points", signals.size());
+  return transform(signals, lanes, fs_hz, window, pool);
 }
 
 std::vector<Periodogram> Periodogram::many_complex(
     std::span<const cplx> signals, std::size_t lanes, double fs_hz,
-    WindowKind window) {
+    WindowKind window, par::ThreadPool& pool) {
   ANALOCK_SPAN_QUIET("dsp.periodogram.batch");
-  return transform(signals, lanes, fs_hz, window);
+  obs::count("dsp.fft.points", signals.size());
+  return transform(signals, lanes, fs_hz, window, pool);
 }
 
 double Periodogram::bin_hz() const {

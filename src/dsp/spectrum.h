@@ -11,6 +11,7 @@
 
 #include "dsp/fft.h"
 #include "dsp/window.h"
+#include "par/thread_pool.h"
 
 namespace analock::dsp {
 
@@ -32,17 +33,22 @@ class Periodogram {
               WindowKind window = WindowKind::kHann);
 
   /// Periodograms of `lanes` real captures stored lane-major and
-  /// contiguous (lane l occupies signals[l*n, (l+1)*n)). Bit-identical
-  /// to constructing each lane's Periodogram separately, but the window
-  /// and FFT plan are built once and shared across the batch.
+  /// contiguous (lane l occupies signals[l*n, (l+1)*n)). The window and
+  /// FFT plan are built once and shared across the batch, and the lanes
+  /// shard across `pool`. Every lane runs the single-capture arithmetic,
+  /// so each spectrum is bit-identical to constructing that lane's
+  /// Periodogram separately, whatever the pool's thread count. Charges
+  /// lanes * n to the `dsp.fft.points` counter.
   [[nodiscard]] static std::vector<Periodogram> many_real(
       std::span<const double> signals, std::size_t lanes, double fs_hz,
-      WindowKind window = WindowKind::kHann);
+      WindowKind window = WindowKind::kHann,
+      par::ThreadPool& pool = par::ThreadPool::shared());
 
   /// Two-sided batched counterpart of many_real for complex captures.
   [[nodiscard]] static std::vector<Periodogram> many_complex(
       std::span<const cplx> signals, std::size_t lanes, double fs_hz,
-      WindowKind window = WindowKind::kHann);
+      WindowKind window = WindowKind::kHann,
+      par::ThreadPool& pool = par::ThreadPool::shared());
 
   [[nodiscard]] const std::vector<double>& power() const { return power_; }
   [[nodiscard]] double fs() const { return fs_; }
@@ -90,13 +96,22 @@ class Periodogram {
   void fill_one_sided(std::span<const cplx> spec, double norm);
   void fill_two_sided(std::span<const cplx> spec, double norm);
 
-  /// The one per-lane path behind the constructors and many_*: window,
-  /// FFT and bin powers for `lanes` lane-major captures. Real samples
-  /// give one-sided spectra, complex samples two-sided ones.
+  /// The one path behind the constructors and many_*: window, FFT and
+  /// bin powers for `lanes` lane-major captures, sharded across `pool`.
+  /// Real samples give one-sided spectra, complex samples two-sided ones.
   template <typename Sample>
   [[nodiscard]] static std::vector<Periodogram> transform(
       std::span<const Sample> signals, std::size_t lanes, double fs_hz,
-      WindowKind window);
+      WindowKind window, par::ThreadPool& pool);
+
+  /// Lanes [begin, end) of transform on one worker: `out` is sized and
+  /// `plan` built by the caller, and `scratch` is this worker's alone.
+  template <typename Sample, typename Plan>
+  static void transform_lanes(std::size_t begin, std::size_t end,
+                              std::span<const Sample> signals,
+                              std::span<const double> w, double norm,
+                              const Plan& plan, std::span<cplx> scratch,
+                              std::span<Periodogram> out);
 
   std::vector<double> power_;
   double fs_ = 1.0;

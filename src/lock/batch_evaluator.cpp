@@ -21,7 +21,8 @@ std::vector<dsp::Periodogram> BatchEvaluator::modulator_spectra(
   const auto captures = receivers(keys).capture_modulator(rf_in, settle,
                                                           pool());
   return dsp::Periodogram::many_real(captures, keys.size(),
-                                     evaluator_->standard().fs_hz());
+                                     evaluator_->standard().fs_hz(),
+                                     dsp::WindowKind::kHann, pool());
 }
 
 void BatchEvaluator::charge_all(LockEvaluator::Metric metric,
@@ -67,7 +68,8 @@ std::vector<double> BatchEvaluator::clean_snr_receiver(
       rf_in, options.settle, options.baseband_points, /*settle_baseband=*/16,
       pool());
   const auto spectra = dsp::Periodogram::many_complex(
-      baseband, keys.size(), batch.baseband_fs_hz());
+      baseband, keys.size(), batch.baseband_fs_hz(), dsp::WindowKind::kHann,
+      pool());
   const double half_band = standard.fs_hz() / (4.0 * standard.osr);
   std::vector<double> out(keys.size());
   for (std::size_t l = 0; l < keys.size(); ++l) {

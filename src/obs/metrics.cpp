@@ -270,8 +270,11 @@ void init_from_env(Registry& reg) {
 Registry& registry() {
   static Registry reg;
   // Completes after `reg`, so it is destroyed first; ordering keeps the
-  // registry alive for any static-duration user that touched it.
-  static const bool env_applied = (init_from_env(reg), true);
+  // registry alive for any static-duration user that touched it. The
+  // steady clock is built before init_from_env registers the exit
+  // handlers, so it outlives the exit report that reads it.
+  static const bool env_applied =
+      (steady_clock_instance(), init_from_env(reg), true);
   (void)env_applied;
   return reg;
 }

@@ -1,7 +1,7 @@
 // Bit-exactness and infrastructure tests for the batched evaluation
 // engine: FFT plans, the thread pool, batched periodograms, ReceiverBatch
 // parity with rf::Receiver across chunk boundaries and across sequential
-// captures, its work counters, and BatchEvaluator
+// captures, the work counters, and BatchEvaluator
 // parity with the block-level reference recipe (reference_oracle.h) and
 // with per-key LockEvaluator calls.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/spectrum.h"
+#include "dsp/window.h"
 #include "fault/fault_injector.h"
 #include "lock/batch_evaluator.h"
 #include "lock/evaluator.h"
@@ -97,6 +98,27 @@ TEST(RealFftPlan, RunManyMatchesPerLaneRuns) {
   }
 }
 
+TEST(RealFftPlan, WindowedPackMatchesWindowedInput) {
+  // The window multiply fused into the even/odd pack stores the same
+  // values as windowing into a separate buffer first.
+  const std::size_t n = 256;
+  sim::Rng rng(29);
+  std::vector<double> x(n);
+  for (auto& v : x) v = rng.gaussian();
+  const auto w = dsp::make_window(dsp::WindowKind::kHann, n);
+  std::vector<double> xw(n);
+  for (std::size_t i = 0; i < n; ++i) xw[i] = x[i] * w[i];
+
+  dsp::RealFftPlan plan(n);
+  std::vector<dsp::cplx> ref(plan.bins());
+  plan.run(xw, ref);
+  std::vector<dsp::cplx> out(plan.bins());
+  plan.run(x, out, w);
+  for (std::size_t k = 0; k < plan.bins(); ++k) {
+    EXPECT_EQ(ref[k], out[k]) << k;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Thread pool
 // ---------------------------------------------------------------------
@@ -144,16 +166,16 @@ TEST(ThreadPool, PropagatesExceptions) {
 // Batched periodograms
 // ---------------------------------------------------------------------
 
-TEST(Periodogram, ManyRealMatchesPerLane) {
-  const std::size_t n = 512, lanes = 3;
-  sim::Rng rng(31);
-  std::vector<double> signals(n * lanes);
-  for (auto& v : signals) v = rng.gaussian();
-  const auto batched = dsp::Periodogram::many_real(signals, lanes, 1.0e6);
+/// Every bin of each lane of `batched` equals the single-lane
+/// Periodogram of that lane's capture.
+template <typename Sample>
+void expect_matches_per_lane(std::span<const Sample> signals,
+                             std::size_t lanes,
+                             const std::vector<dsp::Periodogram>& batched) {
+  const std::size_t n = signals.size() / lanes;
   ASSERT_EQ(batched.size(), lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
-    const dsp::Periodogram one(
-        std::span<const double>(signals).subspan(l * n, n), 1.0e6);
+    const dsp::Periodogram one(signals.subspan(l * n, n), 1.0e6);
     ASSERT_EQ(one.size(), batched[l].size());
     for (std::size_t k = 0; k < one.size(); ++k) {
       EXPECT_EQ(one.power()[k], batched[l].power()[k]) << l << ":" << k;
@@ -161,19 +183,66 @@ TEST(Periodogram, ManyRealMatchesPerLane) {
   }
 }
 
-TEST(Periodogram, ManyComplexMatchesPerLane) {
-  const std::size_t n = 256, lanes = 3;
-  auto signals = random_complex(n * lanes, 37);
-  const auto batched = dsp::Periodogram::many_complex(signals, lanes, 1.0e6);
-  ASSERT_EQ(batched.size(), lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const dsp::Periodogram one(
-        std::span<const dsp::cplx>(signals).subspan(l * n, n), 1.0e6);
-    ASSERT_EQ(one.size(), batched[l].size());
-    for (std::size_t k = 0; k < one.size(); ++k) {
-      EXPECT_EQ(one.power()[k], batched[l].power()[k]) << l << ":" << k;
+// Every bin of every lane equals the single-lane Periodogram's, on pools
+// of 1, 2 and 7 threads and for lane counts that do and do not divide
+// into the pool's chunks.
+TEST(Periodogram, ManyRealMatchesPerLane) {
+  const std::size_t n = 512;
+  for (const std::size_t threads : {1u, 2u, 7u}) {
+    par::ThreadPool pool(threads);
+    for (const std::size_t lanes : {1u, 3u, 5u, 33u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, " << lanes
+                                      << " lanes");
+      sim::Rng rng(31 + lanes);
+      std::vector<double> signals(n * lanes);
+      for (auto& v : signals) v = rng.gaussian();
+      expect_matches_per_lane<double>(
+          signals, lanes,
+          dsp::Periodogram::many_real(signals, lanes, 1.0e6,
+                                      dsp::WindowKind::kHann, pool));
     }
   }
+}
+
+TEST(Periodogram, ManyComplexMatchesPerLane) {
+  const std::size_t n = 256;
+  for (const std::size_t threads : {1u, 2u, 7u}) {
+    par::ThreadPool pool(threads);
+    for (const std::size_t lanes : {1u, 3u, 5u, 33u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, " << lanes
+                                      << " lanes");
+      const auto signals = random_complex(n * lanes, 37 + lanes);
+      expect_matches_per_lane<dsp::cplx>(
+          signals, lanes,
+          dsp::Periodogram::many_complex(signals, lanes, 1.0e6,
+                                         dsp::WindowKind::kHann, pool));
+    }
+  }
+}
+
+TEST(Periodogram, ChargesFftPointsPerBatch) {
+  // One batch of `lanes` captures of n points charges lanes * n FFT
+  // points, real or complex, whatever the pool size.
+  obs::Registry& reg = obs::registry();
+  const bool was_enabled = reg.enabled();
+  reg.reset_values();
+  reg.set_enabled(true);
+
+  par::ThreadPool pool(2);
+  const std::vector<double> real(3 * 512, 0.5);
+  (void)dsp::Periodogram::many_real(real, 3, 1.0e6, dsp::WindowKind::kHann,
+                                    pool);
+  const std::uint64_t real_points = reg.counter("dsp.fft.points").value();
+  const auto baseband = random_complex(5 * 64, 47);
+  (void)dsp::Periodogram::many_complex(baseband, 5, 1.0e6,
+                                       dsp::WindowKind::kHann, pool);
+  const std::uint64_t complex_points =
+      reg.counter("dsp.fft.points").value() - real_points;
+
+  reg.set_enabled(was_enabled);
+  reg.reset_values();
+  EXPECT_EQ(real_points, 3u * 512u);
+  EXPECT_EQ(complex_points, 5u * 64u);
 }
 
 // ---------------------------------------------------------------------
@@ -557,26 +626,30 @@ TEST(BatchEvaluator, DefaultOptionsMatchScalar) {
 }
 
 TEST(BatchEvaluator, ResultsIndependentOfThreadCount) {
+  // Nine keys split unevenly across 3 and across 7 workers, both in the
+  // transient and in the batch periodograms.
   const auto keys = test_keys(505, 4);
   sim::Rng chip_rng(77);
   const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
 
   par::ThreadPool pool1(1);
-  par::ThreadPool pool3(3);
   LockEvaluator ev1(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
                     fast_options());
-  LockEvaluator ev3(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
-                    fast_options());
   BatchEvaluator batch1(ev1, &pool1);
-  BatchEvaluator batch3(ev3, &pool3);
-
   const auto a = batch1.evaluate_batch(keys);
-  const auto b = batch3.evaluate_batch(keys);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].snr_modulator_db, b[i].snr_modulator_db) << i;
-    EXPECT_EQ(a[i].snr_receiver_db, b[i].snr_receiver_db) << i;
-    EXPECT_EQ(a[i].sfdr_db, b[i].sfdr_db) << i;
+  for (const std::size_t threads : {3u, 7u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    par::ThreadPool pool(threads);
+    LockEvaluator ev(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
+                     fast_options());
+    BatchEvaluator batch(ev, &pool);
+    const auto b = batch.evaluate_batch(keys);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].snr_modulator_db, b[i].snr_modulator_db) << i;
+      EXPECT_EQ(a[i].snr_receiver_db, b[i].snr_receiver_db) << i;
+      EXPECT_EQ(a[i].sfdr_db, b[i].sfdr_db) << i;
+    }
   }
 }
 

@@ -2,14 +2,16 @@
 // ctest `tsan_batch_eval` with a fixed name so the tsan preset
 // (-DANALOCK_SANITIZE=thread) can target it for race detection: the
 // thread pool fan-out, the shared FFT twiddle cache, the batch
-// stepper's shared-read/private-write layout, and its noise-stream state
-// carried from capture to capture all get hammered here.
+// stepper's shared-read/private-write layout, its noise-stream state
+// carried from capture to capture, and the lane-sharded batch
+// periodograms all get hammered here.
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
 #include "dsp/fft.h"
+#include "dsp/spectrum.h"
 #include "lock/batch_evaluator.h"
 #include "lock/evaluator.h"
 #include "par/thread_pool.h"
@@ -107,6 +109,39 @@ TEST(BatchStress, ContinuingCapturesUnderThreads) {
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
       ASSERT_EQ(got[i], want[i]) << "capture " << k << " sample " << i;
+    }
+  }
+}
+
+TEST(BatchStress, ParallelPeriodogramsUnderThreads) {
+  // Repeated batches on a 7-worker pool: shared read-only plans and
+  // window, per-chunk scratch, lane-disjoint spectra. Lane counts that do
+  // not divide into the chunks give uneven splits. Every bin must equal
+  // the 1-thread run's.
+  par::ThreadPool wide(7);
+  par::ThreadPool narrow(1);
+  sim::Rng rng(9003);
+  for (const std::size_t lanes : {3u, 9u, 33u}) {
+    const std::size_t n = 512;
+    std::vector<double> real(lanes * n);
+    for (auto& v : real) v = rng.gaussian();
+    std::vector<dsp::cplx> baseband(lanes * n / 2);
+    for (auto& v : baseband) v = {rng.gaussian(), rng.gaussian()};
+    const auto real_ref = dsp::Periodogram::many_real(
+        real, lanes, 1.0e6, dsp::WindowKind::kHann, narrow);
+    const auto complex_ref = dsp::Periodogram::many_complex(
+        baseband, lanes, 1.0e6, dsp::WindowKind::kHann, narrow);
+    for (int round = 0; round < 20; ++round) {
+      const auto real_got = dsp::Periodogram::many_real(
+          real, lanes, 1.0e6, dsp::WindowKind::kHann, wide);
+      const auto complex_got = dsp::Periodogram::many_complex(
+          baseband, lanes, 1.0e6, dsp::WindowKind::kHann, wide);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        ASSERT_EQ(real_got[l].power(), real_ref[l].power())
+            << lanes << ":" << l;
+        ASSERT_EQ(complex_got[l].power(), complex_ref[l].power())
+            << lanes << ":" << l;
+      }
     }
   }
 }
