@@ -222,7 +222,7 @@ TEST(Periodogram, ManyComplexMatchesPerLane) {
 
 TEST(Periodogram, ChargesFftPointsPerBatch) {
   // One batch of `lanes` captures of n points charges lanes * n FFT
-  // points, real or complex, whatever the pool size.
+  // points once, real or complex, though its lanes run on two workers.
   obs::Registry& reg = obs::registry();
   const bool was_enabled = reg.enabled();
   reg.reset_values();
