@@ -108,7 +108,7 @@ std::vector<Periodogram> Periodogram::transform(
   // a chunk's scratch index is its own loop variable.
   pool.parallel_for(chunks, [&](std::size_t begin, std::size_t end) {
     for (std::size_t c = begin; c < end; ++c) {
-      transform_lanes<Sample>(
+      transform_lanes(
           c * lanes / chunks, (c + 1) * lanes / chunks, signals, w, norm,
           plan, std::span<cplx>(scratch).subspan(c * per_chunk, per_chunk),
           out);
@@ -117,8 +117,8 @@ std::vector<Periodogram> Periodogram::transform(
   return out;
 }
 
-// analock: thread_safe parallel_region
 template <typename Sample, typename Plan>
+// analock: thread_safe parallel_region
 void Periodogram::transform_lanes(std::size_t begin, std::size_t end,
                                   std::span<const Sample> signals,
                                   std::span<const double> w, double norm,
