@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -96,6 +97,7 @@ void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
   bool any_buffer = false;
   bool all_gmin = true;
   bool all_buffer = true;
+  std::uint64_t signatures = 0;  // one bit per control signature
   for (std::size_t l = 0; l < lanes_; ++l) {
     const ReceiverConfig& cfg = configs[l];
     assert(cfg.digital_mode == digital_mode_ &&
@@ -142,7 +144,11 @@ void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
     any_buffer = any_buffer || mc.buffer_in_path;
     all_gmin = all_gmin && mc.gmin_enable;
     all_buffer = all_buffer && mc.buffer_in_path;
+    signatures |= std::uint64_t{1}
+                  << (gmin_en_[l] | fb_en_[l] << 1 | cmp_clk_[l] << 2 |
+                      mux_[l] << 3 | buf_in_[l] << 5);
   }
+  signature_groups_ = static_cast<std::uint64_t>(std::popcount(signatures));
   lanes_agree_ = any_gmin == all_gmin && any_buffer == all_buffer;
   // The VGLNA stream stays needed without Gmin: the scalar VGLNA draws
   // on every sample.
@@ -183,6 +189,7 @@ void ReceiverBatch::begin_capture(std::size_t n) {
   }
   obs::count("rf.batch.lane_samples", lanes_ * n);
   obs::count("rf.batch.noise_samples", needed * n);
+  obs::count("rf.batch.signature_groups", signature_groups_);
 }
 
 void ReceiverBatch::fill_noise(std::size_t m, par::ThreadPool& pool) {

@@ -44,8 +44,14 @@
 // between windows, so noise memory is O(kNoiseWindow), not
 // O(transient), and the draw order and per-lane arithmetic are those of
 // one uninterrupted pass: results are independent of the thread count
-// by construction. The windows are sized on the calling thread and kept
-// across captures.
+// and of the window length by construction. The windows are sized on
+// the calling thread and kept across captures.
+//
+// Every capture charges its work counters on the calling thread:
+// `rf.batch.lane_samples`, `rf.batch.noise_samples` and
+// `rf.batch.signature_groups`, the number of distinct (gmin_enable,
+// feedback_enable, comp_clock_enable, test_mux, buffer_in_path) control
+// signatures among the lanes.
 #pragma once
 
 #include <array>
@@ -90,11 +96,12 @@ class ReceiverBatch {
     return fs_hz_ / static_cast<double>(DigitalBackend::kTotalDecimation);
   }
 
-  /// Samples per noise window: 2 MiB of deviates across the streams.
-  /// Each window costs two pool barriers, so a receiver transient
-  /// (~134k samples) takes five windows rather than one per 4096-sample
-  /// stepping chunk, while modulator captures still fit in one.
-  static constexpr std::size_t kNoiseWindow = 32768;
+  /// Samples per noise window: 1 MiB of deviates across the eight
+  /// streams. Each window costs two pool barriers, so a receiver
+  /// transient (~134k samples) takes nine windows rather than one per
+  /// 4096-sample stepping chunk; an 8192-point modulator capture still
+  /// fits in one, a 16384-point SFDR capture takes two.
+  static constexpr std::size_t kNoiseWindow = 16384;
 
   /// Batched `Receiver::reset(); Receiver::capture_modulator`: drives
   /// every lane with `rf` and returns the post-settle modulator outputs,
@@ -186,6 +193,8 @@ class ReceiverBatch {
   std::vector<double> dly_frac_;
   std::vector<std::uint8_t> mux_, buf_in_;
   std::vector<double> buf_gain_, buf_rms_;
+  /// Distinct control signatures among the lanes (see the header).
+  std::uint64_t signature_groups_ = 0;
   /// Lanes agree on gmin_enable and buffer_in_path, so a capture leaves
   /// every lane's streams where its scalar chip would leave them.
   bool lanes_agree_ = true;

@@ -527,6 +527,61 @@ TEST(ReceiverBatch, ChargesWorkCountersPerCapture) {
   EXPECT_EQ(noise_samples_2, 6 * kN);
 }
 
+TEST(ReceiverBatch, ChargesSignatureGroupsPerCapture) {
+  // Every capture charges the number of distinct (gmin_enable,
+  // feedback_enable, comp_clock_enable, test_mux, buffer_in_path) tuples
+  // among its lanes; tank, bias and delay codes do not count.
+  obs::Registry& reg = obs::registry();
+  const bool was_enabled = reg.enabled();
+  reg.reset_values();
+  reg.set_enabled(true);
+
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(913);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  rf::ReceiverConfig base;
+  rf::ReceiverConfig retuned = base;
+  retuned.modulator.cap_coarse = 200;
+  retuned.modulator.q_enh = 40;
+  rf::ReceiverConfig open_loop = base;
+  open_loop.modulator.feedback_enable = false;
+  rf::ReceiverConfig unclocked = base;
+  unclocked.modulator.comp_clock_enable = false;
+  rf::ReceiverConfig muxed = base;
+  muxed.modulator.test_mux = 2;
+  rf::ReceiverConfig no_gmin = base;
+  no_gmin.modulator.gmin_enable = false;
+  rf::ReceiverConfig buffered = base;
+  buffered.modulator.buffer_in_path = true;
+
+  const std::vector<rf::ReceiverConfig> one_group = {base, retuned, base};
+  rf::ReceiverBatch batch(standard, pv, chip_rng.fork("chip"), one_group);
+  par::ThreadPool pool(2);
+  const std::vector<double> zeros(3000, 0.0);
+  const auto groups = [&reg] {
+    return reg.counter("rf.batch.signature_groups").value();
+  };
+  (void)batch.capture_modulator(zeros, 100, pool);
+  const std::uint64_t first = groups();
+  const std::vector<rf::ReceiverConfig> four_groups = {
+      base, open_loop, unclocked, muxed, retuned, open_loop};
+  batch.configure(four_groups);
+  (void)batch.capture_modulator(zeros, 100, pool);
+  const std::uint64_t second = groups() - first;
+  // Lanes that disagree on Gmin or the buffer end the batch's captures.
+  const std::vector<rf::ReceiverConfig> three_groups = {no_gmin, buffered,
+                                                         base, no_gmin};
+  batch.configure(three_groups);
+  (void)batch.capture_modulator(zeros, 100, pool);
+  const std::uint64_t third = groups() - first - second;
+
+  reg.set_enabled(was_enabled);
+  reg.reset_values();
+  EXPECT_EQ(first, 1u);
+  EXPECT_EQ(second, 4u);
+  EXPECT_EQ(third, 3u);
+}
+
 // ---------------------------------------------------------------------
 // BatchEvaluator parity
 // ---------------------------------------------------------------------
