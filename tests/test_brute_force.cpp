@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "attack/brute_force.h"
