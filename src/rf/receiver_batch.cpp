@@ -5,6 +5,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "dsp/fir.h"
 #include "obs/metrics.h"
@@ -20,7 +21,7 @@ constexpr std::size_t kChannelTaps = 31;
 
 }  // namespace
 
-/// Dynamic state of one lane, carried from window to window. Every
+/// Dynamic state of one lane, carried from chunk to chunk. Every
 /// capture starts from a freshly reset receiver's state: all zeros with
 /// the slicer low.
 struct ReceiverBatch::LaneState {
@@ -150,6 +151,37 @@ void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
   }
   signature_groups_ = static_cast<std::uint64_t>(std::popcount(signatures));
   lanes_agree_ = any_gmin == all_gmin && any_buffer == all_buffer;
+
+  // Front-end ids, numbered in first-lane order: lanes whose harvested
+  // pass-1 constants are bitwise equal compute the same loop signal, and
+  // all Gmin-off lanes share the all-zero one.
+  static_assert(sizeof(Vglna::Stage) == 4 * sizeof(double),
+                "compare every Vglna::Stage field");
+  const auto same_bits = [](const auto& a, const auto& b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  const auto same_front_end = [&](std::size_t a, std::size_t b) {
+    if (gmin_en_[a] == 0 || gmin_en_[b] == 0) {
+      return gmin_en_[a] == gmin_en_[b];
+    }
+    return same_bits(vg_stage_[a], vg_stage_[b]) &&
+           same_bits(vg_rms_[a], vg_rms_[b]) &&
+           same_bits(gm_eff_[a], gm_eff_[b]) &&
+           same_bits(gm_iip3_[a], gm_iip3_[b]) &&
+           same_bits(gm_rms_[a], gm_rms_[b]);
+  };
+  fe_id_.resize(lanes_);
+  front_ends_ = 0;
+  for (std::size_t l = 0; l < lanes_; ++l) {
+    fe_id_[l] = front_ends_;
+    for (std::size_t j = 0; j < l; ++j) {
+      if (same_front_end(j, l)) {
+        fe_id_[l] = fe_id_[j];
+        break;
+      }
+    }
+    if (fe_id_[l] == front_ends_) ++front_ends_;
+  }
   // The VGLNA stream stays needed without Gmin: the scalar VGLNA draws
   // on every sample.
   noise_.streams[NoiseStreams::kGm].needed = any_gmin;
@@ -190,6 +222,7 @@ void ReceiverBatch::begin_capture(std::size_t n) {
   obs::count("rf.batch.lane_samples", lanes_ * n);
   obs::count("rf.batch.noise_samples", needed * n);
   obs::count("rf.batch.signature_groups", signature_groups_);
+  obs::count("rf.batch.front_ends", front_ends_);
 }
 
 void ReceiverBatch::fill_noise(std::size_t m, par::ThreadPool& pool) {
@@ -219,21 +252,30 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
                               std::span<LaneState> state,
                               std::span<double> mod_out,
                               std::span<std::complex<double>> bb_out) const {
-  // Lane-outer, sample-inner: every per-lane constant is hoisted into a
-  // register, every flag-dependent branch is loop-invariant, and all
-  // dynamic state (resonators, delay ring, decimation chain) lives in an
-  // L1-resident local copy, loaded from `state` at window entry and saved
-  // back at exit. The shared cost (noise streams, stimulus, FFT
-  // plans) was paid once by the caller; per lane only the arithmetic the
-  // scalar chain would do remains, minus its ~8 RNG draws per sample.
+  // Chunk-outer, then lanes grouped by front end, then samples. Per
+  // 4096-sample chunk each lane of [begin, end) resumes from `state[l]`
+  // into an L1-resident local copy (resonators, delay ring, decimation
+  // chain), with every per-lane constant hoisted into a register and
+  // every flag-dependent branch loop-invariant, and saves back at chunk
+  // exit. The shared cost (noise streams, stimulus, FFT plans) was paid
+  // once by the caller; per lane only the arithmetic the scalar chain
+  // would do remains, minus its ~8 RNG draws per sample.
   //
   // Each chunk runs in two passes. The VGLNA cascade and transconductor
-  // have no state, so pass 1 evaluates them for a whole chunk of
-  // independent samples — the out-of-order core overlaps their long
-  // multiply chains across iterations instead of serializing them into
-  // the resonator recurrence. Pass 2 consumes the buffered loop signal
-  // and advances the stateful chain. Per-sample expression order is
-  // unchanged, so the split is bit-exact.
+  // have no state, so pass 1 evaluates them over the whole chunk stage by
+  // stage: one sweep adds the input noise, one sweep runs per VGLNA
+  // stage, one applies the transconductor. Each sweep's samples are
+  // independent, so the core overlaps them instead of waiting out one
+  // long dependency chain per sample. Pass 2 consumes the buffered loop
+  // signal and advances the stateful chain. Every sample sees the same
+  // expressions in the same order as in the scalar chain, so neither the
+  // split nor the stage-major order changes a bit.
+  //
+  // Pass 1 reads only the stimulus and the VGLNA/Gmin noise windows,
+  // which every lane shares, and the lane's front-end constants. Lanes
+  // with one front-end id have bitwise-equal constants (see configure),
+  // so the same expressions give them the same loop signal: pass 1 runs
+  // once per id and chunk, and the id's lanes all read that buffer.
   const std::size_t n = rf.size();
   const std::size_t n_mod = n > settle ? n - settle : 0;
   const double* rf_p = rf.data() + offset;
@@ -262,250 +304,262 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
   const double* ch_taps = channel_taps_.data();
   const std::size_t n_ch_taps = channel_taps_.size();
 
-  for (std::size_t l = begin; l < end; ++l) {
-    LaneState lane = state[l];
-    if (lane.done) continue;
+  for (std::size_t base = 0; base < window; base += kChunk) {
+    const std::size_t m = std::min(kChunk, window - base);
+    // Each front end of [begin, end) runs pass 1 once per chunk, at its
+    // first lane here; its other lanes follow it straight away.
+    for (std::size_t lead = begin; lead < end; ++lead) {
+      const auto first = fe_id_.begin() + static_cast<std::ptrdiff_t>(begin);
+      const auto here = fe_id_.begin() + static_cast<std::ptrdiff_t>(lead);
+      if (std::find(first, here, fe_id_[lead]) != here) continue;
+      bool have_u = false;
+      for (std::size_t l = lead; l < end; ++l) {
+        if (fe_id_[l] != fe_id_[lead] || state[l].done) continue;
 
-    // ---- per-lane constants -> registers ----------------------------
-    const Vglna::Stage st = vg_stage_[l];
-    const double vg_rms = vg_rms_[l];
-    const bool gmin_en = gmin_en_[l] != 0;
-    const double gm_eff = gm_eff_[l];
-    const double gm_iip3 = gm_iip3_[l];
-    const double gm_rms = gm_rms_[l];
-    const bool fb_en = fb_en_[l] != 0;
-    const double cos1 = cos1_[l], rad1 = rad1_[l];
-    const double cos2 = cos2_[l], rad2 = rad2_[l];
-    const double pre_gain = pre_gain_[l], pre_rms = pre_rms_[l];
-    const double cmp_off = cmp_off_[l], cmp_rms = cmp_rms_[l];
-    const bool cmp_clk = cmp_clk_[l] != 0;
-    const double dac_lp = dac_lp_[l], dac_lm = dac_lm_[l];
-    const double dac_rms = dac_rms_[l];
-    const std::size_t dly_whole = dly_whole_[l];
-    const double dly_frac = dly_frac_[l];
-    const std::uint8_t mux = mux_[l];
-    const bool buf_in = buf_in_[l] != 0;
-    const double buf_gain = buf_gain_[l], buf_rms = buf_rms_[l];
-    // The comparator's analog (unclocked) value only reaches the output
-    // when the test mux selects it; otherwise downstream code consumes
-    // nothing but sign(yq), and tanh is odd and monotone with
-    // tanh(0) == 0, so the sign of its argument stands in bit-exactly.
-    const bool cmp_value_used = mux == 0;
-    // A disabled transconductor pins the loop signal to zero, which makes
-    // the whole VGLNA cascade dead code for this lane.
-    if (!gmin_en) std::fill(u_buf.begin(), u_buf.end(), 0.0);
-
-    double* mod_lane = run_backend ? nullptr : &mod_out[l * n_mod];
-    std::complex<double>* bb_lane =
-        run_backend ? &bb_out[l * baseband_points] : nullptr;
-
-    for (std::size_t base = 0; base < window && !lane.done; base += kChunk) {
-      const std::size_t m = std::min(kChunk, window - base);
-
-      // ---- pass 1: stateless front end (VGLNA + transconductor) -----
-      if (gmin_en) {
-        for (std::size_t k = 0; k < m; ++k) {
-          const std::size_t i = base + k;
-          double y = rf_p[i] + (0.0 + vg_rms * nvg_p[i]);
-          y = st.process(y);
-          y = st.process(y);
-          y = st.process(y);
-          y = st.process(y);
-          y = st.process(y);
-          u_buf[k] = gm_eff * cubic_soft(y, gm_iip3) +
-                     (0.0 + gm_rms * ngm_p[i]);
-        }
-      }
-
-      // ---- pass 2: stateful loop + digital backend ------------------
-      for (std::size_t k = 0; k < m; ++k) {
-        const std::size_t i = base + k;
-        const std::size_t at = offset + i;  // index in the whole transient
-        const double u = u_buf[k];
-
-        // Feedback sample from the fractional delay line.
-        double fb = 0.0;
-        if (fb_en) {
-          const std::size_t i0 =
-              (lane.dpos + kDelayDepth - dly_whole) % kDelayDepth;
-          const std::size_t i1 =
-              (lane.dpos + kDelayDepth - dly_whole - 1) % kDelayDepth;
-          fb = (1.0 - dly_frac) * lane.dbuf[i0] + dly_frac * lane.dbuf[i1];
-        }
-
-        const double s1 = Resonator::advance(
-            lane.r1s1, lane.r1s2, cos1, rad1,
-            -(lane.u_hist - fb) +
-                (0.0 + BpSigmaDelta::kTankNoiseRms * nt1_p[i]));
-        const double s2 = Resonator::advance(
-            lane.r2s1, lane.r2s2, cos2, rad2,
-            -(lane.s1_hist - 2.0 * fb) +
-                (0.0 + BpSigmaDelta::kTankNoiseRms * nt2_p[i]));
-        lane.u_hist = lane.u1;
-        lane.u1 = u;
-        lane.s1_hist = lane.s11;
-        lane.s11 = s1;
-
-        // Quantizer path.
-        const double pre =
-            std::clamp(pre_gain * s2 + (0.0 + pre_rms * npre_p[i]),
-                       -PreAmplifier::kRail, PreAmplifier::kRail);
-        const double v = pre + cmp_off + (0.0 + cmp_rms * ncmp_p[i]);
-        double yq;
-        if (cmp_clk) {
-          yq = v >= 0.0 ? 1.0 : -1.0;
-        } else if (cmp_value_used) {
-          yq = Comparator::kBufferRail * std::tanh(v);
-        } else {
-          yq = v >= 0.0 ? 1.0 : -1.0;
-        }
-
-        // DAC drives the delay line whether or not the loop is closed.
-        const double fbv =
-            (yq >= 0.0 ? dac_lp : dac_lm) + (0.0 + dac_rms * ndac_p[i]);
-        lane.dpos = (lane.dpos + 1) % kDelayDepth;
-        lane.dbuf[lane.dpos] = fbv;
-
-        double out = yq;
-        switch (mux) {
-          case 1:
-            out = Comparator::kBufferRail * (s1 / Resonator::kStateRail);
-            break;
-          case 2:
-            out = Comparator::kBufferRail * (pre / PreAmplifier::kRail);
-            break;
-          case 3:
-            out = 0.0;
-            break;
-          default:
-            break;
-        }
-        if (buf_in) {
-          out = std::clamp(buf_gain * out + (0.0 + buf_rms * nbuf_p[i]),
-                           -OutputBuffer::kRail, OutputBuffer::kRail);
-        }
-
-        if (!run_backend) {
-          if (at >= settle) mod_lane[at - settle] = out;
-          continue;
-        }
-        if (at < settle) continue;
-
-        // ---- digital backend (this lane) ----------------------------
-        // Schmitt lane.slicer.
-        if (out > DigitalBackend::kLogicVih) {
-          lane.slicer = 1.0;
-        } else if (out < DigitalBackend::kLogicVil) {
-          lane.slicer = -1.0;
-        }
-        // fs/4 mixer: the LO samples are exact, one component is
-        // always 0.
-        double acc_re, acc_im;
-        switch (lane.mix_phase) {
-          case 0:
-            acc_re = lane.slicer;
-            acc_im = 0.0;
-            break;
-          case 1:
-            acc_re = 0.0;
-            acc_im = -lane.slicer;
-            break;
-          case 2:
-            acc_re = -lane.slicer;
-            acc_im = 0.0;
-            break;
-          default:
-            acc_re = 0.0;
-            acc_im = lane.slicer;
-            break;
-        }
-        lane.mix_phase = (lane.mix_phase + 1) & 3u;
-
-        // CIC integrators run every sample.
-        for (std::size_t s = 0; s < DigitalBackend::kCicStages; ++s) {
-          lane.ci_re[s] += acc_re;
-          acc_re = lane.ci_re[s];
-          lane.ci_im[s] += acc_im;
-          acc_im = lane.ci_im[s];
-        }
-        if (++lane.cic_phase < DigitalBackend::kCicFactor) continue;
-        lane.cic_phase = 0;
-        for (std::size_t s = 0; s < DigitalBackend::kCicStages; ++s) {
-          const double prev_r = lane.cb_re[s];
-          lane.cb_re[s] = acc_re;
-          acc_re = acc_re - prev_r;
-          const double prev_i = lane.cb_im[s];
-          lane.cb_im[s] = acc_im;
-          acc_im = acc_im - prev_i;
-        }
-        acc_re *= cic_inv_gain;
-        acc_im *= cic_inv_gain;
-
-        // Half-band stage 1: history advances on every CIC output, the
-        // dot product fires every second one (DecimatingFir semantics,
-        // including the shorter dot while the history fills).
-        lane.h1_re[lane.h1_next] = acc_re;
-        lane.h1_im[lane.h1_next] = acc_im;
-        const std::size_t h1_newest = lane.h1_next;
-        lane.h1_next = (lane.h1_next + 1) % kHbTaps;
-        if (lane.h1_count < kHbTaps) ++lane.h1_count;
-        if (++lane.h1_phase < 2) continue;
-        lane.h1_phase = 0;
-        acc_re = 0.0;
-        acc_im = 0.0;
-        {
-          std::size_t slot = h1_newest;
-          for (std::size_t t = 0; t < lane.h1_count; ++t) {
-            acc_re += lane.h1_re[slot] * hb[t];
-            acc_im += lane.h1_im[slot] * hb[t];
-            slot = slot == 0 ? kHbTaps - 1 : slot - 1;
+        // ---- pass 1: stateless front end (VGLNA + transconductor) ---
+        if (!have_u) {
+          have_u = true;
+          if (gmin_en_[l] == 0) {
+            // A disabled transconductor pins the loop signal to zero,
+            // which makes the whole VGLNA cascade dead code.
+            std::fill_n(u_buf.begin(), m, 0.0);
+          } else {
+            const Vglna::Stage st = vg_stage_[l];
+            const double vg_rms = vg_rms_[l];
+            const double gm_eff = gm_eff_[l];
+            const double gm_iip3 = gm_iip3_[l];
+            const double gm_rms = gm_rms_[l];
+            for (std::size_t k = 0; k < m; ++k) {
+              u_buf[k] = rf_p[base + k] + (0.0 + vg_rms * nvg_p[base + k]);
+            }
+            for (unsigned s = 0; s < Vglna::kNumStages; ++s) {
+              for (std::size_t k = 0; k < m; ++k) {
+                u_buf[k] = st.process(u_buf[k]);
+              }
+            }
+            for (std::size_t k = 0; k < m; ++k) {
+              u_buf[k] = gm_eff * cubic_soft(u_buf[k], gm_iip3) +
+                         (0.0 + gm_rms * ngm_p[base + k]);
+            }
           }
         }
 
-        // Half-band stage 2.
-        lane.h2_re[lane.h2_next] = acc_re;
-        lane.h2_im[lane.h2_next] = acc_im;
-        const std::size_t h2_newest = lane.h2_next;
-        lane.h2_next = (lane.h2_next + 1) % kHbTaps;
-        if (lane.h2_count < kHbTaps) ++lane.h2_count;
-        if (++lane.h2_phase < 2) continue;
-        lane.h2_phase = 0;
-        acc_re = 0.0;
-        acc_im = 0.0;
-        {
-          std::size_t slot = h2_newest;
-          for (std::size_t t = 0; t < lane.h2_count; ++t) {
-            acc_re += lane.h2_re[slot] * hb[t];
-            acc_im += lane.h2_im[slot] * hb[t];
-            slot = slot == 0 ? kHbTaps - 1 : slot - 1;
+        // ---- per-lane constants -> registers ------------------------
+        LaneState lane = state[l];
+        const bool fb_en = fb_en_[l] != 0;
+        const double cos1 = cos1_[l], rad1 = rad1_[l];
+        const double cos2 = cos2_[l], rad2 = rad2_[l];
+        const double pre_gain = pre_gain_[l], pre_rms = pre_rms_[l];
+        const double cmp_off = cmp_off_[l], cmp_rms = cmp_rms_[l];
+        const bool cmp_clk = cmp_clk_[l] != 0;
+        const double dac_lp = dac_lp_[l], dac_lm = dac_lm_[l];
+        const double dac_rms = dac_rms_[l];
+        const std::size_t dly_whole = dly_whole_[l];
+        const double dly_frac = dly_frac_[l];
+        const std::uint8_t mux = mux_[l];
+        const bool buf_in = buf_in_[l] != 0;
+        const double buf_gain = buf_gain_[l], buf_rms = buf_rms_[l];
+        // The comparator's analog (unclocked) value only reaches the
+        // output when the test mux selects it; otherwise downstream code
+        // consumes nothing but sign(yq), and tanh is odd and monotone
+        // with tanh(0) == 0, so the sign of its argument stands in
+        // bit-exactly.
+        const bool cmp_value_used = mux == 0;
+
+        double* mod_lane = run_backend ? nullptr : &mod_out[l * n_mod];
+        std::complex<double>* bb_lane =
+            run_backend ? &bb_out[l * baseband_points] : nullptr;
+
+        // ---- pass 2: stateful loop + digital backend ----------------
+          for (std::size_t k = 0; k < m; ++k) {
+            const std::size_t i = base + k;
+            const std::size_t at = offset + i;  // index in the whole transient
+            const double u = u_buf[k];
+
+            // Feedback sample from the fractional delay line.
+            double fb = 0.0;
+            if (fb_en) {
+              const std::size_t i0 =
+                  (lane.dpos + kDelayDepth - dly_whole) % kDelayDepth;
+              const std::size_t i1 =
+                  (lane.dpos + kDelayDepth - dly_whole - 1) % kDelayDepth;
+              fb = (1.0 - dly_frac) * lane.dbuf[i0] + dly_frac * lane.dbuf[i1];
+            }
+
+            const double s1 = Resonator::advance(
+                lane.r1s1, lane.r1s2, cos1, rad1,
+                -(lane.u_hist - fb) +
+                    (0.0 + BpSigmaDelta::kTankNoiseRms * nt1_p[i]));
+            const double s2 = Resonator::advance(
+                lane.r2s1, lane.r2s2, cos2, rad2,
+                -(lane.s1_hist - 2.0 * fb) +
+                    (0.0 + BpSigmaDelta::kTankNoiseRms * nt2_p[i]));
+            lane.u_hist = lane.u1;
+            lane.u1 = u;
+            lane.s1_hist = lane.s11;
+            lane.s11 = s1;
+
+            // Quantizer path.
+            const double pre =
+                std::clamp(pre_gain * s2 + (0.0 + pre_rms * npre_p[i]),
+                           -PreAmplifier::kRail, PreAmplifier::kRail);
+            const double v = pre + cmp_off + (0.0 + cmp_rms * ncmp_p[i]);
+            double yq;
+            if (cmp_clk) {
+              yq = v >= 0.0 ? 1.0 : -1.0;
+            } else if (cmp_value_used) {
+              yq = Comparator::kBufferRail * std::tanh(v);
+            } else {
+              yq = v >= 0.0 ? 1.0 : -1.0;
+            }
+
+            // DAC drives the delay line whether or not the loop is closed.
+            const double fbv =
+                (yq >= 0.0 ? dac_lp : dac_lm) + (0.0 + dac_rms * ndac_p[i]);
+            lane.dpos = (lane.dpos + 1) % kDelayDepth;
+            lane.dbuf[lane.dpos] = fbv;
+
+            double out = yq;
+            switch (mux) {
+              case 1:
+                out = Comparator::kBufferRail * (s1 / Resonator::kStateRail);
+                break;
+              case 2:
+                out = Comparator::kBufferRail * (pre / PreAmplifier::kRail);
+                break;
+              case 3:
+                out = 0.0;
+                break;
+              default:
+                break;
+            }
+            if (buf_in) {
+              out = std::clamp(buf_gain * out + (0.0 + buf_rms * nbuf_p[i]),
+                               -OutputBuffer::kRail, OutputBuffer::kRail);
+            }
+
+            if (!run_backend) {
+              if (at >= settle) mod_lane[at - settle] = out;
+              continue;
+            }
+            if (at < settle) continue;
+
+            // ---- digital backend (this lane) ----------------------------
+            // Schmitt lane.slicer.
+            if (out > DigitalBackend::kLogicVih) {
+              lane.slicer = 1.0;
+            } else if (out < DigitalBackend::kLogicVil) {
+              lane.slicer = -1.0;
+            }
+            // fs/4 mixer: the LO samples are exact, one component is
+            // always 0.
+            double acc_re, acc_im;
+            switch (lane.mix_phase) {
+              case 0:
+                acc_re = lane.slicer;
+                acc_im = 0.0;
+                break;
+              case 1:
+                acc_re = 0.0;
+                acc_im = -lane.slicer;
+                break;
+              case 2:
+                acc_re = -lane.slicer;
+                acc_im = 0.0;
+                break;
+              default:
+                acc_re = 0.0;
+                acc_im = lane.slicer;
+                break;
+            }
+            lane.mix_phase = (lane.mix_phase + 1) & 3u;
+
+            // CIC integrators run every sample.
+            for (std::size_t s = 0; s < DigitalBackend::kCicStages; ++s) {
+              lane.ci_re[s] += acc_re;
+              acc_re = lane.ci_re[s];
+              lane.ci_im[s] += acc_im;
+              acc_im = lane.ci_im[s];
+            }
+            if (++lane.cic_phase < DigitalBackend::kCicFactor) continue;
+            lane.cic_phase = 0;
+            for (std::size_t s = 0; s < DigitalBackend::kCicStages; ++s) {
+              const double prev_r = lane.cb_re[s];
+              lane.cb_re[s] = acc_re;
+              acc_re = acc_re - prev_r;
+              const double prev_i = lane.cb_im[s];
+              lane.cb_im[s] = acc_im;
+              acc_im = acc_im - prev_i;
+            }
+            acc_re *= cic_inv_gain;
+            acc_im *= cic_inv_gain;
+
+            // Half-band stage 1: history advances on every CIC output, the
+            // dot product fires every second one (DecimatingFir semantics,
+            // including the shorter dot while the history fills).
+            lane.h1_re[lane.h1_next] = acc_re;
+            lane.h1_im[lane.h1_next] = acc_im;
+            const std::size_t h1_newest = lane.h1_next;
+            lane.h1_next = (lane.h1_next + 1) % kHbTaps;
+            if (lane.h1_count < kHbTaps) ++lane.h1_count;
+            if (++lane.h1_phase < 2) continue;
+            lane.h1_phase = 0;
+            acc_re = 0.0;
+            acc_im = 0.0;
+            {
+              std::size_t slot = h1_newest;
+              for (std::size_t t = 0; t < lane.h1_count; ++t) {
+                acc_re += lane.h1_re[slot] * hb[t];
+                acc_im += lane.h1_im[slot] * hb[t];
+                slot = slot == 0 ? kHbTaps - 1 : slot - 1;
+              }
+            }
+
+            // Half-band stage 2.
+            lane.h2_re[lane.h2_next] = acc_re;
+            lane.h2_im[lane.h2_next] = acc_im;
+            const std::size_t h2_newest = lane.h2_next;
+            lane.h2_next = (lane.h2_next + 1) % kHbTaps;
+            if (lane.h2_count < kHbTaps) ++lane.h2_count;
+            if (++lane.h2_phase < 2) continue;
+            lane.h2_phase = 0;
+            acc_re = 0.0;
+            acc_im = 0.0;
+            {
+              std::size_t slot = h2_newest;
+              for (std::size_t t = 0; t < lane.h2_count; ++t) {
+                acc_re += lane.h2_re[slot] * hb[t];
+                acc_im += lane.h2_im[slot] * hb[t];
+                slot = slot == 0 ? kHbTaps - 1 : slot - 1;
+              }
+            }
+
+            // Channel FIR (fixed-length circular history, zero-filled).
+            lane.ch_re[lane.ch_pos] = acc_re;
+            lane.ch_im[lane.ch_pos] = acc_im;
+            double out_re = 0.0, out_im = 0.0;
+            std::size_t idx = lane.ch_pos;
+            for (std::size_t t = 0; t < n_ch_taps; ++t) {
+              out_re += lane.ch_re[idx] * ch_taps[t];
+              out_im += lane.ch_im[idx] * ch_taps[t];
+              idx = idx == 0 ? kChannelTaps - 1 : idx - 1;
+            }
+            lane.ch_pos = (lane.ch_pos + 1) % kChannelTaps;
+
+            if (lane.produced >= settle_baseband &&
+                lane.produced - settle_baseband < baseband_points) {
+              bb_lane[lane.produced - settle_baseband] = {out_re, out_im};
+            }
+            ++lane.produced;
+            if (lane.produced >= bb_needed) {
+              lane.done = true;
+              break;
+            }
           }
-        }
 
-        // Channel FIR (fixed-length circular history, zero-filled).
-        lane.ch_re[lane.ch_pos] = acc_re;
-        lane.ch_im[lane.ch_pos] = acc_im;
-        double out_re = 0.0, out_im = 0.0;
-        std::size_t idx = lane.ch_pos;
-        for (std::size_t t = 0; t < n_ch_taps; ++t) {
-          out_re += lane.ch_re[idx] * ch_taps[t];
-          out_im += lane.ch_im[idx] * ch_taps[t];
-          idx = idx == 0 ? kChannelTaps - 1 : idx - 1;
-        }
-        lane.ch_pos = (lane.ch_pos + 1) % kChannelTaps;
-
-        if (lane.produced >= settle_baseband &&
-            lane.produced - settle_baseband < baseband_points) {
-          bb_lane[lane.produced - settle_baseband] = {out_re, out_im};
-        }
-        ++lane.produced;
-        if (lane.produced >= bb_needed) {
-          lane.done = true;
-          break;
-        }
+        state[l] = lane;
       }
     }
-
-    state[l] = lane;
   }
 }
 

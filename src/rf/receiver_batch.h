@@ -47,11 +47,26 @@
 // and of the window length by construction. The windows are sized on
 // the calling thread and kept across captures.
 //
+// Inside a window each worker steps its lanes chunk by chunk (4096
+// samples), and within a chunk front end by front end. The stateless
+// VGLNA/transconductor front end ("pass 1") turns the stimulus and the
+// shared VGLNA and Gmin noise into the loop signal, stage-major over the
+// chunk; the stateful loop and digital backend ("pass 2") then consume
+// it lane by lane. `configure` gives two lanes one front-end id when
+// their harvested VGLNA stage, VGLNA noise RMS and transconductor gain,
+// IIP3 amplitude and noise RMS are bitwise equal; every Gmin-off lane
+// shares one id, whose loop signal is zero. Equal constants through the
+// same expressions give equal bits, so a worker runs pass 1 once per id
+// and chunk for all of that id's lanes. Ids compare harvested constants,
+// never key fields, so property 3 still holds. Near-key batches share
+// most front ends: only the VGLNA gain and Gmin bias fields feed one.
+//
 // Every capture charges its work counters on the calling thread:
-// `rf.batch.lane_samples`, `rf.batch.noise_samples` and
+// `rf.batch.lane_samples`, `rf.batch.noise_samples`,
 // `rf.batch.signature_groups`, the number of distinct (gmin_enable,
 // feedback_enable, comp_clock_enable, test_mux, buffer_in_path) control
-// signatures among the lanes.
+// signatures among the lanes, and `rf.batch.front_ends`, the number of
+// distinct front-end ids among them.
 #pragma once
 
 #include <array>
@@ -155,7 +170,8 @@ class ReceiverBatch {
   void fill_noise(std::size_t m, par::ThreadPool& pool);
 
   /// Advances lanes [begin, end) through samples [offset, offset +
-  /// window) of the transient, resuming from and saving back `state[l]`.
+  /// window) of the transient, chunk by chunk and, within a chunk, grouped
+  /// by front-end id, resuming from and saving back `state[l]`.
   /// The noise windows hold those samples' deviates. When `run_backend`
   /// is false, writes post-settle modulator outputs into `mod_out`
   /// (lane-major, n - settle per lane); otherwise runs the digital
@@ -195,6 +211,10 @@ class ReceiverBatch {
   std::vector<double> buf_gain_, buf_rms_;
   /// Distinct control signatures among the lanes (see the header).
   std::uint64_t signature_groups_ = 0;
+  /// Per-lane front-end id, numbered in first-lane order, and the number
+  /// of distinct front ends (see the header).
+  std::vector<std::size_t> fe_id_;
+  std::size_t front_ends_ = 0;
   /// Lanes agree on gmin_enable and buffer_in_path, so a capture leaves
   /// every lane's streams where its scalar chip would leave them.
   bool lanes_agree_ = true;

@@ -582,6 +582,144 @@ TEST(ReceiverBatch, ChargesSignatureGroupsPerCapture) {
   EXPECT_EQ(third, 3u);
 }
 
+TEST(ReceiverBatch, ChargesFrontEndsPerCapture) {
+  // Every capture charges the number of distinct pass-1 front ends among
+  // its lanes: the VGLNA gain and Gmin bias codes split them, tank codes
+  // do not, and every Gmin-off lane shares one.
+  obs::Registry& reg = obs::registry();
+  const bool was_enabled = reg.enabled();
+  reg.reset_values();
+  reg.set_enabled(true);
+
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(914);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  rf::ReceiverConfig base;
+  rf::ReceiverConfig retuned = base;
+  retuned.modulator.cap_coarse = 200;
+  retuned.modulator.q_enh = 40;
+  rf::ReceiverConfig louder = base;
+  louder.vglna_gain = 12;
+  rf::ReceiverConfig biased = base;
+  biased.modulator.gmin_bias = 40;
+  rf::ReceiverConfig no_gmin = base;
+  no_gmin.modulator.gmin_enable = false;
+  rf::ReceiverConfig no_gmin_louder = louder;
+  no_gmin_louder.modulator.gmin_enable = false;
+
+  const std::vector<rf::ReceiverConfig> one = {base, retuned, base};
+  rf::ReceiverBatch batch(standard, pv, chip_rng.fork("chip"), one);
+  par::ThreadPool pool(2);
+  const std::vector<double> zeros(3000, 0.0);
+  const auto front_ends = [&reg] {
+    return reg.counter("rf.batch.front_ends").value();
+  };
+  (void)batch.capture_modulator(zeros, 100, pool);
+  const std::uint64_t first = front_ends();
+  const std::vector<rf::ReceiverConfig> three = {base, louder, biased,
+                                                 retuned, louder};
+  batch.configure(three);
+  (void)batch.capture_modulator(zeros, 100, pool);
+  const std::uint64_t second = front_ends() - first;
+  // Lanes that disagree on Gmin end the batch's captures.
+  const std::vector<rf::ReceiverConfig> two = {no_gmin, no_gmin_louder, base};
+  batch.configure(two);
+  (void)batch.capture_modulator(zeros, 100, pool);
+  const std::uint64_t third = front_ends() - first - second;
+
+  reg.set_enabled(was_enabled);
+  reg.reset_values();
+  EXPECT_EQ(first, 1u);
+  EXPECT_EQ(second, 3u);
+  EXPECT_EQ(third, 2u);
+}
+
+TEST(ReceiverBatch, SharedFrontEndsMatchReceiver) {
+  // Lanes interleave shared and distinct front ends — A, B, A, Gmin-off,
+  // C, A, Gmin-off — so a worker's lanes reuse one pass-1 buffer, switch
+  // between buffers and skip pass 1, in every split across 1, 2 and 7
+  // workers. The A lanes differ in their tank codes, the Gmin-off lanes
+  // in everything pass 1 would read. Every lane of every capture matches
+  // its scalar chip to the last bit, across chunk and window boundaries.
+  constexpr std::size_t kChunk = 4096;
+  constexpr std::size_t kWindow = rf::ReceiverBatch::kNoiseWindow;
+  constexpr std::size_t kSettle = 100;
+  constexpr std::size_t kSettleBaseband = 16;
+  constexpr std::size_t kPoints = 256;
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(915);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const sim::Rng rng = chip_rng.fork("chip");
+
+  rf::ReceiverConfig a;
+  a.digital_mode = standard.digital_mode;
+  const auto retune = [](rf::ReceiverConfig c, std::uint32_t coarse) {
+    c.modulator.cap_coarse = coarse;
+    return c;
+  };
+  rf::ReceiverConfig b = a;
+  b.vglna_gain = 13;
+  rf::ReceiverConfig c = a;
+  c.modulator.gmin_bias = 20;
+  rf::ReceiverConfig off_a = a;
+  off_a.modulator.gmin_enable = false;
+  rf::ReceiverConfig off_b = retune(b, 3);
+  off_b.modulator.gmin_bias = 50;
+  off_b.modulator.gmin_enable = false;
+  const std::vector<rf::ReceiverConfig> configs = {
+      a, b, retune(a, 2), off_a, c, retune(a, 5), off_b};
+
+  // Each capture mixes Gmin on and off, so it is its batch's last.
+  const auto check = [&](std::size_t n, std::size_t baseband_points,
+                         par::ThreadPool& pool) {
+    const auto rf_in = chunk_test_tone(standard, n);
+    rf::ReceiverBatch batch(standard, pv, rng, configs);
+    std::vector<double> got;
+    if (baseband_points == 0) {
+      got = batch.capture_modulator(rf_in, kSettle, pool);
+    } else {
+      for (const auto& z : batch.capture_receiver(
+               rf_in, kSettle, baseband_points, kSettleBaseband, pool)) {
+        got.push_back(z.real());
+        got.push_back(z.imag());
+      }
+    }
+    const std::size_t per_lane = got.size() / configs.size();
+    for (std::size_t l = 0; l < configs.size(); ++l) {
+      rf::Receiver ref(standard, pv, rng);
+      ref.configure(configs[l]);
+      std::vector<double> want;
+      if (baseband_points == 0) {
+        want = ref.capture_modulator(rf_in, kSettle).output;
+      } else {
+        const auto bb = ref.capture_receiver(rf_in, kSettle, kSettleBaseband)
+                            .baseband.samples;
+        for (std::size_t i = 0; i < baseband_points; ++i) {
+          want.push_back(bb[i].real());
+          want.push_back(bb[i].imag());
+        }
+      }
+      ASSERT_EQ(want.size(), per_lane);
+      EXPECT_EQ(first_mismatch(
+                    std::span<const double>(got).subspan(l * per_lane,
+                                                         per_lane),
+                    want),
+                per_lane)
+          << "n=" << n << " baseband=" << baseband_points
+          << " threads=" << pool.size() << " lane=" << l;
+    }
+  };
+  for (const std::size_t threads : {1u, 2u, 7u}) {
+    par::ThreadPool pool(threads);
+    for (const std::size_t n : {std::size_t{1000}, 2 * kChunk + 5,
+                                kWindow + kChunk + 17}) {
+      check(n, 0, pool);
+    }
+    check(rf::receiver_input_length(kPoints, kSettle, kSettleBaseband),
+          kPoints, pool);
+  }
+}
+
 // ---------------------------------------------------------------------
 // BatchEvaluator parity
 // ---------------------------------------------------------------------
@@ -681,9 +819,22 @@ TEST(BatchEvaluator, DefaultOptionsMatchScalar) {
 }
 
 TEST(BatchEvaluator, ResultsIndependentOfThreadCount) {
-  // Nine keys split unevenly across 3 and across 7 workers, both in the
-  // transient and in the batch periodograms.
-  const auto keys = test_keys(505, 4);
+  // Fifteen keys split unevenly across 3 and across 7 workers, both in
+  // the transient and in the batch periodograms. The last six sit near
+  // the random base key with its Gmin on: most share that front end, one
+  // changes the VGLNA gain and one the Gmin bias, so workers reuse and
+  // switch pass-1 buffers.
+  using L = lock::KeyLayout;
+  auto keys = test_keys(505, 4);
+  const Key64 base = keys[1].with_bit(L::kGminEnable, true);
+  const auto flip = [&base](unsigned bit) {
+    return base.with_bit(bit, !base.bit(bit));
+  };
+  for (const unsigned bit : {L::kCapCoarse.lsb + 1, L::kVglnaGain.lsb,
+                             L::kCapFine.lsb + 3, L::kGminBias.lsb + 2,
+                             L::kQEnh.lsb, L::kPreampBias.lsb + 1}) {
+    keys.push_back(flip(bit));
+  }
   sim::Rng chip_rng(77);
   const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
 

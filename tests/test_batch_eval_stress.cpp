@@ -14,6 +14,7 @@
 #include "dsp/spectrum.h"
 #include "lock/batch_evaluator.h"
 #include "lock/evaluator.h"
+#include "lock/key_layout.h"
 #include "par/thread_pool.h"
 #include "rf/receiver.h"
 #include "rf/receiver_batch.h"
@@ -66,9 +67,19 @@ TEST(BatchStress, BatchedEvaluationUnderThreads) {
   par::ThreadPool pool(4);
   lock::BatchEvaluator batch(ev, &pool);
 
+  // Twelve random keys, then eight near the first with its Gmin on: most
+  // share that front end, so the workers reuse and switch pass-1 buffers.
+  using L = lock::KeyLayout;
   sim::Rng key_rng(17);
   std::vector<Key64> keys;
   for (int i = 0; i < 12; ++i) keys.push_back(Key64::random(key_rng));
+  const Key64 base = keys[0].with_bit(L::kGminEnable, true);
+  for (const unsigned bit :
+       {L::kCapCoarse.lsb, L::kCapFine.lsb + 2, L::kVglnaGain.lsb + 1,
+        L::kQEnh.lsb + 1, L::kDacBias.lsb, L::kGminBias.lsb,
+        L::kCapCoarse.lsb + 5, L::kLoopDelay.lsb}) {
+    keys.push_back(base.with_bit(bit, !base.bit(bit)));
+  }
   const auto reports = batch.evaluate_batch(keys);
   ASSERT_EQ(reports.size(), keys.size());
   const auto again = batch.evaluate_batch(keys);

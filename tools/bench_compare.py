@@ -17,6 +17,10 @@ found, unless --warn-only is given. Counter medians (cycles,
 instructions) ride along as informational columns when both sides
 recorded hardware counters.
 
+A baseline case measured over fewer than MIN_BASELINE_REPS reps has no
+usable MAD, so the whole diff fails (exit 2) whatever --warn-only says;
+the candidate side may be a single-rep smoke run.
+
 Usage:
   bench_compare.py BASELINE CANDIDATE [--threshold PCT] [--warn-only]
 
@@ -31,6 +35,7 @@ import os
 import sys
 
 MAD_TO_SIGMA = 1.4826  # consistency constant for normally distributed data
+MIN_BASELINE_REPS = 3
 
 
 def fail(msg: str) -> None:
@@ -159,6 +164,11 @@ def main() -> None:
 
     base = load_side([args.baseline])
     cand = load_side([args.candidate])
+    for (bench, case), stats in sorted(base.items()):
+        reps = stats["wall_ms"].get("n", 0)
+        if reps < MIN_BASELINE_REPS:
+            fail(f"baseline case {bench}:{case} has wall_ms.n = {reps}; "
+                 f"a baseline needs at least {MIN_BASELINE_REPS} reps")
 
     rows = []
     regressions = 0
