@@ -8,14 +8,23 @@
 // (tests/reference_oracle.h) on the exact workload being timed, so the
 // reported numbers are for an identical-output computation by
 // construction.
+//
+// Two layer cases follow at 1, 2 and 4 threads: `osc_reading_t*`, one
+// 36864-sample oscillation-mode capture of a one-lane chip (a
+// calibration tank-tuning reading), and `fft_real_8192_t*`, the lanes'
+// 8192-point real-FFT periodograms sharded across the pool.
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "calib/oscillation_tuner.h"
+#include "dsp/spectrum.h"
 #include "lock/batch_evaluator.h"
 #include "par/thread_pool.h"
 #include "reference_oracle.h"
+#include "rf/receiver_batch.h"
 
 namespace {
 // Streams this bench's event record to bench_batch_eval.jsonl.
@@ -150,5 +159,48 @@ int main() {
       "snr_mod_batch_tmax",
       [&] { bench::do_not_optimize(batchn.snr_modulator_db(setup.keys)); },
       tmax_opt);
+
+  // Layer cases. An oscillation reading as the tank tuners take it:
+  // 4096 settle samples plus a 32768-point measurement.
+  constexpr std::size_t kOscSettle = 4096;
+  const std::vector<double> osc_zeros(kOscSettle + 32768, 0.0);
+  std::vector<rf::ReceiverConfig> osc_cfg(1);
+  osc_cfg[0].modulator = calib::oscillation_mode_config(9, 128, 63);
+  rf::ReceiverBatch osc_chip(standard, setup.pv, setup.chip_rng);
+  osc_chip.configure(osc_cfg);
+  // The screens' spectra: Hann-windowed 8192-point real periodograms of
+  // the lanes' signals, each one real FFT plus the window and |X|^2.
+  constexpr std::size_t kFftPoints = 8192;
+  constexpr std::size_t kFftSweeps = 4;
+  std::vector<double> fft_in(lanes * kFftPoints);
+  sim::Rng fft_rng(bench::kBenchSeed);
+  for (double& v : fft_in) v = fft_rng.uniform(-1.0, 1.0);
+  par::ThreadPool pool2(2);
+  par::ThreadPool pool4(4);
+  for (par::ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+    const std::size_t t = pool->size();
+    bench::CaseOptions osc_opt;
+    osc_opt.notes = {{"lanes", 1.0}, {"threads", static_cast<double>(t)}};
+    h.add_case(
+        "osc_reading_t" + std::to_string(t),
+        [&, pool] {
+          bench::do_not_optimize(
+              osc_chip.capture_modulator(osc_zeros, kOscSettle, *pool));
+        },
+        osc_opt);
+    bench::CaseOptions fft_opt;
+    fft_opt.ops_per_rep = lanes_d * kFftSweeps;
+    fft_opt.notes = {{"lanes", lanes_d}, {"threads", static_cast<double>(t)}};
+    h.add_case(
+        "fft_real_8192_t" + std::to_string(t),
+        [&, pool] {
+          for (std::size_t sweep = 0; sweep < kFftSweeps; ++sweep) {
+            bench::do_not_optimize(dsp::Periodogram::many_real(
+                fft_in, lanes, standard.fs_hz(), dsp::WindowKind::kHann,
+                *pool));
+          }
+        },
+        fft_opt);
+  }
   return h.run();
 }

@@ -14,7 +14,7 @@
 
 // DSP substrate: FFT, spectral metrology, filters, mixers, stimuli.
 #include "dsp/cic.h"
-#include "dsp/fft.h"
+#include "dsp/fft_plan.h"
 #include "dsp/fir.h"
 #include "dsp/iir.h"
 #include "dsp/mixer.h"

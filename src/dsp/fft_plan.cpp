@@ -10,8 +10,8 @@ namespace analock::dsp {
 
 FftPlan::FftPlan(std::size_t n) : n_(n) {
   assert(is_power_of_two(n) && "FFT plan size must be a power of two");
-  // Same permutation walk as fft.cpp's bit_reverse_permute, recorded as
-  // swap pairs so run() replays it without re-deriving indices.
+  // The classic in-place bit-reversal walk, recorded as swap pairs so
+  // run() replays it without re-deriving indices.
   std::size_t j = 0;
   for (std::size_t i = 1; i < n; ++i) {
     std::size_t bit = n >> 1;
@@ -22,8 +22,8 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
                           static_cast<std::uint32_t>(j));
     }
   }
-  // Twiddles per stage, same expression as fft.cpp's twiddles_for so the
-  // values (and therefore the butterflies) match bit-for-bit.
+  // Twiddles per stage, e^{-j pi k / half}: the reference FFT's values,
+  // so the butterflies match it bit for bit.
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const std::size_t half = len >> 1;
     std::vector<cplx> tw(half);
@@ -44,13 +44,20 @@ void FftPlan::run(std::span<cplx> data) const {
   std::size_t stage = 0;
   for (std::size_t len = 2; len <= n_; len <<= 1, ++stage) {
     const std::size_t half = len >> 1;
-    const std::vector<cplx>& tw = stage_tw_[stage];
+    const cplx* tw = stage_tw_[stage].data();
     for (std::size_t block = 0; block < n_; block += len) {
+      cplx* lo = data.data() + block;
+      cplx* hi = lo + half;
       for (std::size_t k = 0; k < half; ++k) {
-        const cplx odd = data[block + k + half] * tw[k];
-        const cplx even = data[block + k];
-        data[block + k] = even + odd;
-        data[block + k + half] = even - odd;
+        // odd = hi[k] * tw[k], even = lo[k]; see the header for why the
+        // product is spelled out.
+        const double xr = hi[k].real(), xi = hi[k].imag();
+        const double wr = tw[k].real(), wi = tw[k].imag();
+        const double odd_re = xr * wr - xi * wi;
+        const double odd_im = xr * wi + xi * wr;
+        const double even_re = lo[k].real(), even_im = lo[k].imag();
+        lo[k] = {even_re + odd_re, even_im + odd_im};
+        hi[k] = {even_re - odd_re, even_im - odd_im};
       }
     }
   }
@@ -103,8 +110,12 @@ void RealFftPlan::run(std::span<const double> input, std::span<cplx> out,
   const auto unpack = [this](cplx zk, cplx zc, std::size_t k) {
     const cplx even = (zk + zc) * 0.5;
     const cplx diff = (zk - zc) * 0.5;
-    const cplx odd = {diff.imag(), -diff.real()};  // -j * diff
-    return even + unpack_tw_[k] * odd;
+    // odd = -j * diff; the twiddle product w * odd is spelled out as in
+    // FftPlan::run.
+    const double odd_re = diff.imag(), odd_im = -diff.real();
+    const double wr = unpack_tw_[k].real(), wi = unpack_tw_[k].imag();
+    return cplx{even.real() + (wr * odd_re - wi * odd_im),
+                even.imag() + (wr * odd_im + wi * odd_re)};
   };
   const cplx z0 = z[0];
   out[0] = {z0.real() + z0.imag(), 0.0};

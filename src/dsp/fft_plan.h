@@ -1,14 +1,21 @@
-// Plan-based FFTs for the batched evaluation engine.
+// Radix-2 FFT plans: the library's only FFT.
 //
-// `fft_inplace` (fft.h) recomputes its table lookups through a shared,
-// mutex-guarded twiddle cache on every call. A plan precomputes the
+// Sized for the paper's metrology: 8192-point transforms of the
+// modulator bitstream. Power-of-two sizes only. A plan precomputes the
 // bit-reverse permutation and per-stage twiddle tables once, owns them,
 // and is immutable afterwards: `run()` is const and safe to call from
 // any number of threads concurrently.
 //
-// `FftPlan::run` performs bit-identical arithmetic to `fft_inplace`
-// (same butterfly expressions, same twiddle values), so plan-based and
-// legacy callers agree to the last ulp.
+// The butterflies multiply on doubles, (xr*wr - xi*wi, xr*wi + xi*wr),
+// rather than through `std::complex<double>::operator*`. For finite
+// products that is the very formula the compiler's inline complex
+// multiply evaluates, so the bits are the same; what it drops is the
+// Annex G recovery branch (a `__muldc3` call when both parts come out
+// NaN) and the stack round trip the compiler builds around it, which
+// stalled store forwarding on every butterfly. Captures are railed and
+// FFT sums of them stay finite, so the branch never fired.
+// tests/reference_fft.h keeps the `std::complex` FFT as the reference
+// every plan is compared with bit for bit.
 //
 // `RealFftPlan` packs an N-point real transform into one N/2-point
 // complex FFT (real-even packing) and unpacks the half spectrum
@@ -18,15 +25,28 @@
 // shard lanes across pool workers allocate nothing inside them.
 #pragma once
 
+#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "dsp/fft.h"
-
 namespace analock::dsp {
+
+using cplx = std::complex<double>;
+
+/// Returns true if n is a power of two (and nonzero).
+[[nodiscard]] constexpr bool is_power_of_two(std::size_t n) {
+  return n != 0 && (n & (n - 1)) == 0;
+}
+
+/// Next power of two >= n.
+[[nodiscard]] constexpr std::size_t next_power_of_two(std::size_t n) {
+  std::size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
 
 class FftPlan {
  public:
@@ -35,7 +55,7 @@ class FftPlan {
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
-  /// In-place forward DIT radix-2 FFT, bit-identical to fft_inplace.
+  /// In-place forward DIT radix-2 FFT with the e^{-j2pi/N} kernel.
   /// `data.size()` must equal size(). Const and thread-safe.
   void run(std::span<cplx> data) const;
 

@@ -10,7 +10,6 @@
 #include <span>
 #include <vector>
 
-#include "dsp/fft.h"
 #include "dsp/window.h"
 
 namespace analock::dsp {

@@ -24,8 +24,8 @@ double energy_norm(std::span<const double> window) {
 }
 
 /// Per-thread plan caches: no shared mutable state, so the metrology can
-/// run from pool workers without synchronizing on the legacy fft.cpp
-/// twiddle cache. Plans are immutable after construction.
+/// run from pool workers without synchronizing on a shared cache. Plans
+/// are immutable after construction.
 const FftPlan& plan_for(std::size_t n) {
   thread_local std::map<std::size_t, FftPlan> plans;
   auto it = plans.find(n);

@@ -9,7 +9,7 @@
 #include <span>
 #include <vector>
 
-#include "dsp/fft.h"
+#include "dsp/fft_plan.h"
 #include "dsp/window.h"
 #include "par/thread_pool.h"
 

@@ -5,7 +5,7 @@
 //     ...
 //   }
 //
-//   void fft_inplace(...) {
+//   void FftPlan::run(...) const {
 //     ANALOCK_SPAN_QUIET("dsp.fft");        // timed, no per-call event
 //     ...
 //   }

@@ -96,6 +96,8 @@ void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
 
   bool any_gmin = false;
   bool any_buffer = false;
+  bool any_feedback = false;
+  bool any_mux0 = false;
   bool all_gmin = true;
   bool all_buffer = true;
   std::uint64_t signatures = 0;  // one bit per control signature
@@ -143,6 +145,8 @@ void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
 
     any_gmin = any_gmin || mc.gmin_enable;
     any_buffer = any_buffer || mc.buffer_in_path;
+    any_feedback = any_feedback || mc.feedback_enable;
+    any_mux0 = any_mux0 || mux_[l] == 0;
     all_gmin = all_gmin && mc.gmin_enable;
     all_buffer = all_buffer && mc.buffer_in_path;
     signatures |= std::uint64_t{1}
@@ -182,10 +186,35 @@ void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
     }
     if (fe_id_[l] == front_ends_) ++front_ends_;
   }
-  // The VGLNA stream stays needed without Gmin: the scalar VGLNA draws
-  // on every sample.
-  noise_.streams[NoiseStreams::kGm].needed = any_gmin;
-  noise_.streams[NoiseStreams::kBuf].needed = any_buffer;
+  // The VGLNA stream stays drawn without Gmin: the scalar VGLNA draws
+  // on every sample. Lanes read it only in pass 1 (Gmin on), the DAC's
+  // only through a closed loop's delay line, and the comparator's
+  // through a closed loop or the mux-0 output.
+  auto& streams = noise_.streams;
+  streams[NoiseStreams::kGm].drawn = any_gmin;
+  streams[NoiseStreams::kBuf].drawn = any_buffer;
+  streams[NoiseStreams::kVg].read = any_gmin;
+  streams[NoiseStreams::kDac].read = any_feedback;
+  streams[NoiseStreams::kCmp].read = any_feedback || any_mux0;
+  // One task per read stream; unread streams ride along, one per task.
+  // The preamp and both tanks are always read, so every unread stream
+  // finds a task.
+  std::size_t fills = 0;
+  std::size_t skips = 0;
+  for (NoiseStreams::Task& task : noise_.tasks) {
+    task.skip = NoiseStreams::kCount;
+  }
+  for (std::size_t s = 0; s < NoiseStreams::kCount; ++s) {
+    if (!streams[s].drawn) continue;
+    const auto id = static_cast<NoiseStreams::Id>(s);
+    if (streams[s].read) {
+      noise_.tasks[fills++].fill = id;
+    } else {
+      noise_.tasks[skips++].skip = id;
+    }
+  }
+  assert(skips <= fills && "an unread noise stream has no task to ride");
+  noise_.task_count = fills;
 
   channel_taps_ = DigitalBackend::channel_taps_for_mode(digital_mode_);
 }
@@ -194,14 +223,15 @@ ReceiverBatch::NoiseStreams ReceiverBatch::make_noise() const {
   // Same fork chains the scalar Receiver/BpSigmaDelta constructors walk.
   const sim::Rng mod_rng = rng_.fork("receiver-modulator");
   return {{{
-      {rng_.fork("receiver-vglna").fork("vglna-noise"), true, {}},
-      {mod_rng.fork("sd-gmin").fork("gmin-noise"), true, {}},
-      {mod_rng.fork("sd-preamp").fork("preamp-noise"), true, {}},
-      {mod_rng.fork("sd-comparator").fork("comparator-noise"), true, {}},
-      {mod_rng.fork("sd-dac").fork("dac-noise"), true, {}},
-      {mod_rng.fork("sd-buffer").fork("buffer-noise"), true, {}},
-      {mod_rng.fork("sd-tank1"), true, {}},
-      {mod_rng.fork("sd-tank2"), true, {}},
+      {rng_.fork("receiver-vglna").fork("vglna-noise"), true, true, {}},
+      {mod_rng.fork("sd-gmin").fork("gmin-noise"), true, true, {}},
+      {mod_rng.fork("sd-preamp").fork("preamp-noise"), true, true, {}},
+      {mod_rng.fork("sd-comparator").fork("comparator-noise"), true, true,
+       {}},
+      {mod_rng.fork("sd-dac").fork("dac-noise"), true, true, {}},
+      {mod_rng.fork("sd-buffer").fork("buffer-noise"), true, true, {}},
+      {mod_rng.fork("sd-tank1"), true, true, {}},
+      {mod_rng.fork("sd-tank2"), true, true, {}},
   }}};
 }
 
@@ -213,31 +243,39 @@ void ReceiverBatch::begin_capture(std::size_t n) {
   // Sized here, on the caller: a window grown inside a pool worker would
   // land in that thread's malloc arena, which keeps the pages.
   const std::size_t window = std::min(kNoiseWindow, n);
-  std::uint64_t needed = 0;
+  std::uint64_t drawn = 0;
+  std::uint64_t skipped = 0;
   for (NoiseStreams::Stream& stream : noise_.streams) {
-    if (!stream.needed) continue;
-    ++needed;
+    if (!stream.drawn) continue;
+    ++drawn;
+    if (!stream.read) ++skipped;
     if (stream.window.size() < window) stream.window.resize(window);
   }
   obs::count("rf.batch.lane_samples", lanes_ * n);
-  obs::count("rf.batch.noise_samples", needed * n);
+  obs::count("rf.batch.noise_samples", drawn * n);
+  obs::count("rf.batch.noise_skipped", skipped * n);
   obs::count("rf.batch.signature_groups", signature_groups_);
   obs::count("rf.batch.front_ends", front_ends_);
 }
 
 void ReceiverBatch::fill_noise(std::size_t m, par::ThreadPool& pool) {
   ANALOCK_SPAN_QUIET("rf.batch.noise");
-  pool.parallel_for(NoiseStreams::kCount,
+  pool.parallel_for(noise_.task_count,
                     [&](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) {
-      NoiseStreams::Stream& stream = noise_.streams[s];
-      if (!stream.needed) continue;
-      // Draw from a local copy: neighbouring streams share cache lines,
+    for (std::size_t t = begin; t < end; ++t) {
+      const NoiseStreams::Task task = noise_.tasks[t];
+      // Draw from local copies: neighbouring streams share cache lines,
       // and advancing them in place would bounce those between workers.
+      NoiseStreams::Stream& stream = noise_.streams[task.fill];
       sim::Rng rng = stream.rng;
       double* window = stream.window.data();
       for (std::size_t k = 0; k < m; ++k) window[k] = rng.gaussian();
       stream.rng = rng;
+      if (task.skip == NoiseStreams::kCount) continue;
+      NoiseStreams::Stream& unread = noise_.streams[task.skip];
+      sim::Rng skip = unread.rng;
+      skip.skip_gaussians(m);
+      unread.rng = skip;
     }
   });
 }

@@ -30,17 +30,29 @@
 //      blocks call (`Vglna::Stage::process`, `cubic_soft`,
 //      `Resonator::advance`, `soft_rail`), applied in the same order.
 //
-// The scalar Gmin transconductor and output buffer draw noise only while
-// enabled (the VGLNA draws on every sample, used or not); the batch
-// draws those two streams when any lane enables them. A capture whose
-// lanes disagree on `gmin_enable` or `buffer_in_path` is still exact, but
-// it advances the streams differently from some lanes' scalar chips, so
-// it must be the batch's last: the next capture asserts.
+// Streams are drawn, and some are also read. The scalar Gmin
+// transconductor and output buffer draw noise only while enabled (the
+// VGLNA draws on every sample, used or not); the batch draws those two
+// streams when any lane enables them. A capture whose lanes disagree on
+// `gmin_enable` or `buffer_in_path` is still exact, but it advances the
+// streams differently from some lanes' scalar chips, so it must be the
+// batch's last: the next capture asserts. A drawn stream is read when
+// some lane's outputs depend on its deviates: the VGLNA's only with Gmin
+// on (pass 1 below), the DAC's only with the loop closed (the delay line
+// is read only then), the comparator's with the loop closed or with
+// `test_mux == 0` (otherwise the slicer decision feeds nothing). An
+// oscillation-mode reading (Gmin off, loop open, `test_mux == 2`) thus
+// reads 4 of its 7 drawn streams. An unread stream is advanced with
+// `sim::Rng::skip_gaussians`, which leaves its generator, Box–Muller
+// cache included, exactly where the deviates would, without computing
+// them; its window keeps stale values that reach no output.
 //
 // The transient streams in windows of kNoiseWindow samples: each window
-// first draws the next kNoiseWindow deviates of every noise stream (one
-// worker per stream), then advances every lane through the window
-// (workers sharded by LANES, contiguous ranges). Lane state persists
+// first draws the next kNoiseWindow deviates of every drawn stream (one
+// task per read stream, each carrying at most one unread stream's skip,
+// so an oscillation window costs one transformed stream per worker at 4
+// threads), then advances every lane through the window (workers sharded
+// by LANES, contiguous ranges). Lane state persists
 // between windows, so noise memory is O(kNoiseWindow), not
 // O(transient), and the draw order and per-lane arithmetic are those of
 // one uninterrupted pass: results are independent of the thread count
@@ -62,7 +74,8 @@
 // most front ends: only the VGLNA gain and Gmin bias fields feed one.
 //
 // Every capture charges its work counters on the calling thread:
-// `rf.batch.lane_samples`, `rf.batch.noise_samples`,
+// `rf.batch.lane_samples`, `rf.batch.noise_samples` (deviates drawn),
+// `rf.batch.noise_skipped` (those of them skipped, not transformed),
 // `rf.batch.signature_groups`, the number of distinct (gmin_enable,
 // feedback_enable, comp_clock_enable, test_mux, buffer_in_path) control
 // signatures among the lanes, and `rf.batch.front_ends`, the number of
@@ -148,14 +161,27 @@ class ReceiverBatch {
     };
     struct Stream {
       sim::Rng rng;
-      bool needed = true;  ///< the lanes' scalar chips draw it this capture
+      bool drawn = true;  ///< the lanes' scalar chips draw it this capture
+      bool read = true;   ///< some lane's output depends on its deviates
       std::vector<double> window;
     };
     std::array<Stream, kCount> streams;
 
-    /// Current window of stream `id`; nullptr for a stream no lane needs.
+    /// One fill_noise task: transform stream `fill`'s window and, when
+    /// `skip` is not kCount, advance the drawn but unread stream `skip`
+    /// past the same deviates.
+    struct Task {
+      Id fill;
+      Id skip;
+    };
+    std::array<Task, kCount> tasks{};
+    std::size_t task_count = 0;
+
+    /// Current window of stream `id`; nullptr for a stream no chip
+    /// draws. An unread stream's window keeps stale deviates: they feed
+    /// only values that no output of this capture reads.
     [[nodiscard]] const double* window(Id id) const {
-      return streams[id].needed ? streams[id].window.data() : nullptr;
+      return streams[id].drawn ? streams[id].window.data() : nullptr;
     }
   };
 
@@ -166,7 +192,8 @@ class ReceiverBatch {
   /// an `n`-sample transient and charges the capture's work counters.
   void begin_capture(std::size_t n);
 
-  /// Draws the next `m` deviates of every needed stream into its window.
+  /// Advances every drawn stream by `m` deviates, writing them into the
+  /// windows of the streams some lane reads.
   void fill_noise(std::size_t m, par::ThreadPool& pool);
 
   /// Advances lanes [begin, end) through samples [offset, offset +

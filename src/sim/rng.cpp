@@ -85,6 +85,20 @@ double Rng::gaussian() {
   return radius * std::cos(angle);
 }
 
+void Rng::skip_gaussians(std::uint64_t count) {
+  if (count == 0) return;
+  if (has_cached_gaussian_) {
+    has_cached_gaussian_ = false;
+    --count;
+  }
+  for (; count >= 2; count -= 2) {
+    while (uniform() <= 0.0) {
+    }
+    (void)next_u64();  // u2
+  }
+  if (count == 1) (void)gaussian();
+}
+
 double Rng::gaussian(double mean, double sigma) {
   return mean + sigma * gaussian();
 }

@@ -56,6 +56,13 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double gaussian(double mean, double sigma);
 
+  /// Leaves the generator exactly where `count` calls to gaussian()
+  /// would, without the Box-Muller transform of the deviates it passes
+  /// over: the cached deviate is consumed first, each whole pair draws
+  /// its uniforms (redrawing a zero u1 as gaussian() does), and an odd
+  /// remainder takes one real gaussian() call so the cache matches.
+  void skip_gaussians(std::uint64_t count);
+
   /// Bernoulli draw with probability p of true.
   bool bernoulli(double p);
 

@@ -7,12 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <complex>
 #include <stdexcept>
 #include <vector>
 
 #include "calib/oscillation_tuner.h"
-#include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/spectrum.h"
 #include "dsp/window.h"
@@ -22,6 +22,7 @@
 #include "lock/key_layout.h"
 #include "obs/metrics.h"
 #include "par/thread_pool.h"
+#include "reference_fft.h"
 #include "reference_oracle.h"
 #include "rf/receiver.h"
 #include "rf/receiver_batch.h"
@@ -48,15 +49,25 @@ std::vector<dsp::cplx> random_complex(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(FftPlan, MatchesFftInplaceExactly) {
-  for (const std::size_t n : {2u, 8u, 64u, 1024u}) {
-    auto a = random_complex(n, 7 + n);
-    auto b = a;
-    dsp::fft_inplace(a);
-    dsp::FftPlan plan(n);
-    plan.run(b);
-    for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_EQ(a[k].real(), b[k].real()) << "n=" << n << " k=" << k;
-      EXPECT_EQ(a[k].imag(), b[k].imag()) << "n=" << n << " k=" << k;
+  // Up to the oracle's sizes (8192-point screens, 16384-point SFDR
+  // captures, whose real transforms run 4096- and 8192-point plans),
+  // plus inputs scaled to extreme but finite magnitudes.
+  for (const std::size_t n :
+       {2u, 8u, 64u, 1024u, 4096u, 8192u, 16384u}) {
+    for (const double scale : {1.0, 1e300, 1e-300}) {
+      auto a = random_complex(n, 7 + n);
+      for (auto& v : a) v *= scale;
+      auto b = a;
+      reference::fft_inplace(a);
+      dsp::FftPlan plan(n);
+      plan.run(b);
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_TRUE(std::isfinite(a[k].real()) && std::isfinite(a[k].imag()));
+        EXPECT_EQ(a[k].real(), b[k].real())
+            << "n=" << n << " scale=" << scale << " k=" << k;
+        EXPECT_EQ(a[k].imag(), b[k].imag())
+            << "n=" << n << " scale=" << scale << " k=" << k;
+      }
     }
   }
 }
@@ -69,7 +80,7 @@ TEST(RealFftPlan, MatchesComplexFft) {
 
   std::vector<dsp::cplx> ref(n);
   for (std::size_t i = 0; i < n; ++i) ref[i] = {x[i], 0.0};
-  dsp::fft_inplace(ref);
+  reference::fft_inplace(ref);
 
   dsp::RealFftPlan plan(n);
   std::vector<dsp::cplx> out(plan.bins());
@@ -77,6 +88,35 @@ TEST(RealFftPlan, MatchesComplexFft) {
   for (std::size_t k = 0; k < plan.bins(); ++k) {
     EXPECT_NEAR(ref[k].real(), out[k].real(), 1e-9) << k;
     EXPECT_NEAR(ref[k].imag(), out[k].imag(), 1e-9) << k;
+  }
+}
+
+TEST(RealFftPlan, MatchesComplexUnpackExactly) {
+  // The plan's spelled-out unpack equals the std::complex one bit for
+  // bit, windowed or not, at the oracle's sizes and extreme scales.
+  for (const std::size_t n : {8u, 512u, 8192u, 16384u}) {
+    const auto w = dsp::make_window(dsp::WindowKind::kHann, n);
+    dsp::RealFftPlan plan(n);
+    std::vector<dsp::cplx> out(plan.bins());
+    for (const double scale : {1.0, 1e300, 1e-300}) {
+      sim::Rng rng(13 + n);
+      std::vector<double> x(n);
+      for (auto& v : x) v = scale * rng.gaussian();
+      for (const bool windowed : {false, true}) {
+        const std::span<const double> win =
+            windowed ? std::span<const double>(w) : std::span<const double>{};
+        const auto ref = reference::real_fft_half(x, win);
+        plan.run(x, out, win);
+        for (std::size_t k = 0; k < plan.bins(); ++k) {
+          EXPECT_EQ(ref[k].real(), out[k].real())
+              << "n=" << n << " scale=" << scale << " windowed=" << windowed
+              << " k=" << k;
+          EXPECT_EQ(ref[k].imag(), out[k].imag())
+              << "n=" << n << " scale=" << scale << " windowed=" << windowed
+              << " k=" << k;
+        }
+      }
+    }
   }
 }
 
@@ -376,16 +416,23 @@ struct SequentialStep {
 
 /// Oscillation-mode readings as the calibration tuners take them, with
 /// varied Cc/Cf/q and the tuners' lengths (6144, 36864, and 65536, which
-/// crosses a noise window). The odd-length capture leaves a cached
-/// Box–Muller deviate in every stream for the next one to consume; the
-/// Gmin-on, buffer-off capture advances the Gmin stream and skips the
-/// buffer's; a closing receiver capture runs the backend after them.
+/// crosses a noise window). Oscillation mode reads none of the VGLNA,
+/// comparator and DAC deviates, so the batch skips those streams. The
+/// odd-length capture leaves a cached Box–Muller deviate in every stream
+/// for the next one to consume; the open-loop capture with the
+/// comparator on the test mux then reads the skipped comparator stream
+/// (and still skips the DAC's); the Gmin-on, buffer-off capture reads
+/// the skipped VGLNA stream, advances the Gmin stream and skips the
+/// buffer's; a closing receiver capture runs the backend and the closed
+/// loop after them.
 std::vector<SequentialStep> sequential_steps(const rf::Standard& standard) {
   auto osc = [](std::uint32_t cc, std::uint32_t cf, std::uint32_t q) {
     rf::ReceiverConfig c;
     c.modulator = calib::oscillation_mode_config(cc, cf, q);
     return c;
   };
+  rf::ReceiverConfig comparator_out = osc(10, 64, 40);
+  comparator_out.modulator.test_mux = 0;
   rf::ReceiverConfig gmin_live = osc(9, 96, 30);
   gmin_live.modulator.gmin_enable = true;
   gmin_live.modulator.buffer_in_path = false;
@@ -396,6 +443,7 @@ std::vector<SequentialStep> sequential_steps(const rf::Standard& standard) {
       {osc(9, 128, 63), 36864, 4096},
       {osc(12, 40, 63), 6144, 4096},
       {osc(9, 200, 27), 6144 + 1001, 4096},
+      {comparator_out, 6144, 4096},
       {gmin_live, 6144, 4096},
       {osc(8, 0, 26), 65536, 32768},
       {osc(9, 255, 63), 36864, 4096},
@@ -487,8 +535,10 @@ TEST(ReceiverBatch, SequentialCapturesMatchReceiver) {
 
 TEST(ReceiverBatch, ChargesWorkCountersPerCapture) {
   // One capture of n samples charges lanes * n lane-samples and, per
-  // stream some lane reads, n noise samples: 8 streams with Gmin and the
-  // buffer on, 6 with both off.
+  // stream the chips draw, n noise samples: 8 streams with Gmin and the
+  // buffer on, 6 with both off. Of those, n per stream no lane reads are
+  // skipped: none with Gmin on and the loop closed, the VGLNA's with Gmin
+  // off, and the VGLNA, comparator and DAC streams in oscillation mode.
   obs::Registry& reg = obs::registry();
   const bool was_enabled = reg.enabled();
   reg.reset_values();
@@ -512,19 +562,36 @@ TEST(ReceiverBatch, ChargesWorkCountersPerCapture) {
       reg.counter("rf.batch.lane_samples").value();
   const std::uint64_t noise_samples =
       reg.counter("rf.batch.noise_samples").value();
+  const std::uint64_t skipped = reg.counter("rf.batch.noise_skipped").value();
   batch.configure({&both_off, 1});
   (void)batch.capture_modulator(zeros, 100, pool);
   const std::uint64_t lane_samples_2 =
       reg.counter("rf.batch.lane_samples").value() - lane_samples;
   const std::uint64_t noise_samples_2 =
       reg.counter("rf.batch.noise_samples").value() - noise_samples;
+  const std::uint64_t skipped_2 =
+      reg.counter("rf.batch.noise_skipped").value() - skipped;
+  rf::ReceiverConfig osc;
+  osc.modulator = calib::oscillation_mode_config(9, 128, 63);
+  batch.configure({&osc, 1});
+  (void)batch.capture_modulator(zeros, 100, pool);
+  const std::uint64_t noise_samples_3 =
+      reg.counter("rf.batch.noise_samples").value() - noise_samples -
+      noise_samples_2;
+  const std::uint64_t skipped_3 =
+      reg.counter("rf.batch.noise_skipped").value() - skipped - skipped_2;
 
   reg.set_enabled(was_enabled);
   reg.reset_values();
   EXPECT_EQ(lane_samples, 3 * kN);
   EXPECT_EQ(noise_samples, 8 * kN);
+  EXPECT_EQ(skipped, 0u);
   EXPECT_EQ(lane_samples_2, kN);
   EXPECT_EQ(noise_samples_2, 6 * kN);
+  EXPECT_EQ(skipped_2, kN);
+  // Oscillation mode keeps the buffer in path: 7 streams drawn, 3 unread.
+  EXPECT_EQ(noise_samples_3, 7 * kN);
+  EXPECT_EQ(skipped_3, 3 * kN);
 }
 
 TEST(ReceiverBatch, ChargesSignatureGroupsPerCapture) {

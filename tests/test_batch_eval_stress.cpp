@@ -10,12 +10,13 @@
 #include <thread>
 #include <vector>
 
-#include "dsp/fft.h"
+#include "dsp/fft_plan.h"
 #include "dsp/spectrum.h"
 #include "lock/batch_evaluator.h"
 #include "lock/evaluator.h"
 #include "lock/key_layout.h"
 #include "par/thread_pool.h"
+#include "reference_fft.h"
 #include "rf/receiver.h"
 #include "rf/receiver_batch.h"
 #include "rf/standards.h"
@@ -39,7 +40,7 @@ TEST(BatchStress, PoolChurn) {
 }
 
 TEST(BatchStress, ConcurrentTwiddleCache) {
-  // Many threads hitting dsp::twiddles_for for fresh sizes at once —
+  // Many threads hitting reference::twiddles_for for fresh sizes at once —
   // the regression surface of the old unsynchronized static map.
   std::vector<std::thread> threads;
   threads.reserve(8);
@@ -47,7 +48,7 @@ TEST(BatchStress, ConcurrentTwiddleCache) {
     threads.emplace_back([t] {
       for (std::size_t n = 2; n <= 2048; n *= 2) {
         std::vector<dsp::cplx> x(n, dsp::cplx{1.0, static_cast<double>(t)});
-        dsp::fft_inplace(x);
+        reference::fft_inplace(x);
       }
     });
   }

@@ -1,16 +1,20 @@
-// Unit tests for the radix-2 FFT.
+// Unit tests for the reference radix-2 FFT (tests/reference_fft.h) that
+// every dsp::FftPlan is compared with bit for bit, and for the size
+// helpers in dsp/fft_plan.h.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 #include <vector>
 
-#include "dsp/fft.h"
+#include "dsp/fft_plan.h"
+#include "reference_fft.h"
 #include "sim/rng.h"
 
 namespace {
 
 using namespace analock::dsp;
+using namespace analock::reference;
 
 TEST(Fft, PowerOfTwoPredicate) {
   EXPECT_TRUE(is_power_of_two(1));

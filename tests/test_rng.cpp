@@ -153,6 +153,29 @@ TEST(Rng, GaussianWithParamsScales) {
   EXPECT_NEAR(std::sqrt(sum_sq / n), 2.0, 0.05);
 }
 
+TEST(Rng, SkipGaussiansMatchesDraws) {
+  // Skipping leaves the generator where the same number of gaussian()
+  // calls would, from an empty and from a full Box-Muller cache: the next
+  // two deviates (one may come from the cache) and the next raw word agree.
+  for (const std::uint64_t count : {0u, 1u, 2u, 3u, 7u, 16384u, 16385u}) {
+    for (const bool cached : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "count=" << count
+                                      << " cached=" << cached);
+      Rng ref(41 + count);
+      Rng skip(41 + count);
+      if (cached) {
+        (void)ref.gaussian();
+        (void)skip.gaussian();
+      }
+      for (std::uint64_t i = 0; i < count; ++i) (void)ref.gaussian();
+      skip.skip_gaussians(count);
+      EXPECT_EQ(skip.gaussian(), ref.gaussian());
+      EXPECT_EQ(skip.gaussian(), ref.gaussian());
+      EXPECT_EQ(skip.next_u64(), ref.next_u64());
+    }
+  }
+}
+
 TEST(Rng, BernoulliFrequencyMatches) {
   Rng r(77);
   int count = 0;
