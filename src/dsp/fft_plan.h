@@ -9,11 +9,12 @@
 // The butterflies multiply on doubles, (xr*wr - xi*wi, xr*wi + xi*wr),
 // rather than through `std::complex<double>::operator*`. For finite
 // products that is the very formula the compiler's inline complex
-// multiply evaluates, so the bits are the same; what it drops is the
-// Annex G recovery branch (a `__muldc3` call when both parts come out
-// NaN) and the stack round trip the compiler builds around it, which
-// stalled store forwarding on every butterfly. Captures are railed and
-// FFT sums of them stay finite, so the branch never fired.
+// multiply evaluates, so the bits are the same. What the spelled-out
+// form avoids is the Annex G recovery branch (a `__muldc3` call when
+// both parts come out NaN) and the stack round trip the compiler builds
+// around it, which stalls store forwarding on every butterfly. Captures
+// are railed and FFT sums of them stay finite, so that branch could
+// never change a result.
 // tests/reference_fft.h keeps the `std::complex` FFT as the reference
 // every plan is compared with bit for bit.
 //
