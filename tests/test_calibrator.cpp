@@ -1,7 +1,9 @@
 // Unit tests for the full 14-step calibration procedure.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
+#include <vector>
 
 #include "calib/calibrator.h"
 #include "fault/fault_injector.h"
@@ -194,6 +196,22 @@ TEST(Calibrator, DefaultSeedChipZeroIsPinned) {
   };
   EXPECT_EQ(step_measurements(14), 424u);
   EXPECT_EQ(step_measurements(12), 246u);
+  // Steps 5-7 on the oscillating chip: the tank and -Gm codes, the bits of
+  // the landing error, and the readings of step 7 and of both step-6
+  // entries (the tank tune, then the fine retune at gentle overdrive).
+  EXPECT_EQ(r.checkpoint.cap_coarse, 16u);
+  EXPECT_EQ(r.checkpoint.cap_fine, 218u);
+  EXPECT_EQ(r.checkpoint.q_enh, 25u);
+  EXPECT_EQ(r.checkpoint.q_threshold, 26u);
+  // The gentle-overdrive reading counts exactly f0: +0.0.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.checkpoint.tank_freq_err_hz),
+            0x0000000000000000ull);
+  std::vector<std::uint64_t> step6;
+  for (const auto& entry : r.log) {
+    if (entry.step == 6) step6.push_back(entry.measurements);
+  }
+  EXPECT_EQ(step6, (std::vector<std::uint64_t>{21, 12}));
+  EXPECT_EQ(step_measurements(7), 39u);
 }
 
 TEST(Calibrator, WorksForBluetoothStandard) {

@@ -75,6 +75,10 @@ TEST(Retrace, OscillationTrickRecoversTheTank) {
   const auto want = true_key.field(L::kCapCoarse);
   const auto d = got > want ? got - want : want - got;
   EXPECT_LE(d, 3u);
+  // Exact: the tank codes of the retraced key and the trials that found it.
+  EXPECT_EQ(got, 18u);
+  EXPECT_EQ(r.key.field(L::kCapFine), 66u);
+  EXPECT_EQ(r.trials, 633u);
 }
 
 TEST(Retrace, TrialCostsAreAccounted) {
