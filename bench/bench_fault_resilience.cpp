@@ -102,8 +102,8 @@ calib::CalibrationResult calibrate_arm(const rf::Standard& standard,
   calib::Calibrator::Options opt;
   opt.tune_vglna_segments = false;  // the fault sweep targets steps 6-14
   opt.refine_after_vglna = false;
-  opt.bias.passes = 1;
-  opt.hardening.enabled = harden;
+  opt.bias_passes = 1;
+  opt.harden = harden;
   calib::Calibrator calibrator(standard, pv, chip_rng, opt);
   fault::FaultInjector injector(plan);
   if (plan.active()) calibrator.set_fault_injector(&injector);

@@ -11,7 +11,6 @@
 #include "calib/bias_optimizer.h"
 #include "calib/calibrator.h"
 #include "calib/oscillation_tuner.h"
-#include "calib/q_tuner.h"
 #include "lock/evaluator.h"
 #include "lock/key_layout.h"
 #include "rf/receiver.h"
@@ -52,11 +51,10 @@ int main() {
   std::printf("   converged: Cc=%u Cf=%u -> %.5f GHz (target %.5f) after "
               "%zu measurements\n",
               tank.cap_coarse, tank.cap_fine, tank.achieved_hz / 1e9,
-              mode.f0_hz / 1e9, tank.measurements);
+              mode.f0_hz / 1e9, osc.readings());
 
-  // Step 7: -Gm backoff.
-  calib::QTuner q(dut);
-  const auto q_result = q.tune(tank.cap_coarse, tank.cap_fine);
+  // Step 7: -Gm backoff on the same tuner and chip.
+  const auto q_result = osc.back_off(tank.cap_coarse, tank.cap_fine);
   std::printf("step 7: -Gm reduced %u -> %u; oscillation vanished below "
               "code %u\n",
               rf::LcTank::kQEnhMax, q_result.q_enh, q_result.q_threshold);

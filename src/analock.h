@@ -16,7 +16,6 @@
 #include "dsp/cic.h"
 #include "dsp/fft_plan.h"
 #include "dsp/fir.h"
-#include "dsp/iir.h"
 #include "dsp/mixer.h"
 #include "dsp/spectrum.h"
 #include "dsp/tonegen.h"
@@ -53,7 +52,6 @@
 #include "calib/bias_optimizer.h"
 #include "calib/calibrator.h"
 #include "calib/oscillation_tuner.h"
-#include "calib/q_tuner.h"
 
 // The attack suite and cost model.
 #include "attack/brute_force.h"

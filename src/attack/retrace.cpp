@@ -3,7 +3,6 @@
 #include "attack/multi_objective.h"
 #include "calib/calibrator.h"
 #include "calib/oscillation_tuner.h"
-#include "calib/q_tuner.h"
 #include "lock/key_layout.h"
 #include "obs/trace.h"
 #include "rf/receiver.h"
@@ -61,12 +60,12 @@ RetraceResult RetraceAttack::run(CalibrationKnowledge knowledge) {
       // Steps 1-7 reconstructed: the tank is tuned properly...
       rf::ReceiverBatch dut(*standard_, process_,
                             chip_rng_.fork("calibration-dut"));
-      calib::OscillationTuner osc(dut);
-      const auto tank = osc.tune(standard_->f0_hz);
-      calib::QTuner q_tuner(dut);
-      const auto q = q_tuner.tune(tank.cap_coarse, tank.cap_fine);
-      result.trials += tank.measurements + q.measurements;
-      result.cost.snr_trials += tank.measurements + q.measurements;
+      calib::OscillationTuner tuner(dut);
+      const auto tank = tuner.tune(standard_->f0_hz);
+      const auto q = tuner.back_off(tank.cap_coarse, tank.cap_fine);
+      const std::size_t readings = tuner.readings();
+      result.trials += readings;
+      result.cost.snr_trials += readings;
 
       // ...but the bias words start from the attacker's blind mid-scale
       // guess and are swept in an arbitrary (wrong) order with a plain

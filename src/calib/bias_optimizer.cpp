@@ -10,40 +10,39 @@ namespace analock::calib {
 
 namespace {
 
-lock::EvaluatorOptions make_eval_options(const BiasOptimizer::Options& opt) {
+lock::EvaluatorOptions make_eval_options() {
   lock::EvaluatorOptions eval;
-  eval.fft_size = opt.fft_size;
-  eval.input_dbm = opt.input_dbm;
+  eval.fft_size = BiasOptimizer::kFftSize;
+  eval.input_dbm = BiasOptimizer::kInputDbm;
   // Quick two-tone screen: shorter capture, wider spacing than the final
   // paper metrology so the products stay separable on the coarser grid.
   eval.sfdr_fft_size = 8192;
   eval.two_tone_spacing_hz = 20.0e6;
-  eval.two_tone_dbm = opt.input_dbm - 5.0;
+  eval.two_tone_dbm = BiasOptimizer::kInputDbm - 5.0;
   return eval;
 }
 
 /// Whether score() goes on to measure SFDR after an SNR reading.
-bool sfdr_gate_open(const BiasOptimizer::Options& opt, double snr_db) {
-  return !(snr_db - opt.snr_spec_db < -opt.sfdr_gate_db);
+bool sfdr_gate_open(double snr_db) {
+  return !(snr_db - BiasOptimizer::kSnrSpecDb < -BiasOptimizer::kSfdrGateDb);
 }
 
 /// Step-14 objective of one candidate; `measure_sfdr` runs only when the
 /// SNR reading clears the gate. Far from the SNR spec, an SFDR measurement
 /// would be wasted ATE time, and the SNR margin already orders candidates.
-double objective(const BiasOptimizer::Options& opt, double snr_db,
-                 auto&& measure_sfdr) {
-  const double snr_margin = snr_db - opt.snr_spec_db;
-  if (!sfdr_gate_open(opt, snr_db)) return snr_margin;
-  return std::min(snr_margin, measure_sfdr() - opt.sfdr_spec_db);
+double objective(double snr_db, auto&& measure_sfdr) {
+  const double snr_margin = snr_db - BiasOptimizer::kSnrSpecDb;
+  if (!sfdr_gate_open(snr_db)) return snr_margin;
+  return std::min(snr_margin, measure_sfdr() - BiasOptimizer::kSfdrSpecDb);
 }
 
 }  // namespace
 
 BiasOptimizer::BiasOptimizer(const rf::Standard& standard,
                              const sim::ProcessVariation& process,
-                             const sim::Rng& rng, Options options)
-    : evaluator_(standard, process, rng, make_eval_options(options)),
-      options_(options) {}
+                             const sim::Rng& rng, std::size_t passes)
+    : evaluator_(standard, process, rng, make_eval_options()),
+      passes_(passes) {}
 
 double BiasOptimizer::measure_snr(const rf::ReceiverConfig& config) {
   return evaluator_.snr_modulator_db(lock::encode_key(config));
@@ -80,7 +79,7 @@ std::vector<double> BiasOptimizer::measure_snr_at(
 }
 
 double BiasOptimizer::score(const rf::ReceiverConfig& config) {
-  return objective(options_, measure_snr(config),
+  return objective(measure_snr(config),
                    [&] { return measure_sfdr(config); });
 }
 
@@ -114,7 +113,7 @@ void BiasOptimizer::sweep_field(rf::ReceiverConfig& config,
     std::vector<lock::Key64> gated_keys;
     for (std::size_t i = 0; i < codes.size(); ++i) {
       snr[codes[i]] = snr_db[i];
-      if (sfdr_gate_open(options_, snr_db[i])) {
+      if (sfdr_gate_open(snr_db[i])) {
         gated_codes.push_back(codes[i]);
         gated_keys.push_back(keys[i]);
       }
@@ -129,7 +128,7 @@ void BiasOptimizer::sweep_field(rf::ReceiverConfig& config,
     const lock::Key64 key = key_at(code);
     const double snr_db = evaluator_.charge(Metric::kSnrModulator, key,
                                             *snr[code]);
-    return objective(options_, snr_db, [&] {
+    return objective(snr_db, [&] {
       // A fault spike can lift a reading over the gate that its clean
       // reading did not clear.
       if (!sfdr[code]) {
@@ -169,7 +168,7 @@ void BiasOptimizer::sweep_field(rf::ReceiverConfig& config,
 rf::ReceiverConfig BiasOptimizer::optimize(const rf::ReceiverConfig& start) {
   rf::ReceiverConfig config = start;
   double best_score = score(config);
-  for (std::size_t pass = 0; pass < options_.passes; ++pass) {
+  for (std::size_t pass = 0; pass < passes_; ++pass) {
     // Step 11: loop delay according to Fs (trim against parasitics).
     sweep_field(config, &config.modulator.loop_delay, 15, best_score);
     // Step 14 order: Gmin, feedback DAC, pre-amplifier, comparator.

@@ -38,23 +38,23 @@ namespace analock::calib {
 
 class BiasOptimizer {
  public:
-  struct Options {
-    std::size_t passes = 2;       ///< coordinate-descent passes
-    std::size_t fft_size = 4096;  ///< capture length per trial measurement
-    double input_dbm = -25.0;     ///< reference power during optimization
-    double snr_spec_db = 40.0;    ///< SNR specification (margin objective)
-    double sfdr_spec_db = 40.0;   ///< SFDR specification (margin objective)
-    /// SFDR is only measured once the SNR is within this many dB of its
-    /// spec (lazy evaluation: the coarse sweeps are SNR-gated).
-    double sfdr_gate_db = 15.0;
-  };
+  /// Coordinate-descent passes of optimize() unless the caller asks for
+  /// fewer (the step-12 refiner and the recovery passes run one).
+  static constexpr std::size_t kPasses = 2;
+  /// Capture length per trial measurement.
+  static constexpr std::size_t kFftSize = 4096;
+  /// Reference power during optimization.
+  static constexpr double kInputDbm = -25.0;
+  /// Specifications of the margin objective.
+  static constexpr double kSnrSpecDb = 40.0;
+  static constexpr double kSfdrSpecDb = 40.0;
+  /// SFDR is only measured once the SNR is within this many dB of its
+  /// spec (lazy evaluation: the coarse sweeps are SNR-gated).
+  static constexpr double kSfdrGateDb = 15.0;
 
   BiasOptimizer(const rf::Standard& standard,
-                const sim::ProcessVariation& process, const sim::Rng& rng)
-      : BiasOptimizer(standard, process, rng, Options{}) {}
-  BiasOptimizer(const rf::Standard& standard,
                 const sim::ProcessVariation& process, const sim::Rng& rng,
-                Options options);
+                std::size_t passes = kPasses);
 
   /// Modulator-output SNR of a full configuration (one ATE measurement).
   double measure_snr(const rf::ReceiverConfig& config);
@@ -74,7 +74,7 @@ class BiasOptimizer {
   double measure_sfdr(const rf::ReceiverConfig& config);
 
   /// Step-14 objective: worst specification margin,
-  /// min(SNR - snr_spec, SFDR - sfdr_spec), with the SFDR measurement
+  /// min(SNR - kSnrSpecDb, SFDR - kSfdrSpecDb), with the SFDR measurement
   /// gated on the SNR being close to spec.
   double score(const rf::ReceiverConfig& config);
 
@@ -101,7 +101,7 @@ class BiasOptimizer {
                    std::uint32_t max_value, double& best_score);
 
   lock::LockEvaluator evaluator_;
-  Options options_;
+  std::size_t passes_;
 };
 
 }  // namespace analock::calib

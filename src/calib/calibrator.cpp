@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -23,6 +22,15 @@ double median_of(std::vector<double> values) {
   return 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
+/// Hardened runs (Options::harden): votes per final-characterization
+/// reading (odd, so a single spiked or dropped reading cannot move the
+/// median), extra attempts per retryable stage before the step's failure
+/// becomes the run's, and the receiver-SNR drop from one recovery
+/// attempt to the next that stops the retries as diverging.
+constexpr unsigned kHardenedVotes = 3;
+constexpr unsigned kMaxStepRetries = 2;
+constexpr double kDivergenceMarginDb = 3.0;
+
 }  // namespace
 
 const char* to_string(FailureReason reason) {
@@ -34,29 +42,6 @@ const char* to_string(FailureReason reason) {
     case FailureReason::kSpecNotMet: return "spec-not-met";
   }
   return "unknown";
-}
-
-Calibrator::Hardening Calibrator::Hardening::from_env() {
-  Hardening h;
-  if (const char* env = std::getenv("ANALOCK_FAULT_HARDEN")) {
-    h.enabled = env[0] != '\0' && env[0] != '0';
-  }
-  auto env_u = [](const char* name, unsigned fallback) {
-    const char* env = std::getenv(name);
-    if (env == nullptr || env[0] == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env) return fallback;
-    return static_cast<unsigned>(v);
-  };
-  h.measurement_votes = env_u("ANALOCK_FAULT_VOTES", h.measurement_votes);
-  h.max_step_retries = env_u("ANALOCK_FAULT_RETRIES", h.max_step_retries);
-  if (const char* env = std::getenv("ANALOCK_FAULT_DIVERGENCE_DB")) {
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end != env && v > 0.0) h.divergence_margin_db = v;
-  }
-  return h;
 }
 
 Calibrator::Calibrator(const rf::Standard& standard,
@@ -119,9 +104,8 @@ CalibrationResult Calibrator::run_impl(
   ANALOCK_SPAN("calib.run");
   CalibrationResult result;
   const double f0 = standard_->f0_hz;
-  const bool harden = options_.hardening.enabled;
-  const unsigned max_retries =
-      harden ? options_.hardening.max_step_retries : 0;
+  const bool harden = options_.harden;
+  const unsigned max_retries = harden ? kMaxStepRetries : 0;
   const std::uint64_t faults_at_start = fault_count();
   std::uint64_t fault_mark = faults_at_start;
 
@@ -188,23 +172,32 @@ CalibrationResult Calibrator::run_impl(
     rf::ReceiverBatch chip(*standard_, process_,
                           chip_rng_.fork("calibration-dut"));
 
+    // Each of steps 6, 7 and the fine retune is charged the tuner
+    // readings taken since the previous one was logged.
+    OscillationTuner tuner(chip);
+    std::size_t logged_readings = 0;
+    auto step_readings = [&] {
+      const std::size_t step = tuner.readings() - logged_readings;
+      logged_readings = tuner.readings();
+      return step;
+    };
+
     // Step 6: tune Cc / Cf until the oscillation hits the center
     // frequency, retrying within the hardening budget if it diverges.
-    OscillationTuner osc_tuner(chip, options_.oscillation);
     OscillationTuner::Result osc;
     unsigned tank_retries = 0;
     {
       ANALOCK_SPAN("calib.step06_tank_tune");
-      osc = osc_tuner.tune(f0);
+      osc = tuner.tune(f0);
       while (!osc.converged && tank_retries < max_retries) {
         ++tank_retries;
         step_retry(6, tank_retries);
-        osc = osc_tuner.tune(f0);
+        osc = tuner.tune(f0);
       }
     }
     result.tank_freq_err_hz = osc.achieved_hz - f0;
     log_step(6, "capacitor arrays tuned to center frequency",
-             osc.achieved_hz, osc.measurements, tank_retries);
+             osc.achieved_hz, step_readings(), tank_retries);
     obs::set_gauge("calib.tank_freq_err_hz", result.tank_freq_err_hz);
     if (!osc.converged) {
       finish(FailureReason::kTankUntunable);
@@ -212,20 +205,19 @@ CalibrationResult Calibrator::run_impl(
     }
 
     // Step 7: back -Gm off until the oscillation vanishes.
-    QTuner q_tuner(chip, options_.q);
-    QTuner::Result q;
+    OscillationTuner::BackOff q;
     unsigned q_retries = 0;
     {
       ANALOCK_SPAN("calib.step07_gm_backoff");
-      q = q_tuner.tune(osc.cap_coarse, osc.cap_fine);
+      q = tuner.back_off(osc.cap_coarse, osc.cap_fine);
       while (!q.converged && q_retries < max_retries) {
         ++q_retries;
         step_retry(7, q_retries);
-        q = q_tuner.tune(osc.cap_coarse, osc.cap_fine);
+        q = tuner.back_off(osc.cap_coarse, osc.cap_fine);
       }
     }
     log_step(7, "-Gm reduced until oscillation vanished",
-             static_cast<double>(q.q_enh), q.measurements, q_retries);
+             static_cast<double>(q.q_enh), step_readings(), q_retries);
 
     // Step 6 refinement: re-run the fine-array search at a gentle
     // overdrive (just above the threshold found in step 7) where the
@@ -236,19 +228,16 @@ CalibrationResult Calibrator::run_impl(
     q_enh = q.q_enh;
     if (q.converged && q.q_threshold + 3 <= rf::LcTank::kQEnhMax) {
       ANALOCK_SPAN("calib.step06_fine_retune");
-      const std::size_t tuner_before = osc_tuner.measurements();
       const std::uint32_t q_gentle = q.q_threshold + 3;
-      cap_fine = osc_tuner.fine_tune(osc.cap_coarse, f0, q_gentle);
-      const auto refined = osc_tuner.measure_at_q(
-          osc.cap_coarse, cap_fine, q_gentle,
-          4 * options_.oscillation.settle + 16384);
+      cap_fine = tuner.fine_tune(osc.cap_coarse, f0, q_gentle);
+      const auto refined =
+          tuner.measure_at_q(osc.cap_coarse, cap_fine, q_gentle);
       if (refined.freq_hz > 0.0) {
         result.tank_freq_err_hz = refined.freq_hz - f0;
       }
       obs::set_gauge("calib.tank_freq_err_hz", result.tank_freq_err_hz);
       log_step(6, "fine array re-tuned at gentle -Gm overdrive",
-               static_cast<double>(cap_fine),
-               osc_tuner.measurements() - tuner_before);
+               static_cast<double>(cap_fine), step_readings());
     }
 
     // Steps 1-7 done: record the resume point.
@@ -282,7 +271,8 @@ CalibrationResult Calibrator::run_impl(
 
   // Steps 11 + 14: loop delay and iterative bias improvement by measured
   // SNR of the modulator (fused inside the optimizer, charged to step 14).
-  BiasOptimizer optimizer(*standard_, process_, chip_rng_, options_.bias);
+  BiasOptimizer optimizer(*standard_, process_, chip_rng_,
+                          options_.bias_passes);
   optimizer.set_fault_injector(injector_);
   {
     ANALOCK_SPAN("calib.step11_14_bias_opt");
@@ -306,9 +296,7 @@ CalibrationResult Calibrator::run_impl(
     std::uint64_t step12_measurements =
         optimizer.measurements() - opt_before;
     if (options_.refine_after_vglna) {
-      BiasOptimizer::Options one_pass = options_.bias;
-      one_pass.passes = 1;
-      BiasOptimizer refiner(*standard_, process_, chip_rng_, one_pass);
+      BiasOptimizer refiner(*standard_, process_, chip_rng_, 1);
       refiner.set_fault_injector(injector_);
       config = refiner.optimize(config);
       step12_measurements += refiner.measurements();
@@ -320,13 +308,12 @@ CalibrationResult Calibrator::run_impl(
   }
 
   // Final characterization with the full-length paper metrology. The
-  // hardened path measures each metric `measurement_votes` times and
+  // hardened path measures each metric kHardenedVotes times and
   // takes the median, so a single spiked or dropped-out reading cannot
   // veto a good chip (or pass a bad one).
   lock::LockEvaluator evaluator(*standard_, process_, chip_rng_);
   evaluator.set_fault_injector(injector_);
-  const unsigned votes =
-      harden ? std::max(1u, options_.hardening.measurement_votes) : 1;
+  const unsigned votes = harden ? kHardenedVotes : 1;
   auto robust = [&](auto&& measure) {
     if (votes == 1) return measure();
     std::vector<double> readings;
@@ -369,9 +356,7 @@ CalibrationResult Calibrator::run_impl(
     double prev_snr = result.snr_receiver_db;
     for (unsigned attempt = 1; attempt <= max_retries; ++attempt) {
       step_retry(14, attempt);
-      BiasOptimizer::Options one_pass = options_.bias;
-      one_pass.passes = 1;
-      BiasOptimizer recovery(*standard_, process_, chip_rng_, one_pass);
+      BiasOptimizer recovery(*standard_, process_, chip_rng_, 1);
       recovery.set_fault_injector(injector_);
       config = recovery.optimize(config);
       result.config = config;
@@ -380,8 +365,7 @@ CalibrationResult Calibrator::run_impl(
       log_step(14, "spec-recovery bias pass", result.snr_receiver_db,
                recovery.measurements(), 1);
       if (meets_spec()) break;
-      if (result.snr_receiver_db <
-          prev_snr - options_.hardening.divergence_margin_db) {
+      if (result.snr_receiver_db < prev_snr - kDivergenceMarginDb) {
         failure = FailureReason::kDiverged;
         obs::event("calib.diverged",
                    {{"prev_snr_db", prev_snr},

@@ -13,7 +13,6 @@
 
 #include "calib/bias_optimizer.h"
 #include "calib/oscillation_tuner.h"
-#include "calib/q_tuner.h"
 #include "fault/fault_injector.h"
 #include "lock/key64.h"
 #include "rf/receiver.h"
@@ -101,35 +100,19 @@ struct CalibrationResult {
 
 class Calibrator {
  public:
-  /// Robustness knobs for noisy/faulty ATE sessions. Disabled by default:
-  /// the clean path is bit-exact with the historical calibrator.
-  struct Hardening {
-    bool enabled = false;
-    /// Median-of-N votes per final-characterization reading (odd). A
-    /// single spiked or dropped reading then cannot veto a good chip.
-    unsigned measurement_votes = 3;
-    /// Extra attempts per retryable stage (tank tune, Q tune, spec
-    /// recovery) before the step's failure becomes the run's failure.
-    unsigned max_step_retries = 2;
-    /// Spec-recovery divergence detection: if a retry's receiver SNR
-    /// lands this many dB below the previous attempt, the retries are
-    /// making things worse — stop and report kDiverged.
-    double divergence_margin_db = 3.0;
-
-    /// Overrides from the environment (unset knobs keep the defaults):
-    ///   ANALOCK_FAULT_HARDEN=1, ANALOCK_FAULT_VOTES,
-    ///   ANALOCK_FAULT_RETRIES, ANALOCK_FAULT_DIVERGENCE_DB
-    [[nodiscard]] static Hardening from_env();
-  };
-
   struct Options {
-    OscillationTuner::Options oscillation{};
-    QTuner::Options q{};
-    BiasOptimizer::Options bias{};
+    /// Coordinate-descent passes of the step-14 bias optimization.
+    std::size_t bias_passes = BiasOptimizer::kPasses;
     bool tune_vglna_segments = true;
     /// Re-run one extra bias pass after the VGLNA selection.
     bool refine_after_vglna = true;
-    Hardening hardening{};
+    /// Robustness for noisy/faulty ATE sessions: median-of-3 votes per
+    /// final-characterization reading, up to 2 retries of each
+    /// retryable stage (tank tune, Q tune, spec recovery), and a stop
+    /// with kDiverged when a recovery retry's receiver SNR lands 3 dB
+    /// below the previous attempt. Off by default: one reading per
+    /// metric and no retries.
+    bool harden = false;
   };
 
   /// A chip is identified by (standard, process corner, noise seed): the

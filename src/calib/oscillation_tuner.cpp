@@ -9,8 +9,34 @@
 
 namespace analock::calib {
 
+namespace {
+
+/// The one capacitor-code search (see the header). `freq_at(code)` takes
+/// one reading with `code` on the array being searched; the oscillation
+/// frequency falls as the code rises.
+std::uint32_t search_code(std::uint32_t max_code, double target_hz,
+                          auto&& freq_at) {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = max_code;
+  while (lo < hi) {
+    const std::uint32_t mid = (lo + hi) / 2;
+    if (freq_at(mid) > target_hz) {
+      lo = mid + 1;  // frequency too high -> more capacitance
+    } else {
+      hi = mid;
+    }
+  }
+  // `lo` is the smallest code with f <= target; the code below it may
+  // land closer from above.
+  const double err = std::abs(freq_at(lo) - target_hz);
+  if (lo > 0 && std::abs(freq_at(lo - 1) - target_hz) < err) return lo - 1;
+  return lo;
+}
+
+}  // namespace
+
 FrequencyMeasurement measure_frequency(std::span<const double> capture,
-                                       double fs_hz, double hysteresis) {
+                                       double fs_hz) {
   FrequencyMeasurement m;
   if (capture.empty()) return m;
   double sum_sq = 0.0;
@@ -22,12 +48,12 @@ FrequencyMeasurement measure_frequency(std::span<const double> capture,
   for (std::size_t i = 0; i < capture.size(); ++i) {
     const double x = capture[i];
     sum_sq += x * x;
-    if (state < 0 && x > hysteresis) {
+    if (state < 0 && x > kCounterHysteresis) {
       state = 1;
       if (rising == 0) first_cross = i;
       last_cross = i;
       ++rising;
-    } else if (state > 0 && x < -hysteresis) {
+    } else if (state > 0 && x < -kCounterHysteresis) {
       state = -1;
     }
   }
@@ -58,136 +84,98 @@ rf::ModulatorConfig oscillation_mode_config(std::uint32_t cap_coarse,
   return cfg;
 }
 
-std::vector<double> capture_oscillation(rf::ReceiverBatch& chip,
-                                        std::uint32_t cap_coarse,
-                                        std::uint32_t cap_fine,
-                                        std::uint32_t q_enh,
-                                        std::size_t settle,
-                                        std::size_t measure) {
-  assert(chip.lanes() == 1 && "oscillation readings drive a one-lane chip");
+std::vector<double> OscillationTuner::capture(std::uint32_t cap_coarse,
+                                              std::uint32_t cap_fine,
+                                              std::uint32_t q_enh,
+                                              std::size_t settle,
+                                              std::size_t window) {
+  assert(chip_->lanes() == 1 && "oscillation readings drive a one-lane chip");
+  ++readings_;
   // VGLNA gain and digital mode stay at their defaults: with Gmin off
   // and only the modulator captured, neither reaches the output.
   std::array<rf::ReceiverConfig, 1> cfg{};
   cfg[0].modulator = oscillation_mode_config(cap_coarse, cap_fine, q_enh);
-  chip.configure(cfg);
-  const std::vector<double> zeros(settle + measure, 0.0);
-  return chip.capture_modulator(zeros, settle, par::ThreadPool::shared());
+  chip_->configure(cfg);
+  const std::vector<double> zeros(settle + window, 0.0);
+  return chip_->capture_modulator(zeros, settle, par::ThreadPool::shared());
 }
-
-OscillationTuner::OscillationTuner(rf::ReceiverBatch& chip, Options options)
-    : chip_(&chip), options_(options) {}
 
 FrequencyMeasurement OscillationTuner::measure(std::uint32_t cap_coarse,
                                                std::uint32_t cap_fine) {
-  return measure_at_q(cap_coarse, cap_fine, 63, options_.settle);
+  return measure_frequency(
+      capture(cap_coarse, cap_fine, rf::LcTank::kQEnhMax, kSettle,
+              kCountWindow),
+      chip_->fs_hz());
 }
 
 FrequencyMeasurement OscillationTuner::measure_at_q(std::uint32_t cap_coarse,
                                                     std::uint32_t cap_fine,
-                                                    std::uint32_t q_code,
-                                                    std::size_t settle) {
-  ++measurements_;
-  const std::vector<double> capture = capture_oscillation(
-      *chip_, cap_coarse, cap_fine, q_code, settle, options_.measure);
-  return measure_frequency(capture, chip_->fs_hz(), options_.hysteresis);
+                                                    std::uint32_t q_code) {
+  return measure_frequency(
+      capture(cap_coarse, cap_fine, q_code, kGentleSettle, kCountWindow),
+      chip_->fs_hz());
 }
 
-std::uint32_t OscillationTuner::fine_tune(std::uint32_t cap_coarse,
-                                          double target_hz,
-                                          std::uint32_t q_code) {
-  // Slow build-up near threshold: allow a long settle.
-  const std::size_t settle = 4 * options_.settle + 16384;
-  // Escalate the overdrive until the oscillation reliably rails: right at
-  // the threshold the build-up from thermal noise can outlast the settle
-  // window, and a weak capture gives a garbage count.
-  std::uint32_t q = q_code;
-  while (q < rf::LcTank::kQEnhMax &&
-         measure_at_q(cap_coarse, 128, q, settle).rms < 0.5) {
-    q += 2;
-  }
-  q_code = q;
-  std::uint32_t lo = 0;
-  std::uint32_t hi = rf::LcTank::kFineMax;
-  while (lo < hi) {
-    const std::uint32_t mid = (lo + hi) / 2;
-    const auto m = measure_at_q(cap_coarse, mid, q_code, settle);
-    if (m.freq_hz > target_hz) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  std::uint32_t best = lo;
-  double best_err = std::abs(
-      measure_at_q(cap_coarse, lo, q_code, settle).freq_hz - target_hz);
-  if (lo > 0) {
-    const double err_prev = std::abs(
-        measure_at_q(cap_coarse, lo - 1, q_code, settle).freq_hz - target_hz);
-    if (err_prev < best_err) best = lo - 1;
-  }
-  return best;
+bool OscillationTuner::oscillates(std::uint32_t cap_coarse,
+                                  std::uint32_t cap_fine,
+                                  std::uint32_t q_code) {
+  const FrequencyMeasurement m = measure_frequency(
+      capture(cap_coarse, cap_fine, q_code, kSettle, kBackOffWindow),
+      chip_->fs_hz());
+  return m.rms > kOscillationRms;
 }
 
 OscillationTuner::Result OscillationTuner::tune(double target_hz) {
   Result result;
-  // Coarse: oscillation frequency decreases monotonically with the code.
-  std::uint32_t lo = 0;
-  std::uint32_t hi = rf::LcTank::kCoarseMax;
-  while (lo < hi) {
-    const std::uint32_t mid = (lo + hi) / 2;
-    const auto m = measure(mid, 128);
-    if (m.freq_hz > target_hz) {
-      lo = mid + 1;  // frequency too high -> more capacitance
-    } else {
-      hi = mid;
-    }
-  }
-  // `lo` is the smallest coarse code with f <= target; check the neighbor
-  // above for a closer landing with the fine array centered.
-  std::uint32_t best_coarse = lo;
-  double best_err = std::abs(measure(lo, 128).freq_hz - target_hz);
-  if (lo > 0) {
-    const double err_prev = std::abs(measure(lo - 1, 128).freq_hz - target_hz);
-    if (err_prev < best_err) {
-      best_coarse = lo - 1;
-      best_err = err_prev;
-    }
-  }
-
-  // Fine: same monotone search on the fine array.
-  std::uint32_t flo = 0;
-  std::uint32_t fhi = rf::LcTank::kFineMax;
-  while (flo < fhi) {
-    const std::uint32_t mid = (flo + fhi) / 2;
-    const auto m = measure(best_coarse, mid);
-    if (m.freq_hz > target_hz) {
-      flo = mid + 1;
-    } else {
-      fhi = mid;
-    }
-  }
-  std::uint32_t best_fine = flo;
-  double fine_err =
-      std::abs(measure(best_coarse, best_fine).freq_hz - target_hz);
-  if (flo > 0) {
-    const double err_prev =
-        std::abs(measure(best_coarse, flo - 1).freq_hz - target_hz);
-    if (err_prev < fine_err) {
-      best_fine = flo - 1;
-      fine_err = err_prev;
-    }
-  }
-
-  result.cap_coarse = best_coarse;
-  result.cap_fine = best_fine;
-  const auto final_m = measure(best_coarse, best_fine);
-  result.achieved_hz = final_m.freq_hz;
-  result.measurements = measurements_;
+  // Coarse with the fine array centered, then fine at the coarse landing.
+  result.cap_coarse =
+      search_code(rf::LcTank::kCoarseMax, target_hz, [&](std::uint32_t code) {
+        return measure(code, 128).freq_hz;
+      });
+  result.cap_fine =
+      search_code(rf::LcTank::kFineMax, target_hz, [&](std::uint32_t code) {
+        return measure(result.cap_coarse, code).freq_hz;
+      });
+  result.achieved_hz = measure(result.cap_coarse, result.cap_fine).freq_hz;
   // Converged when the landing error is well inside the OSR band
   // half-width fs/(4*OSR) = f0/64.
   result.converged =
       std::abs(result.achieved_hz - target_hz) < target_hz / 200.0;
   return result;
+}
+
+OscillationTuner::BackOff OscillationTuner::back_off(std::uint32_t cap_coarse,
+                                                     std::uint32_t cap_fine) {
+  BackOff result;
+  // Paper step 7 walks -Gm down gradually; near the threshold the decay
+  // time constant diverges, so a sequential walk (rather than a binary
+  // search) mirrors what the ATE procedure does and tolerates slow decay.
+  for (std::uint32_t q = rf::LcTank::kQEnhMax;; --q) {
+    if (!oscillates(cap_coarse, cap_fine, q)) {
+      result.q_enh = q;
+      // Converged only when some code above this one oscillated.
+      result.converged = q < rf::LcTank::kQEnhMax;
+      break;
+    }
+    result.q_threshold = q;
+    if (q == 0) break;  // oscillates even with -Gm off: broken chip
+  }
+  return result;
+}
+
+std::uint32_t OscillationTuner::fine_tune(std::uint32_t cap_coarse,
+                                          double target_hz,
+                                          std::uint32_t q_code) {
+  // Escalate the overdrive until the oscillation reliably rails: right at
+  // the threshold the build-up from thermal noise can outlast the settle
+  // window, and a weak capture gives a garbage count.
+  while (q_code < rf::LcTank::kQEnhMax &&
+         measure_at_q(cap_coarse, 128, q_code).rms < 0.5) {
+    q_code += 2;
+  }
+  return search_code(rf::LcTank::kFineMax, target_hz, [&](std::uint32_t code) {
+    return measure_at_q(cap_coarse, code, q_code).freq_hz;
+  });
 }
 
 }  // namespace analock::calib

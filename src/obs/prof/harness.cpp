@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <thread>
 
@@ -91,6 +92,14 @@ BenchEnv parse_bench_env() {
     env.force_chrono = std::string_view(perf) == "0";
   }
   return env;
+}
+
+/// CPU time the process has used so far, all threads, in ms.
+double process_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
 }
 
 std::string cpu_model() {
@@ -219,9 +228,11 @@ CaseResult Harness::run_case(const std::string& name,
   while (true) {
     RepSample sample;
     sample.t_ns = obs::registry().now_ns();
+    const double cpu_start_ms = process_cpu_ms();
     const CounterSection section(counters_);
     fn();
     sample.counters = section.delta();
+    sample.cpu_ms = process_cpu_ms() - cpu_start_ms;
     sample.wall_ms = sample.counters.wall_ns / 1e6;
     elapsed_ms += sample.wall_ms;
     result.reps.push_back(std::move(sample));
@@ -237,9 +248,15 @@ CaseResult Harness::run_case(const std::string& name,
   SpanProfiler::detach();
 
   std::vector<double> wall;
+  std::vector<double> cpu;
   wall.reserve(result.reps.size());
-  for (const RepSample& rep : result.reps) wall.push_back(rep.wall_ms);
+  cpu.reserve(result.reps.size());
+  for (const RepSample& rep : result.reps) {
+    wall.push_back(rep.wall_ms);
+    cpu.push_back(rep.cpu_ms);
+  }
   result.wall_ms = compute_stats(std::move(wall));
+  result.cpu_ms = compute_stats(std::move(cpu));
   return result;
 }
 
@@ -337,6 +354,8 @@ std::string Harness::json() const {
     append_double(out, r.options.ops_per_rep);
     out += ",\"wall_ms\":";
     append_stats(out, r.wall_ms);
+    out += ",\"cpu_ms\":";
+    append_stats(out, r.cpu_ms);
 
     out += ",\"counters\":{";
     if (with_counters) {
@@ -371,6 +390,8 @@ std::string Harness::json() const {
       out += std::to_string(rep.t_ns);
       out += ",\"wall_ms\":";
       append_double(out, rep.wall_ms);
+      out += ",\"cpu_ms\":";
+      append_double(out, rep.cpu_ms);
       if (with_counters) {
         for (const NamedCounter& field : kCounterFields) {
           out += ",\"";

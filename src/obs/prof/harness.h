@@ -90,6 +90,9 @@ struct CaseOptions {
 struct RepSample {
   std::uint64_t t_ns = 0;  // begin timestamp (registry clock)
   double wall_ms = 0.0;
+  /// Process CPU time across the rep, all threads: with wall_ms it tells
+  /// a contended host (wall up, CPU flat) from slower code (both up).
+  double cpu_ms = 0.0;
   CounterValues counters;  // deltas across the rep
 };
 
@@ -100,6 +103,7 @@ struct CaseResult {
   int warmups = 0;
   std::vector<RepSample> reps;
   Stats wall_ms;
+  Stats cpu_ms;
 };
 
 class Harness {

@@ -67,9 +67,7 @@ TEST(BiasOptimizer, FindsLoopDelayNearDesignPoint) {
 
 TEST(BiasOptimizer, MeasurementCountIsBudgeted) {
   const auto pv = sim::ProcessVariation::nominal();
-  BiasOptimizer::Options options;
-  options.passes = 1;
-  BiasOptimizer opt(rf::standard_max_3ghz(), pv, sim::Rng(60), options);
+  BiasOptimizer opt(rf::standard_max_3ghz(), pv, sim::Rng(60), 1);
   (void)opt.optimize(detuned_bias_config());
   // 5 fields x (coarse ~9 + refine ~2*step) plus SFDR-gated second
   // measurements: generously under 400.
@@ -171,18 +169,18 @@ struct ParityRun {
 /// injector streams must still be aligned after the descent.
 ParityRun parity_run(bool reference, const fault::FaultPlan& plan,
                      const rf::ReceiverConfig& start,
-                     BiasOptimizer::Options options) {
+                     std::size_t passes) {
   sim::Rng master(77);
   const auto pv = sim::ProcessVariation::monte_carlo(master, 1);
   fault::FaultInjector injector(plan);
   BiasOptimizer opt(rf::standard_max_3ghz(), pv, master.fork("chip", 1),
-                    options);
+                    passes);
   opt.set_fault_injector(&injector);
   ParityRun run;
   rf::ReceiverConfig config;
   if (reference) {
     ReferenceDescent descent{opt};
-    config = descent.optimize(start, options.passes);
+    config = descent.optimize(start, passes);
     run.remeasures = descent.remeasures;
   } else {
     config = opt.optimize(start);
@@ -204,10 +202,11 @@ void expect_parity(const ParityRun& ref, const ParityRun& got) {
 }
 
 TEST(BiasOptimizer, BatchedSweepMatchesScalarDescentClean) {
-  const BiasOptimizer::Options options;
   const fault::FaultPlan clean;
-  const auto ref = parity_run(true, clean, detuned_bias_config(), options);
-  const auto got = parity_run(false, clean, detuned_bias_config(), options);
+  const auto ref = parity_run(true, clean, detuned_bias_config(),
+                              BiasOptimizer::kPasses);
+  const auto got = parity_run(false, clean, detuned_bias_config(),
+                              BiasOptimizer::kPasses);
   expect_parity(ref, got);
 }
 
@@ -222,10 +221,8 @@ TEST(BiasOptimizer, BatchedSweepMatchesScalarDescentUnderFaults) {
   plan.meas_dropout_prob = 0.05;
   plan.stuck_at0_bits = 2;
   plan.stuck_at1_bits = 1;
-  BiasOptimizer::Options options;
-  options.passes = 1;
-  const auto ref = parity_run(true, plan, detuned_bias_config(), options);
-  const auto got = parity_run(false, plan, detuned_bias_config(), options);
+  const auto ref = parity_run(true, plan, detuned_bias_config(), 1);
+  const auto got = parity_run(false, plan, detuned_bias_config(), 1);
   EXPECT_GT(ref.faults.meas_spikes, 0u);
   EXPECT_GT(ref.faults.meas_dropouts, 0u);
   EXPECT_GT(ref.faults.words_stuck, 0u);
@@ -241,10 +238,9 @@ TEST(BiasOptimizer, BatchedSweepRepeatsCoarseBestRemeasure) {
   start.modulator.preamp_bias = 32;
   start.modulator.comp_bias = 32;
   start.modulator.loop_delay = 8;
-  const BiasOptimizer::Options options;
   const fault::FaultPlan clean;
-  const auto ref = parity_run(true, clean, start, options);
-  const auto got = parity_run(false, clean, start, options);
+  const auto ref = parity_run(true, clean, start, BiasOptimizer::kPasses);
+  const auto got = parity_run(false, clean, start, BiasOptimizer::kPasses);
   EXPECT_GT(ref.remeasures, 0u);
   expect_parity(ref, got);
 }

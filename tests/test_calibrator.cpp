@@ -128,7 +128,7 @@ TEST(Calibrator, HardenedCleanRunProducesTheSameKey) {
   Calibrator plain(rf::standard_bluetooth(), pv, master.fork("bt"), opt);
   const auto baseline = plain.run();
 
-  opt.hardening.enabled = true;
+  opt.harden = true;
   Calibrator hardened(rf::standard_bluetooth(), pv, master.fork("bt"), opt);
   const auto r = hardened.run();
   EXPECT_EQ(r.key, baseline.key);
@@ -168,7 +168,7 @@ TEST(Calibrator, DropoutCampaignWithoutHardeningReportsSpecNotMet) {
   Calibrator::Options opt;
   opt.tune_vglna_segments = false;
   opt.refine_after_vglna = false;
-  opt.bias.passes = 1;
+  opt.bias_passes = 1;
   Calibrator calibrator(rf::standard_bluetooth(), pv, master.fork("bt"), opt);
   calibrator.set_fault_injector(&injector);
   const auto r = calibrator.run();

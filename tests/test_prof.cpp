@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -255,6 +256,32 @@ TEST_F(ProfHarnessTest, RunsPinnedRepsWithDeterministicStats) {
   EXPECT_EQ(r.wall_ms.n, 3u);
 }
 
+TEST_F(ProfHarnessTest, RecordsProcessCpuTimePerRep) {
+  // The registry clock is fake (1 ms per reading); CPU time is the
+  // process's own, so a rep that burns at least 2 ms of CPU must say so.
+  prof::Harness h("test_prof_cpu");
+  h.add_case("spin", [] {
+    timespec start{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &start);
+    timespec now = start;
+    while ((now.tv_sec - start.tv_sec) * 1000000000L +
+               (now.tv_nsec - start.tv_nsec) <
+           2000000L) {
+      clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+    }
+  });
+  EXPECT_EQ(h.run(), 0);
+  const prof::CaseResult& r = h.results()[0];
+  ASSERT_EQ(r.reps.size(), 3u);
+  for (const prof::RepSample& rep : r.reps) {
+    EXPECT_GE(rep.cpu_ms, 2.0);
+    EXPECT_DOUBLE_EQ(rep.wall_ms, 1.0);
+  }
+  EXPECT_EQ(r.cpu_ms.n, 3u);
+  EXPECT_GE(r.cpu_ms.min, 2.0);
+  EXPECT_LE(r.cpu_ms.min, r.cpu_ms.median);
+}
+
 TEST_F(ProfHarnessTest, WarmupOptionOverridesEnvAndSkipsProfile) {
   prof::Harness h("test_prof_warmup");
   int calls = 0;
@@ -286,6 +313,9 @@ TEST_F(ProfHarnessTest, JsonDocumentStructure) {
   EXPECT_NE(json.find("\"notes\":{\"paper_minutes\":20}"),
             std::string::npos);
   EXPECT_NE(json.find("\"wall_ms\":{\"n\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"cpu_ms\":{\"n\":3"), std::string::npos);
+  EXPECT_NE(json.find(",\"cpu_ms\":"), json.rfind(",\"cpu_ms\":"))
+      << "per-rep cpu_ms next to each rep's wall_ms";
   // Chrono mode: per-case counters stay an empty object and the profile
   // spans carry timing only.
   EXPECT_NE(json.find("\"counters\":{}"), std::string::npos);

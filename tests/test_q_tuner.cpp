@@ -1,8 +1,8 @@
-// Unit tests for calibration step 7 (-Gm backoff).
+// Unit tests for calibration step 7 (-Gm backoff, the Q tuning):
+// OscillationTuner::back_off() and oscillates().
 #include <gtest/gtest.h>
 
 #include "calib/oscillation_tuner.h"
-#include "calib/q_tuner.h"
 
 #include <algorithm>
 #include <cmath>
@@ -16,7 +16,7 @@
 namespace {
 
 using namespace analock;
-using calib::QTuner;
+using calib::OscillationTuner;
 
 /// Analytically tuned capacitor codes for the nominal chip at 3 GHz.
 std::pair<std::uint32_t, std::uint32_t> nominal_caps() {
@@ -35,9 +35,9 @@ TEST(QTuner, FindsThresholdOnNominalChip) {
   sim::Rng master(51);
   const auto pv = sim::ProcessVariation::nominal();
   rf::ReceiverBatch chip(rf::standard_max_3ghz(), pv, master);
-  QTuner tuner(chip);
+  OscillationTuner tuner(chip);
   const auto [cc, cf] = nominal_caps();
-  const auto result = tuner.tune(cc, cf);
+  const auto result = tuner.back_off(cc, cf);
   EXPECT_TRUE(result.converged);
   // Analytic threshold: 1/Q0 = q/192 with Q0 = 8 -> q = 24 oscillates,
   // 23 does not; the sequential walk may land 1 lower from slow decay.
@@ -50,9 +50,9 @@ TEST(QTuner, ChosenCodeDoesNotOscillateThresholdDoes) {
   sim::Rng master(51);
   const auto pv = sim::ProcessVariation::nominal();
   rf::ReceiverBatch chip(rf::standard_max_3ghz(), pv, master);
-  QTuner tuner(chip);
+  OscillationTuner tuner(chip);
   const auto [cc, cf] = nominal_caps();
-  const auto result = tuner.tune(cc, cf);
+  const auto result = tuner.back_off(cc, cf);
   const rf::LcTank tank(pv);
   EXPECT_FALSE(tank.oscillates(result.q_enh));
   EXPECT_TRUE(tank.oscillates(result.q_threshold + 2));
@@ -68,11 +68,10 @@ TEST_P(QTunerChipTest, ThresholdTracksIntrinsicQ) {
       rf::standard_max_3ghz(), pv,
       master.fork("chip", static_cast<std::uint64_t>(GetParam())));
   // Tune the caps first so the oscillation is at band center.
-  calib::OscillationTuner osc(chip);
-  const auto caps = osc.tune(3.0e9);
+  OscillationTuner tuner(chip);
+  const auto caps = tuner.tune(3.0e9);
   ASSERT_TRUE(caps.converged);
-  QTuner tuner(chip);
-  const auto result = tuner.tune(caps.cap_coarse, caps.cap_fine);
+  const auto result = tuner.back_off(caps.cap_coarse, caps.cap_fine);
   EXPECT_TRUE(result.converged);
   // Physical threshold = 192 / Q0, +/-2 codes of measurement slack.
   const double expected = 192.0 / pv.tank_q_intrinsic;
@@ -86,7 +85,7 @@ TEST(QTuner, OscillatesPredicateAgreesWithTank) {
   sim::Rng master(53);
   const auto pv = sim::ProcessVariation::nominal();
   rf::ReceiverBatch chip(rf::standard_max_3ghz(), pv, master);
-  QTuner tuner(chip);
+  OscillationTuner tuner(chip);
   const auto [cc, cf] = nominal_caps();
   EXPECT_TRUE(tuner.oscillates(cc, cf, 63));
   EXPECT_FALSE(tuner.oscillates(cc, cf, 0));

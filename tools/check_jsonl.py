@@ -25,7 +25,8 @@ line number.
 
 The same tool also validates the BENCH_<name>.json trajectory artifact
 written by the profiling harness (src/obs/prof/): schema name + version,
-environment capture, per-case robust stats, monotone per-rep timestamps,
+environment capture, per-case robust stats (wall time, and process CPU
+time when the artifact records it), monotone per-rep timestamps,
 non-negative counters, and span-profile coherence (self <= total).
 
 Usage:
@@ -185,6 +186,14 @@ def check_case(bench: str, case) -> None:
     if not isinstance(ops, (int, float)) or ops <= 0:
         fail(f"{where}: ops_per_rep must be positive: {ops!r}")
     check_stats(f"{where}.wall_ms", case.get("wall_ms"))
+    # Process CPU time per rep; artifacts recorded before it existed lack
+    # the field, so it is checked only when present.
+    has_cpu = "cpu_ms" in case
+    if has_cpu:
+        check_stats(f"{where}.cpu_ms", case["cpu_ms"])
+        if case["cpu_ms"]["n"] != case["wall_ms"]["n"]:
+            fail(f"{where}: cpu_ms.n={case['cpu_ms']['n']} but "
+                 f"wall_ms.n={case['wall_ms']['n']}")
 
     # Optional case annotations (e.g. bench_batch_eval records lanes and
     # thread count): a flat object of string keys to finite numbers.
@@ -229,6 +238,12 @@ def check_case(bench: str, case) -> None:
         wall = rep.get("wall_ms")
         if not isinstance(wall, (int, float)) or wall < 0:
             fail(f"{where}: rep {i} wall_ms missing or negative: {wall!r}")
+        if has_cpu:
+            cpu = rep.get("cpu_ms")
+            if (not isinstance(cpu, (int, float)) or isinstance(cpu, bool)
+                    or cpu < 0):
+                fail(f"{where}: rep {i} cpu_ms missing or negative: "
+                     f"{cpu!r}")
         for cname in COUNTER_KEYS:
             if cname in rep and (not isinstance(rep[cname], int)
                                  or rep[cname] < 0):
