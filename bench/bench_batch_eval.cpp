@@ -4,7 +4,7 @@
 // thread pool (the fan-out win). The `*_scalar` cases time the per-key
 // calls; tools/bench_compare.py pairs cases on that suffix.
 // Before timing anything it verifies the engine's bit-exactness contract
-// against the block-level rf::Receiver reference recipe
+// against the block-level scalar reference recipe
 // (tests/reference_oracle.h) on the exact workload being timed, so the
 // reported numbers are for an identical-output computation by
 // construction.
@@ -54,7 +54,7 @@ Setup make_setup(std::size_t lanes) {
 }
 
 /// Bit-exactness gate: per-key and batched values (1 thread and N
-/// threads) must equal the rf::Receiver reference recipe's, else the
+/// threads) must equal the scalar reference recipe's, else the
 /// timings below compare different computations.
 bool verify_parity(const Setup& s, par::ThreadPool& pool1,
                    par::ThreadPool& pool_max) {
@@ -81,12 +81,12 @@ bool verify_parity(const Setup& s, par::ThreadPool& pool1,
   }
   if (mismatches != 0) {
     std::fprintf(stderr,
-                 "FATAL: mismatch with the rf::Receiver reference on %zu "
+                 "FATAL: mismatch with the scalar reference on %zu "
                  "of %zu keys\n",
                  mismatches, s.keys.size());
     return false;
   }
-  std::printf("parity: per-key and batch == rf::Receiver reference "
+  std::printf("parity: per-key and batch == scalar reference "
               "bit-exact on %zu keys (1 and %zu threads)\n",
               s.keys.size(), pool_max.size());
   return true;

@@ -11,7 +11,9 @@ namespace {
 // Streams this bench's event record to bench_fig08_transient.jsonl (see ObsSession).
 const analock::bench::ObsSession kObsSession("bench_fig08_transient");
 }  // namespace
+#include "par/thread_pool.h"
 #include "rf/receiver.h"
+#include "rf/receiver_batch.h"
 
 namespace {
 
@@ -27,26 +29,27 @@ struct TransientStats {
 TransientStats run_key(const bench::Chip& chip, const lock::Key64& key,
                        std::vector<double>& first_samples) {
   const rf::Standard& mode = rf::standard_max_3ghz();
-  rf::Receiver rx(mode, chip.pv, chip.rng);
-  rx.configure(lock::decode_key(key, mode.digital_mode));
+  const rf::ReceiverConfig config = lock::decode_key(key, mode.digital_mode);
+  rf::ReceiverBatch rx(mode, chip.pv, chip.rng, {&config, 1});
   const auto in = rf::make_test_tone(mode, -25.0, 2048 + 2048);
-  const auto cap = rx.capture_modulator(in, 2048);
+  const std::vector<double> output =
+      rx.capture_modulator(in, 2048, par::ThreadPool::shared());
 
   TransientStats stats;
   std::set<long long> levels;
   double sum_sq = 0.0;
   std::size_t bilevel = 0;
-  for (const double y : cap.output) {
+  for (const double y : output) {
     levels.insert(std::llround(y * 1e6));
     sum_sq += y * y;
     stats.peak = std::max(stats.peak, std::abs(y));
     if (y == 1.0 || y == -1.0) ++bilevel;
   }
   stats.distinct_levels = levels.size();
-  stats.rms = std::sqrt(sum_sq / static_cast<double>(cap.output.size()));
+  stats.rms = std::sqrt(sum_sq / static_cast<double>(output.size()));
   stats.bilevel_fraction =
-      static_cast<double>(bilevel) / static_cast<double>(cap.output.size());
-  first_samples.assign(cap.output.begin(), cap.output.begin() + 32);
+      static_cast<double>(bilevel) / static_cast<double>(output.size());
+  first_samples.assign(output.begin(), output.begin() + 32);
   return stats;
 }
 

@@ -12,7 +12,9 @@ namespace {
 const analock::bench::ObsSession kObsSession("bench_fig10_psd");
 }  // namespace
 #include "dsp/spectrum.h"
+#include "par/thread_pool.h"
 #include "rf/receiver.h"
+#include "rf/receiver_batch.h"
 
 namespace {
 
@@ -21,11 +23,11 @@ using namespace analock;
 dsp::Periodogram capture_psd(const bench::Chip& chip,
                              const lock::Key64& key) {
   const rf::Standard& mode = rf::standard_max_3ghz();
-  rf::Receiver rx(mode, chip.pv, chip.rng);
-  rx.configure(lock::decode_key(key, mode.digital_mode));
+  const rf::ReceiverConfig config = lock::decode_key(key, mode.digital_mode);
+  rf::ReceiverBatch rx(mode, chip.pv, chip.rng, {&config, 1});
   const auto in = rf::make_test_tone(mode, -25.0, 2048 + 8192);
-  const auto cap = rx.capture_modulator(in, 2048);
-  return dsp::Periodogram(cap.output, mode.fs_hz());
+  return dsp::Periodogram(
+      rx.capture_modulator(in, 2048, par::ThreadPool::shared()), mode.fs_hz());
 }
 
 /// Average PSD (dB) over `width` bins centered at `center + offset`.

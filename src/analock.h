@@ -5,18 +5,15 @@
 // libraries; see examples/quickstart.cpp for the full lifecycle.
 #pragma once
 
-// Simulation substrate: deterministic RNG, units, noise, process corners.
+// Simulation substrate: deterministic RNG, units, process corners.
 #include "sim/bitfield.h"
-#include "sim/noise.h"
 #include "sim/process.h"
 #include "sim/rng.h"
 #include "sim/units.h"
 
-// DSP substrate: FFT, spectral metrology, filters, mixers, stimuli.
-#include "dsp/cic.h"
+// DSP substrate: FFT, spectral metrology, filters, stimuli.
 #include "dsp/fft_plan.h"
 #include "dsp/fir.h"
-#include "dsp/mixer.h"
 #include "dsp/spectrum.h"
 #include "dsp/tonegen.h"
 #include "dsp/window.h"
@@ -24,8 +21,10 @@
 // The demonstration vehicle: programmable multi-standard RF receiver.
 #include "rf/bp_sigma_delta.h"
 #include "rf/digital_backend.h"
+#include "rf/lane_constants.h"
 #include "rf/lc_tank.h"
 #include "rf/receiver.h"
+#include "rf/receiver_batch.h"
 #include "rf/sd_blocks.h"
 #include "rf/standards.h"
 #include "rf/vglna.h"

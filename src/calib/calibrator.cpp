@@ -8,6 +8,7 @@
 #include "lock/evaluator.h"
 #include "lock/key_layout.h"
 #include "obs/trace.h"
+#include "sim/units.h"
 
 namespace analock::calib {
 

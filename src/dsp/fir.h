@@ -1,8 +1,7 @@
 // FIR filter design (windowed sinc) and streaming/decimating application.
 //
-// The receiver's digital decimation chain (paper Fig. 4) is built from the
-// CIC stage in dsp/cic.h followed by compensating/half-band FIR stages
-// implemented here.
+// The receiver's digital decimation chain (paper Fig. 4) is a CIC stage
+// followed by half-band and channel FIR stages designed here.
 #pragma once
 
 #include <complex>

@@ -3,8 +3,8 @@
 //
 // This is the oracle's only measurement pipeline. LockEvaluator's per-key
 // calls are batches of one through it, so a batch of N returns exactly
-// what N per-key calls return, for any thread count; the block-level
-// rf::Receiver serves only as the parity reference in the tests (see
+// what N per-key calls return, for any thread count; the scalar chip in
+// tests/reference_receiver.h serves only as the parity reference (see
 // receiver_batch.h for why the two agree bit for bit). Trial counters and
 // fault-injector state advance exactly as if LockEvaluator had been
 // called once per key, so attack cost accounting and fault campaigns

@@ -7,11 +7,10 @@ LockedReceiver::LockedReceiver(const rf::Standard& standard,
                                const sim::Rng& rng)
     : standard_(&standard),
       process_(process),
-      receiver_(standard, process, rng) {
-  // Un-keyed fabric: all programming bits low. The loop is open, the
-  // comparator un-clocked, the input disconnected — non-functional.
-  receiver_.configure(decode_key(Key64{}, standard.digital_mode));
-}
+      rng_(rng),
+      // Un-keyed fabric: all programming bits low. The loop is open, the
+      // comparator un-clocked, the input disconnected — non-functional.
+      config_(decode_key(Key64{}, standard.digital_mode)) {}
 
 bool LockedReceiver::power_on(KeyManagementScheme& scheme, std::size_t slot) {
   const auto key = scheme.load(slot);
@@ -25,7 +24,7 @@ bool LockedReceiver::power_on(KeyManagementScheme& scheme, std::size_t slot) {
 }
 
 void LockedReceiver::apply_key(const Key64& key) {
-  receiver_.configure(decode_key(key, standard_->digital_mode));
+  config_ = decode_key(key, standard_->digital_mode);
   active_key_ = key;
 }
 

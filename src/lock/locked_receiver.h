@@ -1,7 +1,9 @@
-// Product-level facade: a fabricated chip (behavioral receiver + its
-// process corner) whose programmable fabric is the lock. In the field the
-// chip loads its configuration from a key-management scheme at power-on;
-// an attacker can instead apply arbitrary key guesses directly.
+// Product-level facade: a fabricated chip (standard, process corner and
+// noise RNG) whose programmable fabric is the lock. In the field the chip
+// loads its configuration from a key-management scheme at power-on; an
+// attacker can instead apply arbitrary key guesses directly. The fabric's
+// state is the decoded configuration; rf::ReceiverBatch built from the
+// chip's standard, process and RNG measures it.
 #pragma once
 
 #include <cstdint>
@@ -36,17 +38,19 @@ class LockedReceiver {
     return active_key_;
   }
 
-  [[nodiscard]] rf::Receiver& chip() { return receiver_; }
-  [[nodiscard]] const rf::Receiver& chip() const { return receiver_; }
+  /// The configuration programmed into the fabric.
+  [[nodiscard]] const rf::ReceiverConfig& config() const { return config_; }
   [[nodiscard]] const rf::Standard& standard() const { return *standard_; }
   [[nodiscard]] const sim::ProcessVariation& process() const {
     return process_;
   }
+  [[nodiscard]] const sim::Rng& rng() const { return rng_; }
 
  private:
   const rf::Standard* standard_;
   sim::ProcessVariation process_;
-  rf::Receiver receiver_;
+  sim::Rng rng_;
+  rf::ReceiverConfig config_;
   std::optional<Key64> active_key_;
 };
 

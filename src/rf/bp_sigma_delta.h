@@ -9,18 +9,23 @@
 // nulls at the fs/4 carrier. Every deviation programmed through the
 // 60-bit modulator configuration degrades or destroys that shaping, which
 // is exactly the locking mechanism of the paper.
+//
+// One sample of the loop, with fb the delay line's output when the
+// feedback is enabled (else 0), u the transconductor output and v the
+// comparator decision:
+//   s1[n] = res1(-(u[n-2] -     fb) + tank noise)
+//   s2[n] = res2(-(s1[n-2] - 2 fb) + tank noise)
+//   v[n]  = comparator(preamp(s2[n])); the DAC converts v[n] into the
+//           delay line whether or not the loop is closed.
+// The 2-bit test mux and the calibration buffer then select the output.
+// rf::lane_constants maps the 60-bit configuration to the blocks'
+// constants; rf::ReceiverBatch steps the loop.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "rf/lc_tank.h"
 #include "rf/sd_blocks.h"
-#include "rf/standards.h"
-#include "sim/noise.h"
-#include "sim/process.h"
-#include "sim/rng.h"
 
 namespace analock::rf {
 
@@ -49,92 +54,7 @@ struct ModulatorConfig {
                          const ModulatorConfig&) = default;
 };
 
-/// One modulator capture: the output stream plus bookkeeping the
-/// calibration and the experiments need.
-struct ModulatorCapture {
-  std::vector<double> output;  ///< comparator (or muxed/buffered) samples
-  double fs_hz = 0.0;
-};
-
-class BpSigmaDelta {
- public:
-  /// Design full-scale: DAC levels are +/-1 at the nominal configuration.
-  static constexpr double kFullScale = 1.0;
-  /// Tank-loss thermal noise seeding the resonators (FS units / sample).
-  static constexpr double kTankNoiseRms = 0.001;
-
-  BpSigmaDelta(const Standard& standard, const sim::ProcessVariation& process,
-               const sim::Rng& rng);
-
-  /// Applies a decoded configuration to every block.
-  void configure(const ModulatorConfig& config);
-  [[nodiscard]] const ModulatorConfig& config() const { return config_; }
-
-  [[nodiscard]] double fs_hz() const { return fs_hz_; }
-  [[nodiscard]] const Standard& standard() const { return *standard_; }
-  [[nodiscard]] const LcTank& tank() const { return tank_; }
-
-  /// Configured-block introspection: rf::ReceiverBatch probes a scalar
-  /// chip instance through these to harvest the per-lane constants
-  /// (gains, levels, noise RMS values) instead of re-deriving the
-  /// config->parameter maps.
-  [[nodiscard]] const Resonator& resonator1() const { return res1_; }
-  [[nodiscard]] const Resonator& resonator2() const { return res2_; }
-  [[nodiscard]] const Transconductor& gmin() const { return gmin_; }
-  [[nodiscard]] const PreAmplifier& preamp() const { return preamp_; }
-  [[nodiscard]] const Comparator& comparator() const { return comparator_; }
-  [[nodiscard]] const FeedbackDac& dac() const { return dac_; }
-  [[nodiscard]] const FractionalDelayLine& delay_line() const {
-    return delay_;
-  }
-  [[nodiscard]] const OutputBuffer& out_buffer() const { return buffer_; }
-
-  /// Advances one sample at fs with RF input voltage `v_rf`; returns the
-  /// modulator output (a +/-1 decision in normal operation, an analog
-  /// sample when the comparator clock is off or a test tap is selected).
-  double step(double v_rf);
-
-  /// Runs a whole capture, discarding `settle` leading samples.
-  [[nodiscard]] ModulatorCapture run(std::span<const double> rf,
-                                     std::size_t settle = 0);
-
-  /// Internal nodes (the attacker of Section VI.A "can monitor internal
-  /// nodes"; calibration uses them through the output mux).
-  [[nodiscard]] double resonator1_state() const { return res1_.state(); }
-  [[nodiscard]] double resonator2_state() const { return res2_.state(); }
-  [[nodiscard]] double comparator_input() const { return last_pre_; }
-
-  /// True when the configured -Gm code overcompensates the tank loss
-  /// (open-loop oscillation; calibration steps 5-7).
-  [[nodiscard]] bool tank_oscillating() const;
-
-  /// Clears all dynamic state (histories, resonators, delay line).
-  void reset();
-
- private:
-  void reconfigure_resonators();
-
-  const Standard* standard_;
-  sim::ProcessVariation process_;
-  double fs_hz_;
-  ModulatorConfig config_{};
-
-  LcTank tank_;
-  Resonator res1_;
-  Resonator res2_;
-  Transconductor gmin_;
-  PreAmplifier preamp_;
-  Comparator comparator_;
-  FeedbackDac dac_;
-  FractionalDelayLine delay_;
-  OutputBuffer buffer_;
-  sim::GaussianNoise tank_noise1_;
-  sim::GaussianNoise tank_noise2_;
-
-  // Structural z^-2 histories of the resonator inputs.
-  double u_hist_[2] = {0.0, 0.0};
-  double s1_hist_[2] = {0.0, 0.0};
-  double last_pre_ = 0.0;
-};
+/// Tank-loss thermal noise seeding each resonator (FS units / sample).
+inline constexpr double kTankNoiseRms = 0.001;
 
 }  // namespace analock::rf

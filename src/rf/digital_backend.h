@@ -5,27 +5,18 @@
 // The digital section has its own 3 programming bits (channel-filter
 // selection); the paper excludes them from the locking key because their
 // calibration is straightforward, and so do we.
+//
+// rf::ReceiverBatch runs the chain lane by lane from these constants and
+// filter designs.
 #pragma once
 
-#include <complex>
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
-
-#include "dsp/cic.h"
-#include "dsp/fir.h"
-#include "dsp/mixer.h"
 
 namespace analock::rf {
 
-/// Complex baseband capture produced by the digital backend.
-struct BasebandCapture {
-  std::vector<std::complex<double>> samples;
-  double fs_hz = 0.0;  ///< decimated (output) sample rate
-};
-
-class DigitalBackend {
- public:
+struct DigitalBackend {
   static constexpr std::size_t kCicStages = 4;
   static constexpr std::size_t kCicFactor = 16;
   static constexpr std::size_t kTotalDecimation = 64;
@@ -39,40 +30,9 @@ class DigitalBackend {
   static constexpr double kLogicVih = 0.5;
   static constexpr double kLogicVil = -0.5;
 
-  DigitalBackend(double fs_hz, std::uint32_t digital_mode);
-
-  [[nodiscard]] double input_rate_hz() const { return fs_hz_; }
-  [[nodiscard]] double output_rate_hz() const {
-    return fs_hz_ / static_cast<double>(kTotalDecimation);
-  }
-  [[nodiscard]] std::uint32_t digital_mode() const { return mode_; }
-
-  /// Channel-filter taps the backend instantiates for a 3-bit mode;
-  /// rf::ReceiverBatch builds its lane-parallel chain from the same
-  /// design so batched and scalar backends are bit-identical.
+  /// Channel-filter taps (31, Hamming-windowed) for a 3-bit mode.
   [[nodiscard]] static std::vector<double> channel_taps_for_mode(
       std::uint32_t mode);
-
-  /// Feeds one modulator output sample; returns true and fills `out` when
-  /// a baseband sample is produced.
-  bool push(double modulator_sample, std::complex<double>& out);
-
-  /// Processes a whole modulator capture, discarding `settle_out` leading
-  /// baseband samples (filter fill-in).
-  [[nodiscard]] BasebandCapture process(std::span<const double> modulator,
-                                        std::size_t settle_out = 0);
-
-  void reset();
-
- private:
-  double fs_hz_;
-  std::uint32_t mode_;
-  double slicer_state_ = -1.0;
-  dsp::QuarterRateMixer mixer_;
-  dsp::CicDecimator<std::complex<double>> cic_;
-  dsp::DecimatingFir<std::complex<double>> hb1_;
-  dsp::DecimatingFir<std::complex<double>> hb2_;
-  dsp::Fir<std::complex<double>> channel_;
 };
 
 }  // namespace analock::rf

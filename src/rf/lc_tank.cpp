@@ -48,15 +48,4 @@ double LcTank::pole_radius(std::uint32_t coarse, std::uint32_t fine,
   return std::exp(-theta * inv_q / 2.0);
 }
 
-void Resonator::configure(double theta, double r) {
-  theta_ = theta;
-  r_ = r;
-  cos_theta_ = std::cos(theta);
-}
-
-void Resonator::reset() {
-  s1_ = 0.0;
-  s2_ = 0.0;
-}
-
 }  // namespace analock::rf

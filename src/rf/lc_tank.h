@@ -85,8 +85,8 @@ class LcTank {
 /// resonator state saturation: a hard clamp would lock free-running
 /// oscillations onto integer-period limit cycles and blind the
 /// calibration frequency counter, while this describing-function-friendly
-/// limiter preserves the oscillation frequency. Inline so the scalar
-/// Resonator and rf::ReceiverBatch share one definition.
+/// limiter preserves the oscillation frequency. Inline: rf::ReceiverBatch
+/// and the scalar reference in tests/ step with it.
 [[nodiscard]] inline double soft_rail(double x, double rail) {
   const double knee = 0.5 * rail;
   const double mag = std::abs(x);
@@ -105,8 +105,7 @@ class LcTank {
 /// (which would alias-lock the oscillation onto integer fractions of fs
 /// and blind the calibration frequency counter). The same mechanism
 /// collapses the loop-filter Q under input overload.
-class Resonator {
- public:
+struct Resonator {
   /// Rail for state saturation, in units of modulator full scale.
   static constexpr double kStateRail = 8.0;
   /// Envelope (in state units) above which the -Gm compression engages.
@@ -114,11 +113,9 @@ class Resonator {
   /// Radius reduction per unit of (envelope^2 - knee^2)/rail^2.
   static constexpr double kAgcStrength = 0.3;
 
-  void configure(double theta, double r);
-
-  /// The step kernel on explicit state, shared between the member
-  /// `step()` and the structure-of-arrays batch stepper: advances
-  /// (s1, s2) one sample with input x and returns the new state s[n].
+  /// The step kernel on explicit state: advances (s1, s2) = (s[n-1],
+  /// s[n-2]) one sample with input x and returns the new state s[n].
+  /// The pole parameters of a configured tank are rf::lane_constants'.
   // analock: thread_safe -- pure on its explicit-state arguments
   static double advance(double& s1, double& s2, double cos_theta, double r,
                         double x) {
@@ -139,23 +136,6 @@ class Resonator {
     s1 = s;
     return s;
   }
-
-  /// Advances one sample with input x; returns the new state s[n].
-  double step(double x) { return advance(s1_, s2_, cos_theta_, r_, x); }
-
-  [[nodiscard]] double state() const { return s1_; }
-  void reset();
-
-  [[nodiscard]] double theta() const { return theta_; }
-  [[nodiscard]] double radius() const { return r_; }
-  [[nodiscard]] double cos_theta() const { return cos_theta_; }
-
- private:
-  double cos_theta_ = 0.0;
-  double theta_ = 0.0;
-  double r_ = 0.0;
-  double s1_ = 0.0;  ///< s[n-1]
-  double s2_ = 0.0;  ///< s[n-2]
 };
 
 }  // namespace analock::rf

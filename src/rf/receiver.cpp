@@ -4,66 +4,6 @@
 
 namespace analock::rf {
 
-Receiver::Receiver(const Standard& standard,
-                   const sim::ProcessVariation& process, const sim::Rng& rng)
-    : standard_(&standard),
-      vglna_(process, rng.fork("receiver-vglna"), standard.fs_hz()),
-      modulator_(standard, process, rng.fork("receiver-modulator")),
-      backend_(standard.fs_hz(), standard.digital_mode) {
-  configure(ReceiverConfig{});
-}
-
-void Receiver::configure(const ReceiverConfig& config) {
-  config_ = config;
-  vglna_.set_gain_code(config.vglna_gain);
-  modulator_.configure(config.modulator);
-  if (config.digital_mode != backend_.digital_mode()) {
-    backend_ = DigitalBackend(standard_->fs_hz(), config.digital_mode);
-  }
-}
-
-double Receiver::step_analog(double v_rf) {
-  return modulator_.step(vglna_.process(v_rf));
-}
-
-ModulatorCapture Receiver::capture_modulator(std::span<const double> rf,
-                                             std::size_t settle) {
-  ModulatorCapture capture;
-  capture.fs_hz = fs_hz();
-  capture.output.reserve(rf.size() > settle ? rf.size() - settle : 0);
-  for (std::size_t i = 0; i < rf.size(); ++i) {
-    const double y = step_analog(rf[i]);
-    if (i >= settle) capture.output.push_back(y);
-  }
-  return capture;
-}
-
-ReceiverCapture Receiver::capture_receiver(std::span<const double> rf,
-                                           std::size_t settle,
-                                           std::size_t settle_baseband) {
-  ReceiverCapture capture;
-  capture.modulator.fs_hz = fs_hz();
-  capture.baseband.fs_hz = backend_.output_rate_hz();
-  std::complex<double> bb;
-  std::size_t produced = 0;
-  for (std::size_t i = 0; i < rf.size(); ++i) {
-    const double y = step_analog(rf[i]);
-    if (i < settle) continue;
-    capture.modulator.output.push_back(y);
-    if (backend_.push(y, bb)) {
-      if (produced >= settle_baseband) capture.baseband.samples.push_back(bb);
-      ++produced;
-    }
-  }
-  return capture;
-}
-
-void Receiver::reset() {
-  vglna_.reset();
-  modulator_.reset();
-  backend_.reset();
-}
-
 std::size_t receiver_input_length(std::size_t baseband_points,
                                   std::size_t settle,
                                   std::size_t settle_baseband) {

@@ -4,18 +4,19 @@
 // This is the locking demonstration vehicle. Its complete analog
 // programming state is the 64-bit configuration word (4 VGLNA bits +
 // 60 modulator bits) that the lock/ layer treats as the secret key.
+// rf::lane_constants maps a configuration to the chip's block constants
+// and rf::ReceiverBatch steps the chip; this header holds the decoded
+// configuration and the test stimuli.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "rf/bp_sigma_delta.h"
 #include "rf/digital_backend.h"
 #include "rf/standards.h"
 #include "rf/vglna.h"
-#include "sim/process.h"
-#include "sim/rng.h"
 
 namespace analock::rf {
 
@@ -29,65 +30,14 @@ struct ReceiverConfig {
                          const ReceiverConfig&) = default;
 };
 
-/// Output of a full-receiver capture.
-struct ReceiverCapture {
-  ModulatorCapture modulator;
-  BasebandCapture baseband;
-};
-
-class Receiver {
- public:
-  /// Default settle time (input samples) before captures are recorded.
-  static constexpr std::size_t kSettleSamples = 2048;
-
-  Receiver(const Standard& standard, const sim::ProcessVariation& process,
-           const sim::Rng& rng);
-
-  void configure(const ReceiverConfig& config);
-  [[nodiscard]] const ReceiverConfig& config() const { return config_; }
-
-  [[nodiscard]] const Standard& standard() const { return *standard_; }
-  [[nodiscard]] double fs_hz() const { return modulator_.fs_hz(); }
-  [[nodiscard]] Vglna& vglna() { return vglna_; }
-  [[nodiscard]] const Vglna& vglna() const { return vglna_; }
-  [[nodiscard]] BpSigmaDelta& modulator() { return modulator_; }
-  [[nodiscard]] const BpSigmaDelta& modulator() const { return modulator_; }
-
-  /// One analog-path sample: antenna voltage in, modulator output out.
-  double step_analog(double v_rf);
-
-  /// Captures `n` modulator output samples after the settle time,
-  /// driving the analog path with `rf`. `rf.size()` must cover
-  /// settle + n samples.
-  [[nodiscard]] ModulatorCapture capture_modulator(std::span<const double> rf,
-                                                   std::size_t settle =
-                                                       kSettleSamples);
-
-  /// Runs the full receive chain; `settle_baseband` leading baseband
-  /// samples are discarded on top of the analog settle time.
-  [[nodiscard]] ReceiverCapture capture_receiver(std::span<const double> rf,
-                                                 std::size_t settle =
-                                                     kSettleSamples,
-                                                 std::size_t settle_baseband =
-                                                     16);
-
-  /// Resets dynamic state (filters, resonators) without touching the
-  /// configuration.
-  void reset();
-
- private:
-  const Standard* standard_;
-  ReceiverConfig config_{};
-  Vglna vglna_;
-  BpSigmaDelta modulator_;
-  DigitalBackend backend_;
-};
+/// Default settle time (input samples) before captures are recorded.
+inline constexpr std::size_t kSettleSamples = 2048;
 
 /// Number of input samples needed for a receiver capture that yields
 /// `baseband_points` decimated samples.
 [[nodiscard]] std::size_t receiver_input_length(std::size_t baseband_points,
                                                 std::size_t settle =
-                                                    Receiver::kSettleSamples,
+                                                    kSettleSamples,
                                                 std::size_t settle_baseband =
                                                     16);
 

@@ -68,32 +68,7 @@ void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
   assert(lanes_ > 0 && "batch needs at least one lane");
   digital_mode_ = configs[0].digital_mode;
 
-  vg_stage_.resize(lanes_);
-  vg_rms_.resize(lanes_);
-  gmin_en_.resize(lanes_);
-  gm_eff_.resize(lanes_);
-  gm_iip3_.resize(lanes_);
-  gm_rms_.resize(lanes_);
-  fb_en_.resize(lanes_);
-  cos1_.resize(lanes_);
-  rad1_.resize(lanes_);
-  cos2_.resize(lanes_);
-  rad2_.resize(lanes_);
-  pre_gain_.resize(lanes_);
-  pre_rms_.resize(lanes_);
-  cmp_off_.resize(lanes_);
-  cmp_rms_.resize(lanes_);
-  cmp_clk_.resize(lanes_);
-  dac_lp_.resize(lanes_);
-  dac_lm_.resize(lanes_);
-  dac_rms_.resize(lanes_);
-  dly_whole_.resize(lanes_);
-  dly_frac_.resize(lanes_);
-  mux_.resize(lanes_);
-  buf_in_.resize(lanes_);
-  buf_gain_.resize(lanes_);
-  buf_rms_.resize(lanes_);
-
+  constants_.resize(lanes_);
   bool any_gmin = false;
   bool any_buffer = false;
   bool any_feedback = false;
@@ -102,77 +77,38 @@ void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
   bool all_buffer = true;
   std::uint64_t signatures = 0;  // one bit per control signature
   for (std::size_t l = 0; l < lanes_; ++l) {
-    const ReceiverConfig& cfg = configs[l];
-    assert(cfg.digital_mode == digital_mode_ &&
+    assert(configs[l].digital_mode == digital_mode_ &&
            "batch lanes must share the digital mode");
-    // Probe receiver: the scalar blocks own every config->parameter map;
-    // harvest the configured constants instead of re-deriving them.
-    Receiver probe(*standard_, process_, rng_);
-    probe.configure(cfg);
-
-    const Vglna& vg = probe.vglna();
-    vg_stage_[l] = vg.stages()[0];  // all five stages identical
-    vg_rms_[l] = vg.noise_rms();
-
-    const BpSigmaDelta& mod = probe.modulator();
-    const ModulatorConfig& mc = cfg.modulator;
-    gmin_en_[l] = mc.gmin_enable ? 1 : 0;
-    gm_eff_[l] = mod.gmin().effective_gm();
-    gm_iip3_[l] = mod.gmin().iip3_amplitude();
-    gm_rms_[l] = mod.gmin().noise_rms();
-    fb_en_[l] = mc.feedback_enable ? 1 : 0;
-    cos1_[l] = mod.resonator1().cos_theta();
-    rad1_[l] = mod.resonator1().radius();
-    cos2_[l] = mod.resonator2().cos_theta();
-    rad2_[l] = mod.resonator2().radius();
-    pre_gain_[l] = mod.preamp().effective_gain();
-    pre_rms_[l] = mod.preamp().noise_rms();
-    cmp_off_[l] = mod.comparator().effective_offset();
-    cmp_rms_[l] = mod.comparator().noise_rms();
-    cmp_clk_[l] = mod.comparator().clock_enabled() ? 1 : 0;
-    dac_lp_[l] = mod.dac().level_plus();
-    dac_lm_[l] = mod.dac().level_minus();
-    dac_rms_[l] = mod.dac().noise_rms();
-    // Same clamp/split the scalar FractionalDelayLine::read applies.
-    const double d = std::clamp(mod.delay_line().total_delay_samples(), 0.0,
-                                static_cast<double>(kDelayDepth - 2));
-    dly_whole_[l] = static_cast<std::size_t>(d);
-    dly_frac_[l] = d - static_cast<double>(dly_whole_[l]);
-    mux_[l] = static_cast<std::uint8_t>(mc.test_mux & 3u);
-    buf_in_[l] = mc.buffer_in_path ? 1 : 0;
-    buf_gain_[l] = mod.out_buffer().gain();
-    buf_rms_[l] = mod.out_buffer().noise_rms();
-
-    any_gmin = any_gmin || mc.gmin_enable;
-    any_buffer = any_buffer || mc.buffer_in_path;
-    any_feedback = any_feedback || mc.feedback_enable;
-    any_mux0 = any_mux0 || mux_[l] == 0;
-    all_gmin = all_gmin && mc.gmin_enable;
-    all_buffer = all_buffer && mc.buffer_in_path;
-    signatures |= std::uint64_t{1}
-                  << (gmin_en_[l] | fb_en_[l] << 1 | cmp_clk_[l] << 2 |
-                      mux_[l] << 3 | buf_in_[l] << 5);
+    constants_[l] = lane_constants(*standard_, process_, configs[l]);
+    const LaneConstants& k = constants_[l];
+    any_gmin = any_gmin || k.gmin_enable;
+    any_buffer = any_buffer || k.buffer_in_path;
+    any_feedback = any_feedback || k.feedback_enable;
+    any_mux0 = any_mux0 || k.test_mux == 0;
+    all_gmin = all_gmin && k.gmin_enable;
+    all_buffer = all_buffer && k.buffer_in_path;
+    const unsigned signature =
+        unsigned{k.gmin_enable} | unsigned{k.feedback_enable} << 1 |
+        unsigned{k.comp_clock_enable} << 2 | unsigned{k.test_mux} << 3 |
+        unsigned{k.buffer_in_path} << 5;
+    signatures |= std::uint64_t{1} << signature;
   }
   signature_groups_ = static_cast<std::uint64_t>(std::popcount(signatures));
   lanes_agree_ = any_gmin == all_gmin && any_buffer == all_buffer;
 
-  // Front-end ids, numbered in first-lane order: lanes whose harvested
-  // pass-1 constants are bitwise equal compute the same loop signal, and
-  // all Gmin-off lanes share the all-zero one.
-  static_assert(sizeof(Vglna::Stage) == 4 * sizeof(double),
-                "compare every Vglna::Stage field");
-  const auto same_bits = [](const auto& a, const auto& b) {
-    return std::memcmp(&a, &b, sizeof a) == 0;
-  };
+  // Front-end ids, numbered in first-lane order: lanes whose front-end
+  // constants are bitwise equal compute the same loop signal, and all
+  // Gmin-off lanes share the all-zero one.
+  static_assert(sizeof(LaneConstants::FrontEnd) == 8 * sizeof(double),
+                "the front end must be padding-free doubles");
   const auto same_front_end = [&](std::size_t a, std::size_t b) {
-    if (gmin_en_[a] == 0 || gmin_en_[b] == 0) {
-      return gmin_en_[a] == gmin_en_[b];
+    const LaneConstants& ka = constants_[a];
+    const LaneConstants& kb = constants_[b];
+    if (!ka.gmin_enable || !kb.gmin_enable) {
+      return ka.gmin_enable == kb.gmin_enable;
     }
-    return same_bits(vg_stage_[a], vg_stage_[b]) &&
-           same_bits(vg_rms_[a], vg_rms_[b]) &&
-           same_bits(gm_eff_[a], gm_eff_[b]) &&
-           same_bits(gm_iip3_[a], gm_iip3_[b]) &&
-           same_bits(gm_rms_[a], gm_rms_[b]);
+    return std::memcmp(&ka.front_end, &kb.front_end,
+                       sizeof(LaneConstants::FrontEnd)) == 0;
   };
   fe_id_.resize(lanes_);
   front_ends_ = 0;
@@ -220,7 +156,9 @@ void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
 }
 
 ReceiverBatch::NoiseStreams ReceiverBatch::make_noise() const {
-  // Same fork chains the scalar Receiver/BpSigmaDelta constructors walk.
+  // The chip's named noise streams: one fork chain per block (receiver
+  // section, block, noise source), the chains the scalar chip's blocks
+  // walk when they are built.
   const sim::Rng mod_rng = rng_.fork("receiver-modulator");
   return {{{
       {rng_.fork("receiver-vglna").fork("vglna-noise"), true, true, {}},
@@ -354,19 +292,21 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
       for (std::size_t l = lead; l < end; ++l) {
         if (fe_id_[l] != fe_id_[lead] || state[l].done) continue;
 
+        const LaneConstants& c = constants_[l];
+
         // ---- pass 1: stateless front end (VGLNA + transconductor) ---
         if (!have_u) {
           have_u = true;
-          if (gmin_en_[l] == 0) {
+          if (!c.gmin_enable) {
             // A disabled transconductor pins the loop signal to zero,
             // which makes the whole VGLNA cascade dead code.
             std::fill_n(u_buf.begin(), m, 0.0);
           } else {
-            const Vglna::Stage st = vg_stage_[l];
-            const double vg_rms = vg_rms_[l];
-            const double gm_eff = gm_eff_[l];
-            const double gm_iip3 = gm_iip3_[l];
-            const double gm_rms = gm_rms_[l];
+            const Vglna::Stage st = c.front_end.vglna_stage;
+            const double vg_rms = c.front_end.vglna_rms;
+            const double gm_eff = c.front_end.gm;
+            const double gm_iip3 = c.front_end.gm_iip3;
+            const double gm_rms = c.front_end.gm_rms;
             for (std::size_t k = 0; k < m; ++k) {
               u_buf[k] = rf_p[base + k] + (0.0 + vg_rms * nvg_p[base + k]);
             }
@@ -384,19 +324,22 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
 
         // ---- per-lane constants -> registers ------------------------
         LaneState lane = state[l];
-        const bool fb_en = fb_en_[l] != 0;
-        const double cos1 = cos1_[l], rad1 = rad1_[l];
-        const double cos2 = cos2_[l], rad2 = rad2_[l];
-        const double pre_gain = pre_gain_[l], pre_rms = pre_rms_[l];
-        const double cmp_off = cmp_off_[l], cmp_rms = cmp_rms_[l];
-        const bool cmp_clk = cmp_clk_[l] != 0;
-        const double dac_lp = dac_lp_[l], dac_lm = dac_lm_[l];
-        const double dac_rms = dac_rms_[l];
-        const std::size_t dly_whole = dly_whole_[l];
-        const double dly_frac = dly_frac_[l];
-        const std::uint8_t mux = mux_[l];
-        const bool buf_in = buf_in_[l] != 0;
-        const double buf_gain = buf_gain_[l], buf_rms = buf_rms_[l];
+        const bool fb_en = c.feedback_enable;
+        const double cos1 = c.res1_cos, rad1 = c.res1_radius;
+        const double cos2 = c.res2_cos, rad2 = c.res2_radius;
+        const double pre_gain = c.preamp_gain, pre_rms = c.preamp_rms;
+        const double cmp_off = c.comp_offset, cmp_rms = c.comp_rms;
+        const bool cmp_clk = c.comp_clock_enable;
+        const double dac_lp = c.dac_plus, dac_lm = c.dac_minus;
+        const double dac_rms = c.dac_rms;
+        // The delay line reads the two taps around its (clamped) delay.
+        const double dly = std::clamp(c.delay_samples, 0.0,
+                                      static_cast<double>(kDelayDepth - 2));
+        const auto dly_whole = static_cast<std::size_t>(dly);
+        const double dly_frac = dly - static_cast<double>(dly_whole);
+        const std::uint8_t mux = c.test_mux;
+        const bool buf_in = c.buffer_in_path;
+        const double buf_gain = c.buffer_gain, buf_rms = c.buffer_rms;
         // The comparator's analog (unclocked) value only reaches the
         // output when the test mux selects it; otherwise downstream code
         // consumes nothing but sign(yq), and tanh is odd and monotone
@@ -427,11 +370,11 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
             const double s1 = Resonator::advance(
                 lane.r1s1, lane.r1s2, cos1, rad1,
                 -(lane.u_hist - fb) +
-                    (0.0 + BpSigmaDelta::kTankNoiseRms * nt1_p[i]));
+                    (0.0 + kTankNoiseRms * nt1_p[i]));
             const double s2 = Resonator::advance(
                 lane.r2s1, lane.r2s2, cos2, rad2,
                 -(lane.s1_hist - 2.0 * fb) +
-                    (0.0 + BpSigmaDelta::kTankNoiseRms * nt2_p[i]));
+                    (0.0 + kTankNoiseRms * nt2_p[i]));
             lane.u_hist = lane.u1;
             lane.u1 = u;
             lane.s1_hist = lane.s11;

@@ -5,32 +5,34 @@
 // calibration tuners drive a one-lane batch as the chip on the bench.
 //
 // Bit-exactness contract: lane l of the k-th capture equals — to the
-// last bit — what a scalar `rf::Receiver` built from the same `rng` and
-// taken through the same sequence (configure with lane l's config,
-// reset, capture) would produce at its k-th capture. Four properties make
-// that possible:
+// last bit — what a scalar chip built from the same `rng` and taken
+// through the same sequence (configure with lane l's config, reset,
+// capture) would produce at its k-th capture: a chip that steps one
+// sample at a time, block by block, each block drawing its own noise.
+// tests/reference_receiver.h is that chip, and the parity tests hold the
+// batch to it. Four properties make the contract hold:
 //
 //   1. `sim::Rng::fork` is const and depends only on the parent's seed
-//      material, so every scalar receiver built from the same RNG starts
+//      material, so every scalar chip built from the same RNG starts
 //      identical noise streams regardless of the key. The batch forks
 //      each named stream (VGLNA, Gmin, tanks, preamp, comparator, DAC,
 //      buffer) once, at construction, draws it once for all lanes as raw
 //      unit deviates, and scales per lane by that lane's configured RMS
-//      with the same `0.0 + rms * g` expression `sim::GaussianNoise` uses.
-//   2. `Receiver::reset` clears block state but not the noise sources, so
+//      as `0.0 + rms * g`, the value `sim::Rng::gaussian(0.0, rms)` takes.
+//   2. A chip's reset clears block state but not the noise sources, so
 //      the scalar chip's k-th capture continues its streams where capture
 //      k-1 stopped. The batch keeps the stream states (Box–Muller cache
 //      included) between captures in the same way, while lane state
 //      starts from zero on every capture.
 //   3. Every per-lane constant (gains, DAC levels, pole parameters,
-//      noise RMS values) is harvested from a probe scalar `Receiver`
-//      configured per lane — the config->parameter maps are never
-//      re-derived here.
+//      noise RMS values) comes from `rf::lane_constants`, the one
+//      config->parameter map, which the scalar reference also calls: the
+//      two agree on the constants by construction.
 //   4. The per-sample arithmetic is the same inline kernels the scalar
-//      blocks call (`Vglna::Stage::process`, `cubic_soft`,
+//      reference calls (`Vglna::Stage::process`, `cubic_soft`,
 //      `Resonator::advance`, `soft_rail`), applied in the same order.
 //
-// Streams are drawn, and some are also read. The scalar Gmin
+// Streams are drawn, and some are also read. The scalar chip's Gmin
 // transconductor and output buffer draw noise only while enabled (the
 // VGLNA draws on every sample, used or not); the batch draws those two
 // streams when any lane enables them. A capture whose lanes disagree on
@@ -65,13 +67,13 @@
 // shared VGLNA and Gmin noise into the loop signal, stage-major over the
 // chunk; the stateful loop and digital backend ("pass 2") then consume
 // it lane by lane. `configure` gives two lanes one front-end id when
-// their harvested VGLNA stage, VGLNA noise RMS and transconductor gain,
-// IIP3 amplitude and noise RMS are bitwise equal; every Gmin-off lane
-// shares one id, whose loop signal is zero. Equal constants through the
-// same expressions give equal bits, so a worker runs pass 1 once per id
-// and chunk for all of that id's lanes. Ids compare harvested constants,
-// never key fields, so property 3 still holds. Near-key batches share
-// most front ends: only the VGLNA gain and Gmin bias fields feed one.
+// their `LaneConstants::FrontEnd` (VGLNA stage and noise RMS,
+// transconductor gain, IIP3 amplitude and noise RMS) is bitwise equal;
+// every Gmin-off lane shares one id, whose loop signal is zero. Equal
+// constants through the same expressions give equal bits, so a worker
+// runs pass 1 once per id and chunk for all of that id's lanes. Near-key
+// batches share most front ends: only the VGLNA gain and Gmin bias
+// fields feed one.
 //
 // Every capture charges its work counters on the calling thread:
 // `rf.batch.lane_samples`, `rf.batch.noise_samples` (deviates drawn),
@@ -90,6 +92,8 @@
 #include <vector>
 
 #include "par/thread_pool.h"
+#include "rf/digital_backend.h"
+#include "rf/lane_constants.h"
 #include "rf/receiver.h"
 #include "sim/rng.h"
 
@@ -97,24 +101,22 @@ namespace analock::rf {
 
 class ReceiverBatch {
  public:
-  /// Forks the noise streams and configures the lanes (see configure).
-  /// `rng` must be the stream a scalar `Receiver(standard, process, rng)`
-  /// would get.
+  /// Forks the chip's noise streams from `rng` and configures the lanes
+  /// (see configure).
   ReceiverBatch(const Standard& standard,
                 const sim::ProcessVariation& process, const sim::Rng& rng,
                 std::span<const ReceiverConfig> configs);
 
-  /// One lane at the default configuration, like a freshly built scalar
-  /// Receiver: the chip the calibration tuners reconfigure capture by
-  /// capture.
+  /// One lane at the default configuration, like a freshly built chip:
+  /// the chip the calibration tuners reconfigure capture by capture.
   ReceiverBatch(const Standard& standard,
                 const sim::ProcessVariation& process, const sim::Rng& rng)
       : ReceiverBatch(standard, process, rng,
                       std::array<ReceiverConfig, 1>{}) {}
 
-  /// Rebuilds lane state for `configs` (one lane each), probing one
-  /// scalar Receiver per lane; the noise streams carry on. All configs
-  /// must share `digital_mode`.
+  /// Rebuilds lane state for `configs` (one lane each) from
+  /// `rf::lane_constants`; the noise streams carry on. All configs must
+  /// share `digital_mode`.
   void configure(std::span<const ReceiverConfig> configs);
 
   [[nodiscard]] std::size_t lanes() const { return lanes_; }
@@ -131,15 +133,15 @@ class ReceiverBatch {
   /// fits in one, a 16384-point SFDR capture takes two.
   static constexpr std::size_t kNoiseWindow = 16384;
 
-  /// Batched `Receiver::reset(); Receiver::capture_modulator`: drives
-  /// every lane with `rf` and returns the post-settle modulator outputs,
+  /// Batched reset and modulator capture: drives every lane with `rf`
+  /// and returns the post-settle modulator outputs,
   /// lane-major — lane l occupies [l*(rf.size()-settle),
   /// (l+1)*(rf.size()-settle)).
   [[nodiscard]] std::vector<double> capture_modulator(
       std::span<const double> rf, std::size_t settle, par::ThreadPool& pool);
 
-  /// Batched `Receiver::reset(); Receiver::capture_receiver` limited to
-  /// the baseband product: exactly `baseband_points` complex samples per
+  /// Batched reset and receiver capture, limited to the baseband
+  /// product: exactly `baseband_points` complex samples per
   /// lane, lane-major, after dropping `settle_baseband` leading baseband
   /// outputs.
   /// `rf.size()` must cover receiver_input_length(baseband_points,
@@ -152,7 +154,7 @@ class ReceiverBatch {
  private:
   struct LaneState;
 
-  /// The named scalar noise streams. Each keeps its generator from
+  /// The chip's named noise streams. Each keeps its generator from
   /// capture to capture and holds the window of raw unit deviates it
   /// drew for the current stretch of the transient.
   struct NoiseStreams {
@@ -185,7 +187,7 @@ class ReceiverBatch {
     }
   };
 
-  /// Forks the named scalar noise streams, their windows still empty.
+  /// Forks the chip's named noise streams, their windows still empty.
   [[nodiscard]] NoiseStreams make_noise() const;
 
   /// Checks the stream-continuation precondition, sizes the windows for
@@ -221,21 +223,8 @@ class ReceiverBatch {
   std::size_t lanes_ = 0;
   std::uint32_t digital_mode_ = 0;
 
-  // Per-lane constants harvested from the probe receivers (SoA).
-  std::vector<Vglna::Stage> vg_stage_;  // all 5 scalar stages identical
-  std::vector<double> vg_rms_;
-  std::vector<std::uint8_t> gmin_en_;
-  std::vector<double> gm_eff_, gm_iip3_, gm_rms_;
-  std::vector<std::uint8_t> fb_en_;
-  std::vector<double> cos1_, rad1_, cos2_, rad2_;
-  std::vector<double> pre_gain_, pre_rms_;
-  std::vector<double> cmp_off_, cmp_rms_;
-  std::vector<std::uint8_t> cmp_clk_;
-  std::vector<double> dac_lp_, dac_lm_, dac_rms_;
-  std::vector<std::size_t> dly_whole_;
-  std::vector<double> dly_frac_;
-  std::vector<std::uint8_t> mux_, buf_in_;
-  std::vector<double> buf_gain_, buf_rms_;
+  /// Per-lane constants (rf::lane_constants of each lane's config).
+  std::vector<LaneConstants> constants_;
   /// Distinct control signatures among the lanes (see the header).
   std::uint64_t signature_groups_ = 0;
   /// Per-lane front-end id, numbered in first-lane order, and the number

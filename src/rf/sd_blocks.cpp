@@ -21,148 +21,4 @@ std::uint32_t bias_code_for_multiplier(double m) {
       std::lround(std::pow(clamped / 1.75, 1.0 / 1.8) * 63.0));
 }
 
-// ---------------------------------------------------------------- Gmin --
-
-Transconductor::Transconductor(const sim::ProcessVariation& process,
-                               sim::Rng noise_rng)
-    : gm_chip_(kGmNominal * (1.0 + process.gmin_rel)),
-      noise_(noise_rng.fork("gmin-noise"), kNoiseRmsNominal) {}
-
-void Transconductor::set_bias(std::uint32_t code) {
-  bias_m_ = bias_multiplier(code);
-  noise_.set_rms(kNoiseRmsNominal / std::sqrt(bias_m_));
-}
-
-double Transconductor::effective_gm() const { return gm_chip_ * bias_m_; }
-
-double Transconductor::process(double v_in) {
-  if (!enabled_) return 0.0;
-  return effective_gm() * cubic_soft(v_in, iip3_amplitude()) + noise_();
-}
-
-// ------------------------------------------------------------- preamp --
-
-PreAmplifier::PreAmplifier(const sim::ProcessVariation& process,
-                           sim::Rng noise_rng)
-    : gain_chip_(kGainNominal * (1.0 + process.preamp_gain_rel)),
-      noise_(noise_rng.fork("preamp-noise"), kNoiseRmsNominal) {}
-
-void PreAmplifier::set_bias(std::uint32_t code) {
-  bias_m_ = bias_multiplier(code);
-  noise_.set_rms(kNoiseRmsNominal / std::sqrt(bias_m_));
-}
-
-double PreAmplifier::effective_gain() const { return gain_chip_ * bias_m_; }
-
-double PreAmplifier::process(double x) {
-  const double y = effective_gain() * x + noise_();
-  return std::clamp(y, -kRail, kRail);
-}
-
-// --------------------------------------------------------- comparator --
-
-Comparator::Comparator(const sim::ProcessVariation& process,
-                       sim::Rng noise_rng)
-    : offset_chip_(process.comparator_offset),
-      noise_scale_chip_(1.0 + process.comparator_noise_rel),
-      noise_(noise_rng.fork("comparator-noise"), kNoiseRmsNominal) {
-  set_bias(32);
-}
-
-void Comparator::set_bias(std::uint32_t code) {
-  bias_m_ = bias_multiplier(code);
-  // More bias current -> faster regeneration, smaller offset; but
-  // overdriving injects kickback noise, so the noise has a chip-dependent
-  // sweet spot.
-  offset_eff_ = offset_chip_ / bias_m_;
-  noise_.set_rms(effective_noise_rms());
-}
-
-double Comparator::effective_noise_rms() const {
-  const double thermal = kNoiseRmsNominal * noise_scale_chip_ / std::sqrt(bias_m_);
-  const double kickback =
-      kKickbackNoise * std::max(0.0, bias_m_ - 1.0) * std::max(0.0, bias_m_ - 1.0);
-  return thermal + kickback;
-}
-
-double Comparator::process(double x) {
-  const double v = x + offset_eff_ + noise_();
-  if (clocked_) return v >= 0.0 ? 1.0 : -1.0;
-  // Clock deactivated: the latch degenerates into a saturating buffer
-  // (calibration step 1 / the paper's "deceptive" invalid-key behavior).
-  return kBufferRail * std::tanh(v);
-}
-
-// ---------------------------------------------------------------- DAC --
-
-FeedbackDac::FeedbackDac(const sim::ProcessVariation& process,
-                         sim::Rng noise_rng)
-    : gain_chip_(1.0 + process.dac_gain_rel),
-      noise_(noise_rng.fork("dac-noise"), kNoiseRmsNominal) {
-  set_bias(32);
-}
-
-void FeedbackDac::set_bias(std::uint32_t code) {
-  bias_m_ = bias_multiplier(code);
-  gain_eff_ = gain_chip_ * bias_m_;
-  // Deviation from the unity-feedback design point drives level asymmetry
-  // and settling (ISI-like) noise.
-  const double delta = std::abs(gain_eff_ - 1.0);
-  const double asym = kAsymmetryPerDelta * (gain_eff_ - 1.0);
-  level_plus_ = gain_eff_ * (1.0 + asym);
-  level_minus_ = -gain_eff_ * (1.0 - asym);
-  noise_rms_ = kNoiseRmsNominal + kNoisePerDelta * delta;
-  noise_.set_rms(noise_rms_);
-}
-
-double FeedbackDac::convert(double comparator_out) {
-  // The DAC input is a logic gate: it re-slices whatever waveform the
-  // comparator produced.
-  const bool bit = comparator_out >= 0.0;
-  return (bit ? level_plus_ : level_minus_) + noise_();
-}
-
-// -------------------------------------------------------------- delay --
-
-FractionalDelayLine::FractionalDelayLine(double parasitic_samples)
-    : parasitic_(parasitic_samples), delay_(parasitic_samples) {}
-
-void FractionalDelayLine::set_code(std::uint32_t code) {
-  delay_ = parasitic_ + static_cast<double>(code & 15u) * kStepSamples;
-}
-
-void FractionalDelayLine::push(double x) {
-  pos_ = (pos_ + 1) % kDepth;
-  buf_[pos_] = x;
-}
-
-double FractionalDelayLine::read() const {
-  const double d = std::clamp(delay_, 0.0, static_cast<double>(kDepth - 2));
-  const auto whole = static_cast<std::size_t>(d);
-  const double frac = d - static_cast<double>(whole);
-  const std::size_t i0 = (pos_ + kDepth - whole) % kDepth;
-  const std::size_t i1 = (pos_ + kDepth - whole - 1) % kDepth;
-  return (1.0 - frac) * buf_[i0] + frac * buf_[i1];
-}
-
-void FractionalDelayLine::reset() {
-  for (auto& x : buf_) x = 0.0;
-  pos_ = 0;
-}
-
-// ------------------------------------------------------------- buffer --
-
-OutputBuffer::OutputBuffer(sim::Rng noise_rng)
-    : noise_(noise_rng.fork("buffer-noise"), 0.002) {}
-
-void OutputBuffer::set_code(std::uint32_t code) {
-  // 4-bit code: 0..15 -> 0.25..1.75 (same curve as the 6-bit biases).
-  gain_ = 0.25 + 1.5 * static_cast<double>(code & 15u) / 15.0;
-}
-
-double OutputBuffer::process(double x) {
-  const double y = gain_ * x + noise_();
-  return std::clamp(y, -kRail, kRail);
-}
-
 }  // namespace analock::rf

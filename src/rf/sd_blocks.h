@@ -6,15 +6,13 @@
 // maps to a bias multiplier m in [0.25, 1.75]; gain scales with m while
 // noise and offsets improve or degrade with it, so each block has a
 // chip-dependent sweet spot the calibration must find — these codes are
-// the key bits of the locking scheme.
+// the key bits of the locking scheme. The structs below hold each block's
+// design constants; every code -> parameter map is rf::lane_constants
+// (rf/lane_constants.h).
 #pragma once
 
-#include <cmath>
+#include <cstddef>
 #include <cstdint>
-
-#include "sim/noise.h"
-#include "sim/process.h"
-#include "sim/rng.h"
 
 namespace analock::rf {
 
@@ -26,8 +24,8 @@ namespace analock::rf {
 [[nodiscard]] std::uint32_t bias_code_for_multiplier(double m);
 
 /// Odd memoryless soft nonlinearity with unit small-signal gain and the
-/// given IIP3 amplitude; monotone (clamped past its inflection). Inline
-/// so the scalar blocks and rf::ReceiverBatch share one definition.
+/// given IIP3 amplitude; monotone (clamped past its inflection). Inline:
+/// rf::ReceiverBatch and the scalar reference in tests/ step with it.
 // analock: thread_safe -- stateless
 [[nodiscard]] inline double cubic_soft(double x, double iip3_amplitude) {
   // y = x - 4 x^3 / (3 A^2): unit slope at 0, IIP3 amplitude A. Clamp past
@@ -41,67 +39,33 @@ namespace analock::rf {
 }
 
 /// Input transconductor Gmin: converts the VGLNA output voltage to the
-/// modulator's normalized loop signal. Turning it off (calibration step 3)
-/// disconnects the RF input.
-class Transconductor {
- public:
+/// modulator's normalized loop signal, gm * cubic_soft(v, IIP3) plus
+/// noise. Turning it off (calibration step 3) disconnects the RF input.
+/// Gain and linearity scale with the bias multiplier m, noise as 1/sqrt(m).
+struct Transconductor {
   /// Nominal transconductance: volts at the input map to modulator
   /// full-scale units. 2.0 places a -25 dBm / 20 dB-VGLNA-gain tone at
   /// ~0.36 FS.
   static constexpr double kGmNominal = 2.0;
   static constexpr double kNoiseRmsNominal = 0.008;  ///< FS units per sample
   static constexpr double kIip3VoltsNominal = 2.4;
-
-  Transconductor(const sim::ProcessVariation& process, sim::Rng noise_rng);
-
-  void set_bias(std::uint32_t code);
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-  [[nodiscard]] double effective_gm() const;
-
-  /// IIP3 amplitude at the current bias (linearity improves with bias
-  /// current); the value `process` applies through cubic_soft.
-  [[nodiscard]] double iip3_amplitude() const {
-    return kIip3VoltsNominal * std::sqrt(bias_m_);
-  }
-  [[nodiscard]] double noise_rms() const { return noise_.rms(); }
-
-  /// One sample: voltage in, normalized loop signal out.
-  double process(double v_in);
-
- private:
-  double gm_chip_;
-  double bias_m_ = 1.0;
-  bool enabled_ = true;
-  sim::GaussianNoise noise_;
 };
 
-/// Pre-amplifier ahead of the comparator.
-class PreAmplifier {
- public:
+/// Pre-amplifier ahead of the comparator: gain * x plus noise, clipped
+/// at +/-kRail.
+struct PreAmplifier {
   static constexpr double kGainNominal = 4.0;
   static constexpr double kNoiseRmsNominal = 0.004;
   static constexpr double kRail = 8.0;
-
-  PreAmplifier(const sim::ProcessVariation& process, sim::Rng noise_rng);
-
-  void set_bias(std::uint32_t code);
-  [[nodiscard]] double effective_gain() const;
-  [[nodiscard]] double noise_rms() const { return noise_.rms(); }
-
-  double process(double x);
-
- private:
-  double gain_chip_;
-  double bias_m_ = 1.0;
-  sim::GaussianNoise noise_;
 };
 
 /// Clocked regenerative comparator. With its clock deactivated
 /// (calibration step 1 / the paper's deceptive key) it degenerates into an
-/// analog buffer that passes the loop signal un-digitized.
-class Comparator {
- public:
+/// analog buffer that passes the loop signal un-digitized,
+/// kBufferRail * tanh(v). More bias current gives faster regeneration and
+/// a smaller offset, but overdriving injects kickback noise, so the noise
+/// has a chip-dependent sweet spot.
+struct Comparator {
   static constexpr double kNoiseRmsNominal = 0.008;
   static constexpr double kKickbackNoise = 0.012;
   /// Analog output swing when un-clocked: without clocked regeneration the
@@ -109,107 +73,35 @@ class Comparator {
   /// the digital section's input threshold — the reason the paper's
   /// "deceptive" key collapses at the receiver output (Fig. 9).
   static constexpr double kBufferRail = 0.45;
-
-  Comparator(const sim::ProcessVariation& process, sim::Rng noise_rng);
-
-  void set_bias(std::uint32_t code);
-  void set_clock_enabled(bool enabled) { clocked_ = enabled; }
-  [[nodiscard]] bool clock_enabled() const { return clocked_; }
-
-  /// One decision (clocked: +/-1) or one buffered sample (un-clocked).
-  double process(double x);
-
-  [[nodiscard]] double effective_offset() const { return offset_eff_; }
-  [[nodiscard]] double effective_noise_rms() const;
-  [[nodiscard]] double noise_rms() const { return noise_.rms(); }
-
- private:
-  double offset_chip_;
-  double noise_scale_chip_;
-  double bias_m_ = 1.0;
-  double offset_eff_ = 0.0;
-  bool clocked_ = true;
-  sim::GaussianNoise noise_;
 };
 
 /// One-bit feedback DAC. The digital input is re-sliced (it is a logic
 /// cell), so an analog comparator output still produces +/-1 decisions at
 /// the DAC; bias errors show up as level asymmetry and ISI-like noise.
-class FeedbackDac {
- public:
+struct FeedbackDac {
   static constexpr double kNoiseRmsNominal = 0.008;
   /// Extra noise per unit of bias deviation (ISI / settling error).
   static constexpr double kNoisePerDelta = 0.080;
   /// Level asymmetry per unit of bias deviation.
   static constexpr double kAsymmetryPerDelta = 0.150;
-
-  FeedbackDac(const sim::ProcessVariation& process, sim::Rng noise_rng);
-
-  void set_bias(std::uint32_t code);
-  [[nodiscard]] double effective_gain() const { return gain_eff_; }
-  [[nodiscard]] double level_plus() const { return level_plus_; }
-  [[nodiscard]] double level_minus() const { return level_minus_; }
-  [[nodiscard]] double noise_rms() const { return noise_.rms(); }
-
-  /// Converts one (analog or digital) comparator sample to the feedback
-  /// waveform value.
-  double convert(double comparator_out);
-
- private:
-  double gain_chip_;
-  double bias_m_ = 1.0;
-  double gain_eff_ = 1.0;
-  double level_plus_ = 1.0;
-  double level_minus_ = -1.0;
-  double noise_rms_ = kNoiseRmsNominal;
-  sim::GaussianNoise noise_;
 };
 
 /// Fractional delay line in the DAC feedback path. The loop sees
 /// 1 structural sample (the decision is pushed after it is taken) plus
-/// this line's delay of parasitic (process) + code * kStepSamples; the
-/// loop is designed for 2.0 samples total, so the correct code is
-/// chip-dependent (calibration step 11).
-class FractionalDelayLine {
- public:
+/// this line's delay of parasitic (process) + code * kStepSamples,
+/// linearly interpolated; the loop is designed for 2.0 samples total, so
+/// the correct code is chip-dependent (calibration step 11).
+struct FractionalDelayLine {
   static constexpr std::size_t kDepth = 8;
   static constexpr double kStepSamples = 1.0 / 15.0;
-
-  explicit FractionalDelayLine(double parasitic_samples);
-
-  void set_code(std::uint32_t code);
-  [[nodiscard]] double total_delay_samples() const { return delay_; }
-
-  void push(double x);
-  /// Linearly interpolated sample `total_delay_samples()` in the past
-  /// (relative to the most recent push).
-  [[nodiscard]] double read() const;
-
-  void reset();
-
- private:
-  double parasitic_;
-  double delay_;
-  double buf_[kDepth] = {};
-  std::size_t pos_ = 0;
 };
 
 /// Output buffer used during calibration to drive the off-chip load
-/// (removed from the signal path in normal operation, step 2).
-class OutputBuffer {
- public:
+/// (removed from the signal path in normal operation, step 2): a 4-bit
+/// gain code, noise, and clipping at +/-kRail.
+struct OutputBuffer {
   static constexpr double kRail = 1.5;
-
-  explicit OutputBuffer(sim::Rng noise_rng);
-
-  void set_code(std::uint32_t code);
-  [[nodiscard]] double gain() const { return gain_; }
-  [[nodiscard]] double noise_rms() const { return noise_.rms(); }
-  double process(double x);
-
- private:
-  double gain_ = 1.0;
-  sim::GaussianNoise noise_;
+  static constexpr double kNoiseRms = 0.002;
 };
 
 }  // namespace analock::rf

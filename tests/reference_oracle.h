@@ -1,6 +1,6 @@
-// Block-level reference for the oracle's three readings: the
-// rf::Receiver capture -> dsp::Periodogram -> measure_* recipe, one key
-// at a time. The library measures every reading through
+// Block-level reference for the oracle's three readings: the scalar
+// Receiver capture (reference_receiver.h) -> dsp::Periodogram ->
+// measure_* recipe, one key at a time. The library measures every reading through
 // lock::BatchEvaluator and rf::ReceiverBatch; the parity tests and the
 // bench_batch_eval gate compare that pipeline against this recipe bit
 // for bit.
@@ -11,16 +11,17 @@
 
 #include "dsp/spectrum.h"
 #include "lock/evaluator.h"
+#include "reference_receiver.h"
 #include "rf/receiver.h"
 #include "rf/standards.h"
 
 namespace analock::reference {
 
 /// A freshly seeded receiver configured as the chip runs `key`.
-inline rf::Receiver make_receiver(const lock::LockEvaluator& evaluator,
-                                  const lock::Key64& key) {
-  rf::Receiver receiver(evaluator.standard(), evaluator.process(),
-                        evaluator.rng());
+inline Receiver make_receiver(const lock::LockEvaluator& evaluator,
+                              const lock::Key64& key) {
+  Receiver receiver(evaluator.standard(), evaluator.process(),
+                    evaluator.rng());
   receiver.configure(evaluator.applied_config(key));
   return receiver;
 }
@@ -30,7 +31,7 @@ inline double snr_modulator_db(const lock::LockEvaluator& evaluator,
                                const lock::Key64& key, double input_dbm) {
   const rf::Standard& standard = evaluator.standard();
   const lock::EvaluatorOptions& options = evaluator.options();
-  rf::Receiver receiver = make_receiver(evaluator, key);
+  Receiver receiver = make_receiver(evaluator, key);
   const double offset = rf::default_tone_offset_hz(standard);
   const auto rf_in = rf::make_test_tone(
       standard, input_dbm, options.settle + options.fft_size, offset);
@@ -46,7 +47,7 @@ inline double snr_receiver_db(const lock::LockEvaluator& evaluator,
                               const lock::Key64& key, double input_dbm) {
   const rf::Standard& standard = evaluator.standard();
   const lock::EvaluatorOptions& options = evaluator.options();
-  rf::Receiver receiver = make_receiver(evaluator, key);
+  Receiver receiver = make_receiver(evaluator, key);
   const double offset = rf::default_tone_offset_hz(standard);
   const std::size_t n =
       rf::receiver_input_length(options.baseband_points, options.settle);
@@ -67,7 +68,7 @@ inline double sfdr_db(const lock::LockEvaluator& evaluator,
                       const lock::Key64& key, double dbm_per_tone) {
   const rf::Standard& standard = evaluator.standard();
   const lock::EvaluatorOptions& options = evaluator.options();
-  rf::Receiver receiver = make_receiver(evaluator, key);
+  Receiver receiver = make_receiver(evaluator, key);
   const double center = standard.f0_hz + rf::default_tone_offset_hz(standard);
   const double spacing = options.two_tone_spacing_hz;
   const auto rf_in =

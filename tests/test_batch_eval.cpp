@@ -1,7 +1,7 @@
 // Bit-exactness and infrastructure tests for the batched evaluation
 // engine: FFT plans, the thread pool, batched periodograms, ReceiverBatch
-// parity with rf::Receiver across chunk boundaries and across sequential
-// captures, the work counters, and BatchEvaluator
+// parity with the scalar reference::Receiver across chunk boundaries and
+// across sequential captures, the work counters, and BatchEvaluator
 // parity with the block-level reference recipe (reference_oracle.h) and
 // with per-key LockEvaluator calls.
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include "par/thread_pool.h"
 #include "reference_fft.h"
 #include "reference_oracle.h"
+#include "reference_receiver.h"
 #include "rf/receiver.h"
 #include "rf/receiver_batch.h"
 #include "rf/standards.h"
@@ -286,7 +287,7 @@ TEST(Periodogram, ChargesFftPointsPerBatch) {
 }
 
 // ---------------------------------------------------------------------
-// ReceiverBatch streaming: parity with rf::Receiver across windows
+// ReceiverBatch streaming: parity with reference::Receiver across windows
 // ---------------------------------------------------------------------
 
 /// Lane configs for the chunk tests: the default loop (clocked, closed,
@@ -347,7 +348,7 @@ TEST(ReceiverBatch, ModulatorCaptureMatchesReceiverAcrossChunks) {
       const std::size_t n_mod = n - kSettle;
       ASSERT_EQ(out.size(), lanes * n_mod);
       for (std::size_t l = 0; l < lanes; ++l) {
-        rf::Receiver ref(standard, pv, rng);
+        reference::Receiver ref(standard, pv, rng);
         ref.configure(configs[l]);
         const auto capture = ref.capture_modulator(rf_in, kSettle);
         ASSERT_EQ(capture.output.size(), n_mod);
@@ -384,7 +385,7 @@ TEST(ReceiverBatch, ReceiverCaptureMatchesReceiverAcrossChunks) {
                                             kSettleBaseband, pool);
     ASSERT_EQ(out.size(), lanes * kPoints);
     for (std::size_t l = 0; l < lanes; ++l) {
-      rf::Receiver ref(standard, pv, rng);
+      reference::Receiver ref(standard, pv, rng);
       ref.configure(configs[l]);
       auto bb = ref.capture_receiver(rf_in, kSettle, kSettleBaseband)
                     .baseband.samples;
@@ -475,7 +476,7 @@ TEST(ReceiverBatch, SequentialCapturesMatchReceiver) {
   constexpr std::size_t kMaxLanes = 3;
   std::vector<std::vector<std::vector<double>>> want(kMaxLanes);
   for (std::size_t l = 0; l < kMaxLanes; ++l) {
-    rf::Receiver ref(standard, pv, rng);
+    reference::Receiver ref(standard, pv, rng);
     for (const SequentialStep& step : steps) {
       ref.configure(lane_config(step, l));
       ref.reset();
@@ -753,7 +754,7 @@ TEST(ReceiverBatch, SharedFrontEndsMatchReceiver) {
     }
     const std::size_t per_lane = got.size() / configs.size();
     for (std::size_t l = 0; l < configs.size(); ++l) {
-      rf::Receiver ref(standard, pv, rng);
+      reference::Receiver ref(standard, pv, rng);
       ref.configure(configs[l]);
       std::vector<double> want;
       if (baseband_points == 0) {

@@ -17,6 +17,7 @@
 #include "lock/key_layout.h"
 #include "par/thread_pool.h"
 #include "reference_fft.h"
+#include "reference_receiver.h"
 #include "rf/receiver.h"
 #include "rf/receiver_batch.h"
 #include "rf/standards.h"
@@ -109,7 +110,7 @@ TEST(BatchStress, ContinuingCapturesUnderThreads) {
   cfg.modulator.test_mux = 2;
   par::ThreadPool pool(4);
   rf::ReceiverBatch batch(standard, pv, rng);
-  rf::Receiver ref(standard, pv, rng);
+  reference::Receiver ref(standard, pv, rng);
   for (std::uint32_t k = 0; k < 6; ++k) {
     cfg.modulator.cap_fine = 40 * k;
     const std::vector<double> zeros(k % 2 == 0 ? 6144 : 36865, 0.0);

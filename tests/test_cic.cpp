@@ -1,4 +1,4 @@
-// Unit tests for the CIC decimator.
+// Unit tests for the CIC decimator (scalar reference).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,11 +6,11 @@
 #include <numbers>
 #include <vector>
 
-#include "dsp/cic.h"
+#include "reference_receiver.h"
 
 namespace {
 
-using namespace analock::dsp;
+using namespace analock::reference;
 
 TEST(Cic, OutputRateIsDecimated) {
   CicDecimator<double> cic(4, 16);

@@ -6,12 +6,12 @@
 #include <vector>
 
 #include "dsp/spectrum.h"
-#include "rf/digital_backend.h"
+#include "reference_receiver.h"
 
 namespace {
 
 using namespace analock;
-using rf::DigitalBackend;
+using reference::DigitalBackend;
 
 TEST(DigitalBackend, OutputRateIsFsOver64) {
   DigitalBackend be(12.0e9, 0);

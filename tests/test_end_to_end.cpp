@@ -68,7 +68,7 @@ TEST(EndToEnd, OverproducedChipWithoutProvisioningIsDead) {
   TamperProofLutScheme empty_lut(1);
   LockedReceiver gray_market(rf::standard_max_3ghz(), c.pv, c.rng);
   EXPECT_FALSE(gray_market.power_on(empty_lut, 0));
-  EXPECT_FALSE(gray_market.chip().config().modulator.gmin_enable);
+  EXPECT_FALSE(gray_market.config().modulator.gmin_enable);
 }
 
 TEST(EndToEnd, RemarkedChipIsPoisoned) {

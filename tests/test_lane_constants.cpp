@@ -1,9 +1,9 @@
-// Pin of the configuration-word -> per-lane constants map: every constant
-// rf::ReceiverBatch steps a lane with, for 66 keys on 7 chips, folded
-// into one FNV-1a digest of the doubles' bit patterns per chip. The
-// batch and its parity reference share one map, so the parity tests
-// cannot catch a wrong map; this pin can. The digests were recorded
-// before the map moved out of the scalar blocks.
+// Pin of the configuration-word -> per-lane constants map
+// (rf::lane_constants): every numeric constant rf::ReceiverBatch steps a
+// lane with, for 66 keys on 7 chips, folded into one FNV-1a digest of
+// the doubles' bit patterns per chip. The batch and its parity reference
+// share this map, so the parity tests cannot catch a wrong map; this pin
+// can. The digests were recorded when each block still held its own map.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,6 +15,7 @@
 #include "calib/calibrator.h"
 #include "lock/key64.h"
 #include "lock/key_layout.h"
+#include "rf/lane_constants.h"
 #include "rf/receiver.h"
 #include "rf/standards.h"
 #include "sim/process.h"
@@ -24,36 +25,21 @@ namespace {
 
 using namespace analock;
 
-/// The constants of one lane, in digest order.
+/// The numeric constants of one lane, in digest order.
 std::vector<double> lane_fields(const rf::Standard& standard,
                                 const sim::ProcessVariation& pv,
                                 const rf::ReceiverConfig& config) {
-  rf::Receiver probe(standard, pv, sim::Rng(1));
-  probe.configure(config);
-  const rf::Vglna::Stage& st = probe.vglna().stages()[0];
-  const rf::BpSigmaDelta& mod = probe.modulator();
-  return {st.gain,
-          st.a3,
-          st.x_peak,
-          st.y_peak,
-          probe.vglna().noise_rms(),
-          mod.gmin().effective_gm(),
-          mod.gmin().iip3_amplitude(),
-          mod.gmin().noise_rms(),
-          mod.resonator1().cos_theta(),
-          mod.resonator1().radius(),
-          mod.resonator2().cos_theta(),
-          mod.resonator2().radius(),
-          mod.preamp().effective_gain(),
-          mod.preamp().noise_rms(),
-          mod.comparator().effective_offset(),
-          mod.comparator().noise_rms(),
-          mod.dac().level_plus(),
-          mod.dac().level_minus(),
-          mod.dac().noise_rms(),
-          mod.delay_line().total_delay_samples(),
-          mod.out_buffer().gain(),
-          mod.out_buffer().noise_rms()};
+  const rf::LaneConstants k = rf::lane_constants(standard, pv, config);
+  const rf::Vglna::Stage& st = k.front_end.vglna_stage;
+  return {st.gain,         st.a3,          st.x_peak,
+          st.y_peak,       k.front_end.vglna_rms,
+          k.front_end.gm,  k.front_end.gm_iip3,
+          k.front_end.gm_rms,
+          k.res1_cos,      k.res1_radius,  k.res2_cos,
+          k.res2_radius,   k.preamp_gain,  k.preamp_rms,
+          k.comp_offset,   k.comp_rms,     k.dac_plus,
+          k.dac_minus,     k.dac_rms,      k.delay_samples,
+          k.buffer_gain,   k.buffer_rms};
 }
 
 /// FNV-1a over the bytes of each double's bit pattern, low byte first.

