@@ -56,8 +56,7 @@ ReceiverBatch::ReceiverBatch(const Standard& standard,
                              std::span<const ReceiverConfig> configs)
     : standard_(&standard),
       process_(process),
-      rng_(rng),
-      noise_(make_noise()),
+      noise_(make_noise(rng)),
       fs_hz_(standard.fs_hz()),
       hb_taps_(dsp::design_halfband(kHbTaps)) {
   configure(configs);
@@ -155,13 +154,13 @@ void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
   channel_taps_ = DigitalBackend::channel_taps_for_mode(digital_mode_);
 }
 
-ReceiverBatch::NoiseStreams ReceiverBatch::make_noise() const {
+ReceiverBatch::NoiseStreams ReceiverBatch::make_noise(const sim::Rng& rng) {
   // The chip's named noise streams: one fork chain per block (receiver
   // section, block, noise source), the chains the scalar chip's blocks
   // walk when they are built.
-  const sim::Rng mod_rng = rng_.fork("receiver-modulator");
+  const sim::Rng mod_rng = rng.fork("receiver-modulator");
   return {{{
-      {rng_.fork("receiver-vglna").fork("vglna-noise"), true, true, {}},
+      {rng.fork("receiver-vglna").fork("vglna-noise"), true, true, {}},
       {mod_rng.fork("sd-gmin").fork("gmin-noise"), true, true, {}},
       {mod_rng.fork("sd-preamp").fork("preamp-noise"), true, true, {}},
       {mod_rng.fork("sd-comparator").fork("comparator-noise"), true, true,

@@ -187,8 +187,9 @@ class ReceiverBatch {
     }
   };
 
-  /// Forks the chip's named noise streams, their windows still empty.
-  [[nodiscard]] NoiseStreams make_noise() const;
+  /// Forks the chip's named noise streams from `rng`, their windows
+  /// still empty.
+  [[nodiscard]] static NoiseStreams make_noise(const sim::Rng& rng);
 
   /// Checks the stream-continuation precondition, sizes the windows for
   /// an `n`-sample transient and charges the capture's work counters.
@@ -217,7 +218,6 @@ class ReceiverBatch {
 
   const Standard* standard_;
   sim::ProcessVariation process_;
-  sim::Rng rng_;
   NoiseStreams noise_;
   double fs_hz_;
   std::size_t lanes_ = 0;

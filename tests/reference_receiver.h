@@ -9,7 +9,7 @@
 // cubic_soft, Resonator::advance, soft_rail). Everything else here is
 // independent of the batch: the noise draws sample by sample from the
 // chip's named streams, the loop keeps its state in the blocks, and the
-// backend decimates through a generic CIC and the dsp:: FIR classes.
+// backend decimates through generic CIC and FIR classes.
 // Since the two steppers share the map, the map itself is pinned by
 // LaneConstants.DigestsArePinned.
 #pragma once
@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dsp/fir.h"
@@ -101,6 +102,90 @@ class CicDecimator {
   std::vector<Sample> combs_;
   std::size_t phase_ = 0;
   double gain_ = 1.0;
+};
+
+/// Streaming FIR with internal state, usable sample-by-sample.
+template <typename Sample>
+class Fir {
+ public:
+  explicit Fir(std::vector<double> taps)
+      : taps_(std::move(taps)), history_(taps_.size(), Sample{}) {}
+
+  [[nodiscard]] const std::vector<double>& taps() const { return taps_; }
+
+  Sample process(Sample x) {
+    history_[pos_] = x;
+    Sample acc{};
+    std::size_t idx = pos_;
+    for (const double t : taps_) {
+      acc += history_[idx] * t;
+      idx = (idx == 0) ? history_.size() - 1 : idx - 1;
+    }
+    pos_ = (pos_ + 1) % history_.size();
+    return acc;
+  }
+
+  void reset() {
+    std::fill(history_.begin(), history_.end(), Sample{});
+    pos_ = 0;
+  }
+
+ private:
+  std::vector<double> taps_;
+  std::vector<Sample> history_;
+  std::size_t pos_ = 0;
+};
+
+/// Decimating FIR: filters and keeps one output per `factor` inputs.
+/// Computes the dot product only on retained samples (polyphase-equivalent
+/// work for this usage).
+template <typename Sample>
+class DecimatingFir {
+ public:
+  DecimatingFir(std::vector<double> taps, std::size_t factor)
+      : fir_(std::move(taps)), factor_(factor) {}
+
+  [[nodiscard]] std::size_t factor() const { return factor_; }
+
+  /// Feeds one input; returns true and writes `out` when an output fires.
+  bool push(Sample x, Sample& out) {
+    // History must advance every input sample; the dot product is only
+    // needed on decimated instants, so track the phase explicitly.
+    history_.push_back(x);
+    if (history_.size() > fir_.taps().size()) history_.erase(history_.begin());
+    if (++phase_ < factor_) return false;
+    phase_ = 0;
+    Sample acc{};
+    const auto& taps = fir_.taps();
+    const std::size_t n = history_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      acc += history_[n - 1 - i] * taps[i];
+    }
+    out = acc;
+    return true;
+  }
+
+  /// Filters and decimates a whole block.
+  [[nodiscard]] std::vector<Sample> process(std::span<const Sample> in) {
+    std::vector<Sample> out;
+    out.reserve(in.size() / factor_ + 1);
+    Sample y{};
+    for (const Sample& x : in) {
+      if (push(x, y)) out.push_back(y);
+    }
+    return out;
+  }
+
+  void reset() {
+    history_.clear();
+    phase_ = 0;
+  }
+
+ private:
+  Fir<Sample> fir_;
+  std::size_t factor_;
+  std::vector<Sample> history_;
+  std::size_t phase_ = 0;
 };
 
 /// fs/4 down-converter: y[n] = x[n] * e^{-j pi n / 2}. The LO samples are
@@ -502,9 +587,9 @@ class DigitalBackend {
   double slicer_state_ = -1.0;
   QuarterRateMixer mixer_;
   CicDecimator<std::complex<double>> cic_;
-  dsp::DecimatingFir<std::complex<double>> hb1_;
-  dsp::DecimatingFir<std::complex<double>> hb2_;
-  dsp::Fir<std::complex<double>> channel_;
+  DecimatingFir<std::complex<double>> hb1_;
+  DecimatingFir<std::complex<double>> hb2_;
+  Fir<std::complex<double>> channel_;
 };
 
 /// One modulator capture.

@@ -1,14 +1,18 @@
-// Unit tests for FIR design and filtering.
+// Unit tests for FIR design (dsp/fir.h) and the scalar reference's
+// streaming and decimating FIRs.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <numbers>
 
 #include "dsp/fir.h"
+#include "reference_receiver.h"
 
 namespace {
 
 using namespace analock::dsp;
+using namespace analock::reference;
 
 TEST(FirDesign, LowpassUnityDcGain) {
   const auto h = design_lowpass(0.2, 63);

@@ -3,13 +3,13 @@
 // lane with, for 66 keys on 7 chips, folded into one FNV-1a digest of
 // the doubles' bit patterns per chip. The batch and its parity reference
 // share this map, so the parity tests cannot catch a wrong map; this pin
-// can. The digests were recorded when each block still held its own map.
+// can. The digests were recorded from the per-block maps this function
+// replaced.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <vector>
 
 #include "calib/calibrator.h"
@@ -31,15 +31,12 @@ std::vector<double> lane_fields(const rf::Standard& standard,
                                 const rf::ReceiverConfig& config) {
   const rf::LaneConstants k = rf::lane_constants(standard, pv, config);
   const rf::Vglna::Stage& st = k.front_end.vglna_stage;
-  return {st.gain,         st.a3,          st.x_peak,
-          st.y_peak,       k.front_end.vglna_rms,
-          k.front_end.gm,  k.front_end.gm_iip3,
-          k.front_end.gm_rms,
-          k.res1_cos,      k.res1_radius,  k.res2_cos,
-          k.res2_radius,   k.preamp_gain,  k.preamp_rms,
-          k.comp_offset,   k.comp_rms,     k.dac_plus,
-          k.dac_minus,     k.dac_rms,      k.delay_samples,
-          k.buffer_gain,   k.buffer_rms};
+  return {st.gain, st.a3, st.x_peak, st.y_peak,
+          k.front_end.vglna_rms, k.front_end.gm, k.front_end.gm_iip3,
+          k.front_end.gm_rms, k.res1_cos, k.res1_radius, k.res2_cos,
+          k.res2_radius, k.preamp_gain, k.preamp_rms, k.comp_offset,
+          k.comp_rms, k.dac_plus, k.dac_minus, k.dac_rms, k.delay_samples,
+          k.buffer_gain, k.buffer_rms};
 }
 
 /// FNV-1a over the bytes of each double's bit pattern, low byte first.
