@@ -8,9 +8,10 @@
 // The chip is a one-lane rf::ReceiverBatch: every reading configures it
 // and captures, and its noise streams continue from one capture to the
 // next exactly as a scalar chip's do across its reset (receiver_batch.h,
-// property 2), so each reading is bit-identical to the scalar chip's. A reading therefore
-// depends on every capture before it: the tuner's results hold only for
-// the same captures, with the same codes and lengths, in the same order.
+// property 2), so each reading is bit-identical to the scalar chip's. A
+// reading therefore depends on every capture before it: the tuner's
+// results hold only for the same captures, with the same codes and
+// lengths, in the same order.
 //
 // The three capacitor searches (coarse array, fine array, fine retune)
 // run through one routine, search_code() in the .cpp: bisect [0, max] for

@@ -101,12 +101,14 @@ LaneConstants lane_constants(const Standard& standard,
   // Feedback DAC: deviation from the unity-feedback design point drives
   // level asymmetry and settling (ISI-like) noise.
   {
-    const double gain = (1.0 + process.dac_gain_rel) * bias_multiplier(mc.dac_bias);
+    const double gain =
+        (1.0 + process.dac_gain_rel) * bias_multiplier(mc.dac_bias);
     const double delta = std::abs(gain - 1.0);
     const double asym = FeedbackDac::kAsymmetryPerDelta * (gain - 1.0);
     k.dac_plus = gain * (1.0 + asym);
     k.dac_minus = -gain * (1.0 - asym);
-    k.dac_rms = FeedbackDac::kNoiseRmsNominal + FeedbackDac::kNoisePerDelta * delta;
+    k.dac_rms =
+        FeedbackDac::kNoiseRmsNominal + FeedbackDac::kNoisePerDelta * delta;
   }
 
   k.delay_samples = process.loop_delay_parasitic +

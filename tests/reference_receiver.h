@@ -54,7 +54,9 @@ template <typename Sample>
 class CicDecimator {
  public:
   CicDecimator(std::size_t stages, std::size_t factor)
-      : factor_(factor), integrators_(stages, Sample{}), combs_(stages, Sample{}) {
+      : factor_(factor),
+        integrators_(stages, Sample{}),
+        combs_(stages, Sample{}) {
     for (std::size_t i = 0; i < stages; ++i) {
       gain_ *= static_cast<double>(factor);
     }
@@ -144,8 +146,6 @@ class DecimatingFir {
  public:
   DecimatingFir(std::vector<double> taps, std::size_t factor)
       : fir_(std::move(taps)), factor_(factor) {}
-
-  [[nodiscard]] std::size_t factor() const { return factor_; }
 
   /// Feeds one input; returns true and writes `out` when an output fires.
   bool push(Sample x, Sample& out) {
