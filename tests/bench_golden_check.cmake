@@ -1,15 +1,22 @@
 # A bench's printed tables must match its checked-in golden: runs the
 # bench once (one rep, no BENCH artifact) in WORK_DIR and compares its
 # stdout up to the `benchmark cases` line, where the timings start, byte
-# for byte with GOLDEN.
+# for byte with GOLDEN. TRIALS, when given, is exported as
+# ANALOCK_BENCH_TRIALS (the bench's workload budget).
 #
 #   cmake -DBENCH=<bench binary> -DGOLDEN=<bench/goldens/<name>.txt> \
-#         -DWORK_DIR=<scratch dir> -P tests/bench_golden_check.cmake
+#         -DWORK_DIR=<scratch dir> [-DTRIALS=<n>] \
+#         -P tests/bench_golden_check.cmake
 
+set(trials_env "")
+if(DEFINED TRIALS)
+  set(trials_env "ANALOCK_BENCH_TRIALS=${TRIALS}")
+endif()
 file(MAKE_DIRECTORY "${WORK_DIR}")
 execute_process(
   COMMAND "${CMAKE_COMMAND}" -E env ANALOCK_BENCH_REPS=1
-          ANALOCK_BENCH_WARMUP=0 ANALOCK_BENCH_JSON=0 "${BENCH}"
+          ANALOCK_BENCH_WARMUP=0 ANALOCK_BENCH_JSON=0 ${trials_env}
+          "${BENCH}"
   WORKING_DIRECTORY "${WORK_DIR}"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)

@@ -361,6 +361,30 @@ TEST(Session, DeadChannelExhaustsItsAttemptBudget) {
   EXPECT_FALSE(r.last_status.has_value());
 }
 
+TEST(Session, BackoffScheduleIsPinned) {
+  // A dead channel runs all 8 attempts: 8 one-tick transmits and 7
+  // jittered waits of nominal 1, 2, 4, 8, 16, 32 and 32 ticks. The
+  // activation tables print no ticks, so this pins the backoff cap and
+  // the jitter that only the elapsed time shows.
+  FaultPlan plan;
+  plan.seed = 17;
+  plan.msg_loss_prob = 1.0;
+  std::vector<std::uint64_t> elapsed;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    FaultInjector injector(plan);
+    lock::ArbiterPuf puf(sim::Rng(42));
+    lock::RemoteActivationChip chip(puf, 1);
+    lock::RemoteActivationChipEndpoint endpoint(chip);
+    LossyChannel channel(&injector);
+    lock::RemoteActivationSession session(
+        endpoint, channel, lock::RemoteActivationSession::Options{}, seed);
+    const auto r = session.activate(0, Key64{1}, chip.public_key());
+    EXPECT_EQ(r.attempts, 8u);
+    elapsed.push_back(r.elapsed_ticks);
+  }
+  EXPECT_EQ(elapsed, (std::vector<std::uint64_t>{100, 119, 99, 97}));
+}
+
 TEST(Session, SecondActivationOfSameSlotAbortsAsReplay) {
   lock::ArbiterPuf puf(sim::Rng(42));
   lock::RemoteActivationChip chip(puf, 1);
