@@ -23,8 +23,7 @@ void run_subblock() {
                 "per-field optima: isolated (others random) vs conditioned");
 
   attack::SubBlockAttack attack(ev, sim::Rng(333));
-  attack::SubBlockOptions options;
-  const auto r = attack.run(chip.cal.key, options);
+  const auto r = attack.run(chip.cal.key);
 
   std::printf("%-12s %10s %12s %12s %12s\n", "field", "true code",
               "isolated", "conditioned", "iso SNR[dB]");

@@ -213,15 +213,15 @@ std::vector<ActivationCell> sweep_activation(int sessions) {
         }
       }
       // Retry arm: same campaign shape, full session semantics (slot 1 so
-      // the arms don't share provisioning state on the chip). The retry
-      // knobs come from the ANALOCK_FAULT_RETRY_* environment, defaulted.
+      // the arms don't share provisioning state on the chip): the default
+      // 8 attempts and the session's fixed ack timeout, backoff and jitter.
       {
         fault::FaultInjector injector(plan);
         fault::LossyChannel channel(&injector);
         lock::RemoteActivationChipEndpoint endpoint(chip);
         lock::RemoteActivationSession session(
-            endpoint, channel,
-            lock::RemoteActivationSession::Options::from_env(), plan.seed);
+            endpoint, channel, lock::RemoteActivationSession::Options{},
+            plan.seed);
         const auto result = session.activate(1, config, chip.public_key());
         if (result.success) ++cell.session_ok;
         attempts += result.attempts;

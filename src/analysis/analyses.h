@@ -5,6 +5,8 @@
 // point (secret_flow.h); each seeds it with its own facts.
 #pragma once
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/callgraph.h"
@@ -75,5 +77,18 @@ void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
 void run_ct_flow_analysis(const std::vector<ParsedFile>& files,
                           const CallGraph& graph, int max_depth,
                           std::vector<Finding>& out);
+
+// Helpers that more than one pass uses.
+
+/// A half-open source-offset range [first, second).
+using OffsetRange = std::pair<std::size_t, std::size_t>;
+
+/// True when `offset` falls inside one of `ranges` (determinism.cpp).
+bool inside_any(const std::vector<OffsetRange>& ranges, std::size_t offset);
+
+/// True when `fn` holds a lock on `mutex_name` at `offset`; "mu_",
+/// "this->mu_" and "other.mu_" all name "mu_" (locks.cpp).
+bool held_at(const FunctionDef& fn, const std::string& mutex_name,
+             std::size_t offset);
 
 }  // namespace analock::analysis

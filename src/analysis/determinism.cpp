@@ -145,15 +145,14 @@ std::vector<Temporary> rng_temporaries(std::string_view code) {
   return out;
 }
 
-using Range = std::pair<std::size_t, std::size_t>;
-
-bool inside_any(const std::vector<Range>& ranges, std::size_t offset) {
-  return std::any_of(ranges.begin(), ranges.end(), [offset](const Range& r) {
-    return offset >= r.first && offset < r.second;
-  });
-}
-
 }  // namespace
+
+bool inside_any(const std::vector<OffsetRange>& ranges, std::size_t offset) {
+  return std::any_of(ranges.begin(), ranges.end(),
+                     [offset](const OffsetRange& r) {
+                       return offset >= r.first && offset < r.second;
+                     });
+}
 
 void run_determinism_analysis(const std::vector<ParsedFile>& files,
                               std::vector<Finding>& out) {
@@ -218,7 +217,7 @@ void run_determinism_analysis(const std::vector<ParsedFile>& files,
       // Engines not seeded from sim::Rng, and the extents of their
       // initializers: an ambient source consumed there is the same
       // hazard.
-      std::vector<Range> reported_inits;
+      std::vector<OffsetRange> reported_inits;
       for (const VarDecl& local : fn.locals) {
         if (!type_is_std_engine(local.type)) continue;
         if (!local.init.empty() && seed_is_sim_derived(local.init)) {

@@ -36,8 +36,6 @@ class Engine {
   /// Returns false (and adds nothing) when the file cannot be read.
   bool add_file(const std::string& fs_path, std::string display_path);
 
-  [[nodiscard]] std::size_t source_count() const { return sources_.size(); }
-
   /// Parses everything and runs all analyses. Idempotent per call: the
   /// engine can run again after more sources are added.
   [[nodiscard]] std::vector<Finding> run() const;

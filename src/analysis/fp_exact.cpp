@@ -58,13 +58,8 @@ bool looks_like_accumulator(const std::string& name) {
 }
 
 /// Offset ranges of every concurrent scope in `fn`.
-struct Range {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-std::vector<Range> concurrent_ranges(const FunctionDef& fn) {
-  std::vector<Range> ranges;
+std::vector<OffsetRange> concurrent_ranges(const FunctionDef& fn) {
+  std::vector<OffsetRange> ranges;
   for (const ParallelRegion& region : fn.parallel_regions) {
     ranges.push_back({region.body_begin, region.body_end});
   }
@@ -72,13 +67,6 @@ std::vector<Range> concurrent_ranges(const FunctionDef& fn) {
     ranges.push_back({fn.body_begin, fn.body_end});
   }
   return ranges;
-}
-
-bool inside_any(const std::vector<Range>& ranges, std::size_t offset) {
-  for (const Range& r : ranges) {
-    if (offset >= r.begin && offset < r.end) return true;
-  }
-  return false;
 }
 
 /// Count whole-word occurrences of `word` followed by '[' in `text`.
@@ -150,7 +138,7 @@ void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
     }
     if (!in_scope(file)) continue;
     for (const FunctionDef& fn : file.functions) {
-      const std::vector<Range> concurrent = concurrent_ranges(fn);
+      const std::vector<OffsetRange> concurrent = concurrent_ranges(fn);
 
       for (const CallSite& call : fn.calls) {
         if (call.base_name == "reduce" ||

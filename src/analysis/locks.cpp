@@ -32,6 +32,8 @@ bool lock_names_mutex(const std::string& arg, const std::string& mutex_name) {
   return before == '.' || before == '>' || before == ':';
 }
 
+}  // namespace
+
 bool held_at(const FunctionDef& fn, const std::string& mutex_name,
              std::size_t offset) {
   for (const LockHold& hold : fn.locks) {
@@ -42,8 +44,6 @@ bool held_at(const FunctionDef& fn, const std::string& mutex_name,
   }
   return false;
 }
-
-}  // namespace
 
 void run_lock_analysis(const std::vector<ParsedFile>& files,
                        const CallGraph& graph, std::vector<Finding>& out) {

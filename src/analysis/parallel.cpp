@@ -35,27 +35,6 @@ namespace analock::analysis {
 
 namespace {
 
-bool lock_names_mutex(const std::string& arg, const std::string& mutex_name) {
-  if (arg == mutex_name) return true;
-  const std::size_t pos = arg.rfind(mutex_name);
-  if (pos == std::string::npos || pos + mutex_name.size() != arg.size()) {
-    return false;
-  }
-  const char before = pos > 0 ? arg[pos - 1] : '\0';
-  return before == '.' || before == '>' || before == ':';
-}
-
-bool held_at(const FunctionDef& fn, const std::string& mutex_name,
-             std::size_t offset) {
-  for (const LockHold& hold : fn.locks) {
-    if (hold.begin_offset <= offset && offset < hold.end_offset &&
-        lock_names_mutex(hold.mutex_name, mutex_name)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 /// One concurrent scope: a parallel_for lambda, or the whole body of a
 /// `// analock: parallel_region` function.
 struct RegionView {

@@ -1,7 +1,6 @@
 #include "attack/multi_objective.h"
 
 #include <algorithm>
-#include <array>
 #include <vector>
 
 #include "lock/key_layout.h"
@@ -13,16 +12,7 @@ namespace {
 
 using L = lock::KeyLayout;
 
-/// Sub-fields a netlist-level attacker can identify as distinct knobs.
-constexpr std::array<sim::BitRange, 10> kTuningFields{
-    L::kVglnaGain, L::kCapCoarse, L::kCapFine,    L::kQEnh,
-    L::kGminBias,  L::kDacBias,   L::kPreampBias, L::kCompBias,
-    L::kLoopDelay, L::kOutBuffer};
-
-/// Mode bits, swept too unless mission mode is forced.
-constexpr std::array<unsigned, 4> kModeBits{
-    L::kFeedbackEnable, L::kCompClockEnable, L::kGminEnable,
-    L::kBufferInPath};
+static_assert(GeneticAttack::kElites < GeneticAttack::kPopulation);
 
 /// Verifies a candidate against the full specification.
 void finalize(lock::LockEvaluator& evaluator, MultiObjectiveResult& result) {
@@ -70,7 +60,7 @@ MultiObjectiveResult CoordinateDescentAttack::run_from(
        pass < options.passes && result.trials < options.max_trials; ++pass) {
     if (!options.force_mission_mode) {
       // Mode bits first: a bit at a time, keep a flip only if it helps.
-      for (const unsigned bit : kModeBits) {
+      for (const unsigned bit : L::kModeBits) {
         if (result.trials >= options.max_trials) break;
         const lock::Key64 flipped = key.with_bit(bit, !key.bit(bit));
         const double snr = measure(flipped);
@@ -92,8 +82,9 @@ MultiObjectiveResult CoordinateDescentAttack::run_from(
         }
       }
     }
-    for (const auto& field : kTuningFields) {
+    for (const L::Field& tuning : L::kTuningFields) {
       if (result.trials >= options.max_trials) break;
+      const sim::BitRange field = tuning.range;
       const std::uint64_t max_value = field.max_value();
       const std::uint64_t coarse =
           std::max<std::uint64_t>(1, (max_value + 1) / 8);
@@ -152,7 +143,7 @@ MultiObjectiveResult GeneticAttack::run(const GeneticOptions& options) {
     return snr;
   };
 
-  std::vector<Individual> pop(options.population);
+  std::vector<Individual> pop(kPopulation);
   for (auto& ind : pop) {
     ind.key = repair(lock::Key64::random(rng_));
     ind.fitness = measure(ind.key);
@@ -169,10 +160,10 @@ MultiObjectiveResult GeneticAttack::run(const GeneticOptions& options) {
     return a.fitness >= b.fitness ? a : b;
   };
 
-  while (result.trials + options.population <= options.max_trials) {
+  while (result.trials + kPopulation <= options.max_trials) {
     std::vector<Individual> next;
     next.reserve(pop.size());
-    for (std::size_t e = 0; e < options.elites && e < pop.size(); ++e) {
+    for (std::size_t e = 0; e < kElites; ++e) {
       next.push_back(pop[e]);
     }
     while (next.size() < pop.size()) {
@@ -183,7 +174,7 @@ MultiObjectiveResult GeneticAttack::run(const GeneticOptions& options) {
       std::uint64_t child =
           (pa.key.bits() & mask) | (pb.key.bits() & ~mask);
       for (unsigned bit = 0; bit < 64; ++bit) {
-        if (rng_.bernoulli(options.mutation_per_bit)) child ^= 1ULL << bit;
+        if (rng_.bernoulli(kMutationPerBit)) child ^= 1ULL << bit;
       }
       Individual ind;
       ind.key = repair(lock::Key64{child});

@@ -56,15 +56,19 @@ class CoordinateDescentAttack {
 };
 
 struct GeneticOptions {
-  std::size_t population = 24;
-  std::size_t elites = 2;
-  double mutation_per_bit = 0.02;
-  std::uint64_t max_trials = 4000;
+  std::uint64_t max_trials = 4000; ///< oracle-measurement budget
   bool force_mission_mode = false;
 };
 
 class GeneticAttack {
  public:
+  /// Keys per generation.
+  static constexpr std::size_t kPopulation = 24;
+  /// Best keys carried unchanged into the next generation.
+  static constexpr std::size_t kElites = 2;
+  /// Per-bit flip probability of a child after uniform crossover.
+  static constexpr double kMutationPerBit = 0.02;
+
   GeneticAttack(lock::LockEvaluator& evaluator, sim::Rng rng)
       : evaluator_(&evaluator), rng_(rng) {}
 

@@ -12,28 +12,9 @@ namespace {
 
 using L = lock::KeyLayout;
 
-struct NamedField {
-  const char* name;
-  sim::BitRange range;
-};
-
-constexpr std::array<NamedField, 10> kFields{{
-    {"vglna-gain", L::kVglnaGain},
-    {"cap-coarse", L::kCapCoarse},
-    {"cap-fine", L::kCapFine},
-    {"q-enh", L::kQEnh},
-    {"gmin-bias", L::kGminBias},
-    {"dac-bias", L::kDacBias},
-    {"preamp-bias", L::kPreampBias},
-    {"comp-bias", L::kCompBias},
-    {"loop-delay", L::kLoopDelay},
-    {"out-buffer", L::kOutBuffer},
-}};
-
 }  // namespace
 
-SubBlockResult SubBlockAttack::run(const lock::Key64& reference_key,
-                                   const SubBlockOptions& options) {
+SubBlockResult SubBlockAttack::run(const lock::Key64& reference_key) {
   ANALOCK_SPAN("attack.subblock");
   obs::Convergence convergence("subblock");
   lock::BatchEvaluator batch(*evaluator_);
@@ -46,7 +27,7 @@ SubBlockResult SubBlockAttack::run(const lock::Key64& reference_key,
                          double& best_snr_out) {
     const std::uint64_t max_value = range.max_value();
     const std::uint64_t stride = std::max<std::uint64_t>(
-        1, (max_value + 1) / options.max_trials_per_field);
+        1, (max_value + 1) / kMaxTrialsPerField);
     std::vector<std::uint64_t> codes;
     std::vector<lock::Key64> candidates;
     for (std::uint64_t code = 0; code <= max_value; code += stride) {
@@ -72,12 +53,10 @@ SubBlockResult SubBlockAttack::run(const lock::Key64& reference_key,
 
   // Phase 1 — isolated: every other field random (the attacker's chip in
   // an arbitrary state while they probe one knob).
-  lock::Key64 random_base = lock::Key64::random(rng_);
-  if (options.force_mission_mode) {
-    random_base = lock::force_mission_mode(random_base);
-  }
+  const lock::Key64 random_base =
+      lock::force_mission_mode(lock::Key64::random(rng_));
   lock::Key64 assembled = random_base;
-  for (const auto& f : kFields) {
+  for (const L::Field& f : L::kTuningFields) {
     SubBlockFieldResult fr;
     fr.name = f.name;
     fr.reference_code = reference_key.field(f.range);
@@ -106,10 +85,10 @@ SubBlockResult SubBlockAttack::run(const lock::Key64& reference_key,
   // order on a base that keeps every previously-found field (showing that
   // the blocks are only tunable once the loop context is right).
   lock::Key64 conditioned = reference_key;
-  for (std::size_t i = 0; i < kFields.size(); ++i) {
+  for (std::size_t i = 0; i < L::kTuningFields.size(); ++i) {
     // Start each sweep from the reference key with THIS field scrambled:
     // the sweep must recover it from the conditioned context.
-    const auto& f = kFields[i];
+    const L::Field& f = L::kTuningFields[i];
     lock::Key64 base = conditioned.with_field(
         f.range, rng_.uniform_below(f.range.max_value() + 1));
     double snr = -300.0;

@@ -14,7 +14,6 @@
 // not field granularity, that defeats the attack.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -24,11 +23,6 @@
 #include "sim/rng.h"
 
 namespace analock::attack {
-
-struct SubBlockOptions {
-  std::uint64_t max_trials_per_field = 80;
-  bool force_mission_mode = true;  ///< isolate the tuning-field question
-};
 
 struct SubBlockFieldResult {
   const char* name = "";
@@ -53,13 +47,17 @@ struct SubBlockResult {
 
 class SubBlockAttack {
  public:
-  /// `reference_key` is the chip's true key, used only for reporting the
-  /// distance of each isolated optimum (the attacker never sees it).
+  /// Most codes one field sweep measures; wider fields are strided.
+  static constexpr std::uint64_t kMaxTrialsPerField = 80;
+
   SubBlockAttack(lock::LockEvaluator& evaluator, sim::Rng rng)
       : evaluator_(&evaluator), rng_(rng) {}
 
-  SubBlockResult run(const lock::Key64& reference_key,
-                     const SubBlockOptions& options);
+  /// `reference_key` is the chip's true key, used only for reporting the
+  /// distance of each isolated optimum (the attacker never sees it). The
+  /// mode bits are forced to mission mode, which isolates the
+  /// tuning-field question.
+  SubBlockResult run(const lock::Key64& reference_key);
 
  private:
   lock::LockEvaluator* evaluator_;

@@ -1,21 +1,12 @@
 #include "attack/warm_start.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "lock/key_layout.h"
 #include "obs/trace.h"
 
 namespace analock::attack {
-
-namespace {
-using L = lock::KeyLayout;
-constexpr std::array<sim::BitRange, 10> kTuningFields{
-    L::kVglnaGain, L::kCapCoarse, L::kCapFine,    L::kQEnh,
-    L::kGminBias,  L::kDacBias,   L::kPreampBias, L::kCompBias,
-    L::kLoopDelay, L::kOutBuffer};
-}  // namespace
 
 WarmStartResult WarmStartAttack::run(const lock::Key64& donor_key,
                                      const WarmStartOptions& options) {
@@ -52,13 +43,15 @@ WarmStartResult WarmStartAttack::run(const lock::Key64& donor_key,
   result.start_snr_db = best + spec.min_snr_db;
 
   for (std::size_t pass = 0;
-       pass < options.passes && result.trials < options.max_trials; ++pass) {
-    for (const auto& field : kTuningFields) {
+       pass < kPasses && result.trials < options.max_trials; ++pass) {
+    for (const lock::KeyLayout::Field& tuning :
+         lock::KeyLayout::kTuningFields) {
       if (result.trials >= options.max_trials) break;
+      const sim::BitRange field = tuning.range;
       const std::uint64_t max_value = field.max_value();
       const auto window = std::max<std::uint64_t>(
           1, static_cast<std::uint64_t>(
-                 std::llround(options.window_fraction *
+                 std::llround(kWindowFraction *
                               static_cast<double>(max_value))));
       const std::uint64_t center = key.field(field);
       const std::uint64_t lo = center > window ? center - window : 0;

@@ -19,11 +19,7 @@
 namespace analock::attack {
 
 struct WarmStartOptions {
-  std::uint64_t max_trials = 1500;
-  std::size_t passes = 2;
-  /// Local search half-window per field, as a fraction of the field range
-  /// (process spread keeps the victim's optimum near the donor's code).
-  double window_fraction = 0.25;
+  std::uint64_t max_trials = 1500;  ///< oracle-measurement budget
 };
 
 struct WarmStartResult {
@@ -44,6 +40,12 @@ struct WarmStartResult {
 
 class WarmStartAttack {
  public:
+  /// Sweeps over the ten tuning fields.
+  static constexpr std::size_t kPasses = 2;
+  /// Local search half-window per field, as a fraction of the field range
+  /// (process spread keeps the victim's optimum near the donor's code).
+  static constexpr double kWindowFraction = 0.25;
+
   /// `evaluator` measures the victim chip.
   WarmStartAttack(lock::LockEvaluator& evaluator, sim::Rng rng)
       : evaluator_(&evaluator), rng_(rng) {}

@@ -249,12 +249,6 @@ Periodogram::TonePower Periodogram::tone_power(double freq_hz) const {
   return {acc, k_peak};
 }
 
-double Periodogram::power_db(std::size_t k) const {
-  const double p = power_[k];
-  if (p <= 0.0) return -400.0;
-  return sim::to_db(p);
-}
-
 SnrResult measure_snr(const Periodogram& p, double f_signal, double band_lo,
                       double band_hi) {
   ANALOCK_SPAN_QUIET("dsp.measure_snr");

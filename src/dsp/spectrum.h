@@ -83,10 +83,6 @@ class Periodogram {
   };
   [[nodiscard]] TonePower tone_power(double freq_hz) const;
 
-  /// Power spectral density of bin k in dB relative to full scale = 1
-  /// (10*log10 of bin power). Bins with zero power report -400 dB.
-  [[nodiscard]] double power_db(std::size_t k) const;
-
   /// Half-width (bins) treated as belonging to a tone's main lobe.
   [[nodiscard]] std::size_t lobe_half_width() const { return lobe_half_width_; }
 

@@ -1,31 +1,8 @@
 #include "fault/fault_plan.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace analock::fault {
-
-namespace {
-
-double env_prob(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  if (end == env || v < 0.0 || v > 1.0) return fallback;
-  return v;
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env) return fallback;
-  return v;
-}
-
-}  // namespace
 
 bool FaultPlan::active() const {
   return meas_spike_prob > 0.0 || meas_dropout_prob > 0.0 ||
@@ -44,29 +21,6 @@ std::string FaultPlan::summary() const {
                 stuck_at1_bits, puf_flip_prob, msg_loss_prob,
                 msg_corrupt_prob, msg_delay_prob);
   return buf;
-}
-
-FaultPlan FaultPlan::from_env() {
-  FaultPlan plan;
-  plan.seed = env_u64("ANALOCK_FAULT_SEED", plan.seed);
-  if (const char* env = std::getenv("ANALOCK_FAULT_CAMPAIGN")) {
-    if (env[0] != '\0') plan.campaign_id = env;
-  }
-  plan.meas_spike_prob =
-      env_prob("ANALOCK_FAULT_MEAS_SPIKE", plan.meas_spike_prob);
-  plan.meas_dropout_prob =
-      env_prob("ANALOCK_FAULT_MEAS_DROPOUT", plan.meas_dropout_prob);
-  plan.stuck_at0_bits = static_cast<unsigned>(
-      env_u64("ANALOCK_FAULT_STUCK0", plan.stuck_at0_bits));
-  plan.stuck_at1_bits = static_cast<unsigned>(
-      env_u64("ANALOCK_FAULT_STUCK1", plan.stuck_at1_bits));
-  plan.puf_flip_prob = env_prob("ANALOCK_FAULT_PUF_FLIP", plan.puf_flip_prob);
-  plan.msg_loss_prob = env_prob("ANALOCK_FAULT_MSG_LOSS", plan.msg_loss_prob);
-  plan.msg_corrupt_prob =
-      env_prob("ANALOCK_FAULT_MSG_CORRUPT", plan.msg_corrupt_prob);
-  plan.msg_delay_prob =
-      env_prob("ANALOCK_FAULT_MSG_DELAY", plan.msg_delay_prob);
-  return plan;
 }
 
 }  // namespace analock::fault

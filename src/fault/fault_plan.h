@@ -4,7 +4,9 @@
 // state. Together with its (seed, campaign_id) pair it fully determines
 // every fault a FaultInjector will ever produce, so a campaign is
 // byte-for-byte reproducible: same plan -> same spikes, same stuck bits,
-// same lost messages, in the same order.
+// same lost messages, in the same order. Callers build a plan in code
+// (bench_fault_resilience sweeps one per table cell); no environment
+// variable sets one.
 //
 // The modeled fault classes mirror what the paper's flow is exposed to
 // in production:
@@ -65,17 +67,6 @@ struct FaultPlan {
 
   /// One-line human summary for bench tables and logs.
   [[nodiscard]] std::string summary() const;
-
-  /// Builds a plan from the ANALOCK_FAULT_* environment knobs (see the
-  /// README "Fault injection & failure handling" section). Unset knobs
-  /// keep their zero/default values, so an empty environment yields an
-  /// inactive plan.
-  ///   ANALOCK_FAULT_SEED, ANALOCK_FAULT_CAMPAIGN,
-  ///   ANALOCK_FAULT_MEAS_SPIKE, ANALOCK_FAULT_MEAS_DROPOUT,
-  ///   ANALOCK_FAULT_STUCK0, ANALOCK_FAULT_STUCK1,
-  ///   ANALOCK_FAULT_PUF_FLIP, ANALOCK_FAULT_MSG_LOSS,
-  ///   ANALOCK_FAULT_MSG_CORRUPT, ANALOCK_FAULT_MSG_DELAY
-  [[nodiscard]] static FaultPlan from_env();
 };
 
 }  // namespace analock::fault

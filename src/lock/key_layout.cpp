@@ -10,29 +10,32 @@ namespace analock::lock {
 // invariant fails right here instead of scrambling keys.
 namespace {
 
-constexpr sim::BitRange kFields[] = {
-    KeyLayout::kVglnaGain, KeyLayout::kCapCoarse, KeyLayout::kCapFine,
-    KeyLayout::kQEnh,      KeyLayout::kGminBias,  KeyLayout::kDacBias,
-    KeyLayout::kPreampBias, KeyLayout::kCompBias, KeyLayout::kLoopDelay,
-    KeyLayout::kOutBuffer, KeyLayout::kTestMux};
-constexpr unsigned kModeBits[] = {
-    KeyLayout::kFeedbackEnable, KeyLayout::kCompClockEnable,
-    KeyLayout::kGminEnable, KeyLayout::kBufferInPath};
+using L = KeyLayout;
+
+/// Every multi-bit field: the tuning fields plus the test mux.
+constexpr std::array<sim::BitRange, L::kTuningFields.size() + 1> fields() {
+  std::array<sim::BitRange, L::kTuningFields.size() + 1> out{};
+  for (std::size_t i = 0; i < L::kTuningFields.size(); ++i) {
+    out[i] = L::kTuningFields[i].range;
+  }
+  out.back() = L::kTestMux;
+  return out;
+}
 
 constexpr std::uint64_t layout_coverage() {
   std::uint64_t covered = 0;
-  for (const sim::BitRange& f : kFields) covered |= f.mask();
-  for (const unsigned b : kModeBits) covered |= std::uint64_t{1} << b;
+  for (const sim::BitRange& f : fields()) covered |= f.mask();
+  for (const unsigned b : L::kModeBits) covered |= std::uint64_t{1} << b;
   return covered;
 }
 
 constexpr bool layout_disjoint() {
   std::uint64_t covered = 0;
-  for (const sim::BitRange& f : kFields) {
+  for (const sim::BitRange& f : fields()) {
     if ((covered & f.mask()) != 0) return false;
     covered |= f.mask();
   }
-  for (const unsigned b : kModeBits) {
+  for (const unsigned b : L::kModeBits) {
     if ((covered >> b) & 1u) return false;
     covered |= std::uint64_t{1} << b;
   }
@@ -40,11 +43,11 @@ constexpr bool layout_disjoint() {
 }
 
 constexpr bool layout_ranges_valid() {
-  for (const sim::BitRange& f : kFields) {
+  for (const sim::BitRange& f : fields()) {
     if (!f.valid()) return false;
   }
-  for (const unsigned b : kModeBits) {
-    if (b >= KeyLayout::kKeyBits) return false;
+  for (const unsigned b : L::kModeBits) {
+    if (b >= L::kKeyBits) return false;
   }
   return true;
 }
@@ -57,7 +60,6 @@ static_assert(layout_coverage() == ~std::uint64_t{0},
 }  // namespace
 
 Key64 encode_key(const rf::ReceiverConfig& config) {
-  using L = KeyLayout;
   const rf::ModulatorConfig& m = config.modulator;
   Key64 key;
   key = key.with_field(L::kVglnaGain, config.vglna_gain & 0xFu);
@@ -79,7 +81,6 @@ Key64 encode_key(const rf::ReceiverConfig& config) {
 }
 
 rf::ReceiverConfig decode_key(const Key64& key, std::uint32_t digital_mode) {
-  using L = KeyLayout;
   rf::ReceiverConfig config;
   config.vglna_gain = static_cast<std::uint32_t>(key.field(L::kVglnaGain));
   config.digital_mode = digital_mode;
@@ -103,7 +104,6 @@ rf::ReceiverConfig decode_key(const Key64& key, std::uint32_t digital_mode) {
 
 // analock: ct_safe
 bool is_mission_mode(const Key64& key) {
-  using L = KeyLayout;
   // Branch-free conjunction: short-circuit && would exit at the first
   // failing gate bit, so the check's latency would reveal which of the
   // five mode conditions a key fails. Fold them arithmetically instead.
@@ -118,7 +118,6 @@ bool is_mission_mode(const Key64& key) {
 }
 
 Key64 force_mission_mode(const Key64& key) {
-  using L = KeyLayout;
   return key.with_bit(L::kFeedbackEnable, true)
       .with_bit(L::kCompClockEnable, true)
       .with_bit(L::kGminEnable, true)

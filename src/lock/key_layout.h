@@ -22,6 +22,8 @@
 //   bits 62-63 : output test mux (0 = mission mode)
 #pragma once
 
+#include <array>
+
 #include "lock/key64.h"
 #include "rf/receiver.h"
 #include "sim/bitfield.h"
@@ -45,6 +47,30 @@ struct KeyLayout {
   static constexpr unsigned kGminEnable = 60;
   static constexpr unsigned kBufferInPath = 61;
   static constexpr sim::BitRange kTestMux{62, 2};
+
+  /// A multi-bit tuning field and the name reports give it.
+  struct Field {
+    const char* name;
+    sim::BitRange range;
+  };
+  /// The ten tuning fields a netlist-level attacker can identify as
+  /// distinct knobs, in key-bit order: the only list of them.
+  static constexpr std::array<Field, 10> kTuningFields{{
+      {"vglna-gain", kVglnaGain},
+      {"cap-coarse", kCapCoarse},
+      {"cap-fine", kCapFine},
+      {"q-enh", kQEnh},
+      {"gmin-bias", kGminBias},
+      {"dac-bias", kDacBias},
+      {"preamp-bias", kPreampBias},
+      {"comp-bias", kCompBias},
+      {"loop-delay", kLoopDelay},
+      {"out-buffer", kOutBuffer},
+  }};
+  /// The four single mode bits, in key-bit order. With the tuning fields
+  /// and kTestMux they tile the word.
+  static constexpr std::array<unsigned, 4> kModeBits{
+      kFeedbackEnable, kCompClockEnable, kGminEnable, kBufferInPath};
 
   /// Total number of key bits (the paper's 64).
   static constexpr unsigned kKeyBits = 64;

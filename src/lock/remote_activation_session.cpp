@@ -1,7 +1,6 @@
 #include "lock/remote_activation_session.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "fault/crc32.h"
 #include "lock/ct_equal.h"
@@ -48,15 +47,6 @@ bool crc_valid(std::span<const std::uint8_t> frame) {
   // constant time so verification latency is payload-independent.
   const std::size_t body = frame.size() - 4;
   return ct_equal(fault::crc32(frame.first(body)), get_u32(frame, body));
-}
-
-std::uint64_t env_u64_or(const char* name, std::uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env) return fallback;
-  return v;
 }
 
 }  // namespace
@@ -145,25 +135,6 @@ std::vector<std::uint8_t> RemoteActivationChipEndpoint::handle_frame(
 
 // ------------------------------------------------------------ session --
 
-RemoteActivationSession::Options
-RemoteActivationSession::Options::from_env() {
-  Options o;
-  o.max_attempts = static_cast<unsigned>(
-      env_u64_or("ANALOCK_FAULT_RETRY_MAX", o.max_attempts));
-  o.ack_timeout_ticks =
-      env_u64_or("ANALOCK_FAULT_RETRY_TIMEOUT", o.ack_timeout_ticks);
-  o.backoff_base_ticks =
-      env_u64_or("ANALOCK_FAULT_RETRY_BACKOFF", o.backoff_base_ticks);
-  o.backoff_max_ticks =
-      env_u64_or("ANALOCK_FAULT_RETRY_BACKOFF_MAX", o.backoff_max_ticks);
-  if (const char* env = std::getenv("ANALOCK_FAULT_RETRY_JITTER")) {
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end != env && v >= 0.0 && v <= 1.0) o.jitter_frac = v;
-  }
-  return o;
-}
-
 RemoteActivationSession::RemoteActivationSession(
     RemoteActivationChipEndpoint& endpoint, fault::LossyChannel& channel,
     Options options, std::uint64_t session_seed)
@@ -199,7 +170,7 @@ RemoteActivationSession::Result RemoteActivationSession::activate(
         }
         const fault::Delivery ack = channel_->transmit(ack_frame);
         if (ack.delivered &&
-            ack.deliver_tick <= sent_at + options_.ack_timeout_ticks) {
+            ack.deliver_tick <= sent_at + kAckTimeoutTicks) {
           const auto decoded = decode_ack(ack.payload);
           if (!decoded.has_value() || decoded->seq != seq) {
             ++result.bad_acks;
@@ -247,17 +218,10 @@ RemoteActivationSession::Result RemoteActivationSession::activate(
     }
     if (attempt < options_.max_attempts) {
       // Bounded exponential backoff with jitter before the retransmit.
-      const unsigned shift = std::min(attempt - 1, 63u);
-      std::uint64_t backoff = options_.backoff_base_ticks;
-      if (shift < 64 && options_.backoff_base_ticks != 0) {
-        const std::uint64_t scaled = options_.backoff_base_ticks << shift;
-        backoff = (scaled >> shift) == options_.backoff_base_ticks
-                      ? scaled
-                      : options_.backoff_max_ticks;
-      }
-      backoff = std::min(backoff, options_.backoff_max_ticks);
+      const std::uint64_t backoff = std::min(
+          std::uint64_t{1} << std::min(attempt - 1, 63u), kBackoffMaxTicks);
       const double jitter =
-          1.0 + options_.jitter_frac * jitter_rng_.uniform(-1.0, 1.0);
+          1.0 + kJitterFrac * jitter_rng_.uniform(-1.0, 1.0);
       const auto wait = std::max<std::uint64_t>(
           1, static_cast<std::uint64_t>(
                  static_cast<double>(backoff) * jitter + 0.5));

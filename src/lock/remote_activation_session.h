@@ -85,22 +85,16 @@ class RemoteActivationChipEndpoint {
 /// Design-house side of one activation conversation.
 class RemoteActivationSession {
  public:
-  struct Options {
-    unsigned max_attempts = 8;
-    /// An ack arriving later than this many ticks after the request was
-    /// sent is treated as a timeout.
-    std::uint64_t ack_timeout_ticks = 4;
-    /// Backoff before retry a(n) is min(base << (n-1), max), jittered.
-    std::uint64_t backoff_base_ticks = 1;
-    std::uint64_t backoff_max_ticks = 32;
-    /// Jitter fraction: the wait is scaled by 1 + U(-j, +j).
-    double jitter_frac = 0.5;
+  /// An ack arriving later than this many ticks after the request was
+  /// sent is treated as a timeout.
+  static constexpr std::uint64_t kAckTimeoutTicks = 4;
+  /// The wait before retransmit n is min(2^(n-1), kBackoffMaxTicks)
+  /// ticks, scaled by 1 + U(-kJitterFrac, +kJitterFrac).
+  static constexpr std::uint64_t kBackoffMaxTicks = 32;
+  static constexpr double kJitterFrac = 0.5;
 
-    /// Overrides from the environment (unset knobs keep the defaults):
-    ///   ANALOCK_FAULT_RETRY_MAX, ANALOCK_FAULT_RETRY_TIMEOUT,
-    ///   ANALOCK_FAULT_RETRY_BACKOFF, ANALOCK_FAULT_RETRY_BACKOFF_MAX,
-    ///   ANALOCK_FAULT_RETRY_JITTER
-    [[nodiscard]] static Options from_env();
+  struct Options {
+    unsigned max_attempts = 8;  ///< requests sent before giving up
   };
 
   struct Result {

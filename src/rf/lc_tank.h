@@ -71,7 +71,6 @@ class LcTank {
 
   [[nodiscard]] double inductance() const { return inductance_; }
   [[nodiscard]] double fixed_cap() const { return fixed_cap_; }
-  [[nodiscard]] double q_intrinsic() const { return q_intrinsic_; }
 
  private:
   double inductance_;

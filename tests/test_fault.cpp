@@ -5,7 +5,6 @@
 
 #include <array>
 #include <bit>
-#include <cstdlib>
 #include <vector>
 
 #include "fault/crc32.h"
@@ -44,30 +43,6 @@ TEST(FaultPlan, AnyNonzeroRateActivates) {
   plan = {};
   plan.msg_loss_prob = 0.5;
   EXPECT_TRUE(plan.active());
-}
-
-TEST(FaultPlan, FromEnvReadsKnobs) {
-  ::setenv("ANALOCK_FAULT_SEED", "99", 1);
-  ::setenv("ANALOCK_FAULT_CAMPAIGN", "ci-sweep", 1);
-  ::setenv("ANALOCK_FAULT_MEAS_SPIKE", "0.25", 1);
-  ::setenv("ANALOCK_FAULT_STUCK0", "2", 1);
-  const FaultPlan plan = FaultPlan::from_env();
-  ::unsetenv("ANALOCK_FAULT_SEED");
-  ::unsetenv("ANALOCK_FAULT_CAMPAIGN");
-  ::unsetenv("ANALOCK_FAULT_MEAS_SPIKE");
-  ::unsetenv("ANALOCK_FAULT_STUCK0");
-  EXPECT_EQ(plan.seed, 99u);
-  EXPECT_EQ(plan.campaign_id, "ci-sweep");
-  EXPECT_DOUBLE_EQ(plan.meas_spike_prob, 0.25);
-  EXPECT_EQ(plan.stuck_at0_bits, 2u);
-  EXPECT_TRUE(plan.active());
-}
-
-TEST(FaultPlan, FromEmptyEnvIsInactive) {
-  // The fault knobs default to off; this also guards against leaking
-  // campaign settings into unrelated tests.
-  const FaultPlan plan = FaultPlan::from_env();
-  EXPECT_FALSE(plan.active());
 }
 
 TEST(Crc32, KnownCheckValue) {

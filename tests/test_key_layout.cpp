@@ -32,6 +32,33 @@ TEST(KeyLayout, FieldsCoverExactly64BitsWithoutOverlap) {
   EXPECT_EQ(covered, ~0ull) << "all 64 bits must be assigned";
 }
 
+TEST(KeyLayout, TablesListFieldsAndModeBitsInKeyBitOrder) {
+  // An independent literal copy of the tables every attack iterates: a
+  // swapped, renamed or moved entry changes their search order.
+  struct Expected {
+    const char* name;
+    unsigned lsb;
+    unsigned width;
+  };
+  const std::array<Expected, 10> expected{{{"vglna-gain", 0, 4},
+                                           {"cap-coarse", 4, 8},
+                                           {"cap-fine", 12, 8},
+                                           {"q-enh", 20, 6},
+                                           {"gmin-bias", 26, 6},
+                                           {"dac-bias", 32, 6},
+                                           {"preamp-bias", 38, 6},
+                                           {"comp-bias", 44, 6},
+                                           {"loop-delay", 50, 4},
+                                           {"out-buffer", 54, 4}}};
+  ASSERT_EQ(L::kTuningFields.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_STREQ(L::kTuningFields[i].name, expected[i].name) << i;
+    EXPECT_EQ(L::kTuningFields[i].range.lsb, expected[i].lsb) << i;
+    EXPECT_EQ(L::kTuningFields[i].range.width, expected[i].width) << i;
+  }
+  EXPECT_EQ(L::kModeBits, (std::array<unsigned, 4>{58, 59, 60, 61}));
+}
+
 TEST(KeyLayout, PaperBitBudget) {
   // 4 VGLNA bits + 60 modulator bits = 64 (paper Section V.A).
   EXPECT_EQ(L::kKeyBits, 64u);

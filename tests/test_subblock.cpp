@@ -8,14 +8,12 @@ namespace {
 
 using namespace analock;
 using attack::SubBlockAttack;
-using attack::SubBlockOptions;
 
 const attack::SubBlockResult& result() {
   static const attack::SubBlockResult r = [] {
     auto ev = fixtures::make_evaluator(0);
     SubBlockAttack attack(ev, sim::Rng(4000));
-    SubBlockOptions options;
-    return attack.run(fixtures::chip(0).cal.key, options);
+    return attack.run(fixtures::chip(0).cal.key);
   }();
   return r;
 }
