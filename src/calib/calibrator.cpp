@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -272,30 +273,34 @@ CalibrationResult Calibrator::run_impl(
 
   // Steps 11 + 14: loop delay and iterative bias improvement by measured
   // SNR of the modulator (fused inside the optimizer, charged to step 14).
-  BiasOptimizer optimizer(*standard_, process_, chip_rng_,
-                          options_.bias_passes);
-  optimizer.set_fault_injector(injector_);
+  // Every optimizer and evaluator of the chip keeps a noise prefix of its
+  // own, so each goes before the next one is built: the optimizer before
+  // the step-12 refiner, both before the final characterization.
+  std::optional<BiasOptimizer> optimizer;
+  optimizer.emplace(*standard_, process_, chip_rng_, options_.bias_passes);
+  optimizer->set_fault_injector(injector_);
   {
     ANALOCK_SPAN("calib.step11_14_bias_opt");
-    config = optimizer.optimize(config);
+    config = optimizer->optimize(config);
   }
   log_step(11, "loop delay trimmed",
            static_cast<double>(config.modulator.loop_delay));
-  const double optimized_snr_db = optimizer.measure_snr(config);
+  const double optimized_snr_db = optimizer->measure_snr(config);
   log_step(14, "iterative bias optimization", optimized_snr_db,
-           optimizer.measurements());
+           optimizer->measurements());
 
   // Step 12: VGLNA gain per input segment.
   if (options_.tune_vglna_segments) {
     ANALOCK_SPAN("calib.step12_vglna");
-    const std::size_t opt_before = optimizer.measurements();
+    const std::size_t opt_before = optimizer->measurements();
     for (std::size_t s = 0; s < kInputSegments.size(); ++s) {
       result.vglna_per_segment[s] =
-          tune_vglna_segment(config, kInputSegments[s], optimizer);
+          tune_vglna_segment(config, kInputSegments[s], *optimizer);
     }
     config.vglna_gain = result.vglna_per_segment[kReferenceSegment];
     std::uint64_t step12_measurements =
-        optimizer.measurements() - opt_before;
+        optimizer->measurements() - opt_before;
+    optimizer.reset();
     if (options_.refine_after_vglna) {
       BiasOptimizer refiner(*standard_, process_, chip_rng_, 1);
       refiner.set_fault_injector(injector_);
@@ -307,6 +312,7 @@ CalibrationResult Calibrator::run_impl(
   } else {
     result.vglna_per_segment = {15, config.vglna_gain, 2};
   }
+  optimizer.reset();
 
   // Final characterization with the full-length paper metrology. The
   // hardened path measures each metric kHardenedVotes times and

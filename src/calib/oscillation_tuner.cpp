@@ -96,8 +96,10 @@ std::vector<double> OscillationTuner::capture(std::uint32_t cap_coarse,
   std::array<rf::ReceiverConfig, 1> cfg{};
   cfg[0].modulator = oscillation_mode_config(cap_coarse, cap_fine, q_enh);
   chip_->configure(cfg);
-  const std::vector<double> zeros(settle + window, 0.0);
-  return chip_->capture_modulator(zeros, settle, par::ThreadPool::shared());
+  if (zeros_.size() < settle + window) zeros_.resize(settle + window, 0.0);
+  return chip_->capture_modulator(
+      std::span<const double>(zeros_).first(settle + window), settle,
+      par::ThreadPool::shared());
 }
 
 FrequencyMeasurement OscillationTuner::measure(std::uint32_t cap_coarse,

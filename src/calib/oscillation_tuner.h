@@ -123,6 +123,8 @@ class OscillationTuner {
 
   rf::ReceiverBatch* chip_;
   std::size_t readings_ = 0;
+  /// The all-zero input of every reading, grown to the longest one.
+  std::vector<double> zeros_;
 };
 
 /// The modulator configuration used during oscillation-mode calibration.

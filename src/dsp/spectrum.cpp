@@ -1,10 +1,12 @@
 #include "dsp/spectrum.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <map>
 #include <type_traits>
+#include <utility>
 
 #include "dsp/fft_plan.h"
 #include "obs/metrics.h"
@@ -23,9 +25,36 @@ double energy_norm(std::span<const double> window) {
   return sum_sq * static_cast<double>(window.size());
 }
 
-/// Per-thread plan caches: no shared mutable state, so the metrology can
-/// run from pool workers without synchronizing on a shared cache. Plans
-/// are immutable after construction.
+/// A window and its energy normalization.
+struct AnalysisWindow {
+  WindowKind kind = WindowKind::kHann;
+  std::vector<double> samples;
+  double norm = 0.0;
+};
+
+/// Per-thread caches of analysis windows and plans: no shared mutable
+/// state, so the metrology can run from pool workers without
+/// synchronizing on a shared cache. Plans are immutable after
+/// construction, and a window stays as it is until the thread's next
+/// window_for call. A thread keeps the two windows it used last: that
+/// covers a caller alternating two capture lengths (SNR and SFDR
+/// screens) without keeping a window of every length it ever saw.
+const AnalysisWindow& window_for(WindowKind kind, std::size_t n) {
+  thread_local std::array<AnalysisWindow, 2> windows;  // [0]: last used
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    if (windows[i].kind == kind && windows[i].samples.size() == n) {
+      std::swap(windows[0], windows[i]);
+      return windows[0];
+    }
+  }
+  std::swap(windows[0], windows[1]);
+  windows[0] = {};  // the least recently used goes before the new one
+  windows[0].kind = kind;
+  windows[0].samples = make_window(kind, n);
+  windows[0].norm = energy_norm(windows[0].samples);
+  return windows[0];
+}
+
 const FftPlan& plan_for(std::size_t n) {
   thread_local std::map<std::size_t, FftPlan> plans;
   auto it = plans.find(n);
@@ -90,8 +119,9 @@ std::vector<Periodogram> Periodogram::transform(
   assert(lanes > 0 && signals.size() % lanes == 0);
   const std::size_t n = signals.size() / lanes;
   assert(is_power_of_two(n) && "capture length must be a power of two");
-  const auto w = make_window(window, n);
-  const double norm = energy_norm(w);
+  const AnalysisWindow& analysis = window_for(window, n);
+  const std::span<const double> w = analysis.samples;
+  const double norm = analysis.norm;
   // Everything is sized here, on the caller: a buffer grown inside a pool
   // worker would land in that thread's malloc arena, which keeps the
   // pages. Each chunk of lanes gets its own scratch: the half spectrum

@@ -1,28 +1,43 @@
 #include "lock/batch_evaluator.h"
 
+#include <algorithm>
+
 #include "obs/trace.h"
 
 namespace analock::lock {
 
-rf::ReceiverBatch BatchEvaluator::receivers(
-    std::span<const Key64> keys) const {
+rf::ReceiverBatch BatchEvaluator::receivers(std::span<const Key64> keys,
+                                           std::size_t n) {
   std::vector<rf::ReceiverConfig> configs;
   configs.reserve(keys.size());
   for (const Key64& key : keys) {
     configs.push_back(evaluator_->applied_config(key));
   }
   return rf::ReceiverBatch(evaluator_->standard(), evaluator_->process(),
-                           evaluator_->rng(), configs);
+                           evaluator_->rng(), configs,
+                           evaluator_->noise_prefix(n));
 }
 
-std::vector<dsp::Periodogram> BatchEvaluator::modulator_spectra(
-    std::span<const Key64> keys, std::span<const double> rf_in) {
+template <typename Measure>
+std::vector<double> BatchEvaluator::modulator_readings(
+    std::span<const Key64> keys, std::span<const double> rf_in,
+    Measure&& measure) {
   const std::size_t settle = evaluator_->options().settle;
-  const auto captures = receivers(keys).capture_modulator(rf_in, settle,
-                                                          pool());
-  return dsp::Periodogram::many_real(captures, keys.size(),
-                                     evaluator_->standard().fs_hz(),
-                                     dsp::WindowKind::kHann, pool());
+  const double fs_hz = evaluator_->standard().fs_hz();
+  std::vector<double> out;
+  out.reserve(keys.size());
+  for (std::size_t begin = 0; begin < keys.size(); begin += kModulatorLanes) {
+    const auto group =
+        keys.subspan(begin, std::min(kModulatorLanes, keys.size() - begin));
+    const auto captures = receivers(group, rf_in.size())
+                              .capture_modulator(rf_in, settle, pool());
+    for (const dsp::Periodogram& p : dsp::Periodogram::many_real(
+             captures, group.size(), fs_hz, dsp::WindowKind::kHann,
+             pool())) {
+      out.push_back(measure(p));
+    }
+  }
+  return out;
 }
 
 void BatchEvaluator::charge_all(LockEvaluator::Metric metric,
@@ -40,17 +55,14 @@ std::vector<double> BatchEvaluator::clean_snr_modulator(
   const rf::Standard& standard = evaluator_->standard();
   const EvaluatorOptions& options = evaluator_->options();
   const double offset = rf::default_tone_offset_hz(standard);
-  const auto spectra = modulator_spectra(
-      keys, rf::make_test_tone(standard, input_dbm,
-                               options.settle + options.fft_size, offset));
-  std::vector<double> out(keys.size());
-  for (std::size_t l = 0; l < keys.size(); ++l) {
-    const auto snr = dsp::measure_snr_osr(spectra[l], standard.f0_hz + offset,
-                                          standard.fs_hz() / 4.0,
-                                          standard.osr);
-    out[l] = snr.snr_db;
-  }
-  return out;
+  return modulator_readings(
+      keys,
+      evaluator_->test_tone(input_dbm, options.settle + options.fft_size),
+      [&](const dsp::Periodogram& p) {
+        return dsp::measure_snr_osr(p, standard.f0_hz + offset,
+                                    standard.fs_hz() / 4.0, standard.osr)
+            .snr_db;
+      });
 }
 
 std::vector<double> BatchEvaluator::clean_snr_receiver(
@@ -59,11 +71,11 @@ std::vector<double> BatchEvaluator::clean_snr_receiver(
   ANALOCK_SPAN_QUIET("eval.batch.snr_receiver");
   const rf::Standard& standard = evaluator_->standard();
   const EvaluatorOptions& options = evaluator_->options();
-  rf::ReceiverBatch batch = receivers(keys);
   const double offset = rf::default_tone_offset_hz(standard);
   const std::size_t n =
       rf::receiver_input_length(options.baseband_points, options.settle);
-  const auto rf_in = rf::make_test_tone(standard, input_dbm, n, offset);
+  rf::ReceiverBatch batch = receivers(keys, n);
+  const auto& rf_in = evaluator_->test_tone(input_dbm, n);
   const auto baseband = batch.capture_receiver(
       rf_in, options.settle, options.baseband_points, /*settle_baseband=*/16,
       pool());
@@ -88,20 +100,18 @@ std::vector<double> BatchEvaluator::clean_sfdr(std::span<const Key64> keys,
   const EvaluatorOptions& options = evaluator_->options();
   const double center = standard.f0_hz + rf::default_tone_offset_hz(standard);
   const double spacing = options.two_tone_spacing_hz;
-  const auto spectra = modulator_spectra(
-      keys, rf::make_two_tone(standard, dbm_per_tone,
-                              options.settle + options.sfdr_fft_size,
-                              spacing));
   const double half_band = standard.fs_hz() / (4.0 * standard.osr);
   const double f0 = standard.fs_hz() / 4.0;
-  std::vector<double> out(keys.size());
-  for (std::size_t l = 0; l < keys.size(); ++l) {
-    const auto sfdr = dsp::measure_sfdr_two_tone(
-        spectra[l], center - spacing / 2.0, center + spacing / 2.0,
-        f0 - half_band, f0 + half_band);
-    out[l] = sfdr.im3_db;
-  }
-  return out;
+  return modulator_readings(
+      keys,
+      evaluator_->two_tone(dbm_per_tone,
+                           options.settle + options.sfdr_fft_size),
+      [&](const dsp::Periodogram& p) {
+        return dsp::measure_sfdr_two_tone(p, center - spacing / 2.0,
+                                          center + spacing / 2.0,
+                                          f0 - half_band, f0 + half_band)
+            .im3_db;
+      });
 }
 
 std::vector<double> BatchEvaluator::snr_receiver_db(

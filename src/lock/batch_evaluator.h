@@ -8,7 +8,9 @@
 // receiver_batch.h for why the two agree bit for bit). Trial counters and
 // fault-injector state advance exactly as if LockEvaluator had been
 // called once per key, so attack cost accounting and fault campaigns
-// cannot tell the difference.
+// cannot tell the difference. Every reading takes its stimulus from the
+// evaluator and, when its transient fits in one noise window, its noise
+// from the evaluator's prefix (LockEvaluator::noise_prefix).
 #pragma once
 
 #include <span>
@@ -71,13 +73,23 @@ class BatchEvaluator {
   }
 
   /// One receiver lane per key, configured as the chip runs it
-  /// (LockEvaluator::applied_config).
-  [[nodiscard]] rf::ReceiverBatch receivers(std::span<const Key64> keys) const;
+  /// (LockEvaluator::applied_config), for one `n`-sample capture: it
+  /// reads the evaluator's noise prefix when it fits
+  /// (LockEvaluator::noise_prefix).
+  [[nodiscard]] rf::ReceiverBatch receivers(std::span<const Key64> keys,
+                                            std::size_t n);
 
-  /// Periodograms of the post-settle modulator outputs of `keys` driven
-  /// by `rf_in`.
-  [[nodiscard]] std::vector<dsp::Periodogram> modulator_spectra(
-      std::span<const Key64> keys, std::span<const double> rf_in);
+  /// Keys per modulator capture. A longer batch runs in groups of this
+  /// many, so a group's outputs and spectra stay small next to the
+  /// evaluator's noise prefix; a lane reads the same in any group.
+  static constexpr std::size_t kModulatorLanes = 8;
+
+  /// `measure(p)` of the periodogram p of each key's post-settle
+  /// modulator output driven by `rf_in`, in key order.
+  template <typename Measure>
+  [[nodiscard]] std::vector<double> modulator_readings(
+      std::span<const Key64> keys, std::span<const double> rf_in,
+      Measure&& measure);
 
   /// Books readings[i] as one `metric` measurement of keys[i], in order.
   void charge_all(LockEvaluator::Metric metric, std::span<const Key64> keys,

@@ -10,17 +10,26 @@
 // rf::ReceiverBatch, the same path population callers take.
 //
 // Every evaluation is deterministic for a given (chip, key, options):
-// noise streams are re-seeded per run, so calibration searches and tests
-// see a stable objective. The evaluator also counts trials, which the
-// attack cost model converts into projected silicon/simulation time.
+// every reading starts the chip's noise streams from sample 0, so
+// calibration searches and tests see a stable objective. The evaluator
+// builds the key-independent inputs of its readings once and reuses them
+// bit for bit: the first noise window of the chip's streams (an
+// rf::ReceiverBatch::NoisePrefix, which every reading whose transient
+// fits in it reads instead of drawing), and the test tone and two-tone
+// it last built. It is not thread-safe: one caller at a time. The
+// evaluator also counts trials, which the attack cost model converts
+// into projected silicon/simulation time.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "fault/fault_injector.h"
 #include "lock/key64.h"
 #include "lock/key_layout.h"
 #include "rf/receiver.h"
+#include "rf/receiver_batch.h"
 #include "rf/standards.h"
 #include "sim/process.h"
 #include "sim/rng.h"
@@ -137,13 +146,41 @@ class LockEvaluator {
   /// injector's stream identical to one per-key call per reading.
   double charge(Metric metric, const Key64& key, double clean_db);
 
+  /// Noise of a reading whose transient runs `n` samples: the chip's
+  /// prefix when it fits in the prefix, which holds the longest transient
+  /// of these options that fits in one noise window; nullptr otherwise.
+  /// A longer reading releases the prefix first, so its own noise windows
+  /// never sit next to it; the next reading that fits draws it again.
+  [[nodiscard]] rf::ReceiverBatch::NoisePrefix* noise_prefix(std::size_t n);
+
+  /// The test tone (rf::make_test_tone at the default offset) or the
+  /// two-tone (rf::make_two_tone at options().two_tone_spacing_hz) of
+  /// `n` samples at `dbm` per tone. Each is rebuilt only when the power
+  /// or length differs from the last one of its kind, and of the two
+  /// kept at most one is longer than a noise window. The reference stays
+  /// valid until the next call.
+  [[nodiscard]] const std::vector<double>& test_tone(double dbm,
+                                                     std::size_t n);
+  [[nodiscard]] const std::vector<double>& two_tone(double dbm_per_tone,
+                                                    std::size_t n);
+
  private:
+  /// A stimulus and the power it was built at; its length is its size.
+  struct Stimulus {
+    double dbm = 0.0;
+    std::vector<double> samples;
+  };
+
   const rf::Standard* standard_;
   sim::ProcessVariation process_;
   sim::Rng rng_;
   EvaluatorOptions options_;
   TrialCounts trials_;
   fault::FaultInjector* injector_ = nullptr;
+  std::size_t prefix_length_;
+  std::unique_ptr<rf::ReceiverBatch::NoisePrefix> noise_prefix_;
+  Stimulus tone_;
+  Stimulus two_tone_;
 };
 
 }  // namespace analock::lock

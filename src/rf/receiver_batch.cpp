@@ -53,10 +53,12 @@ struct ReceiverBatch::LaneState {
 ReceiverBatch::ReceiverBatch(const Standard& standard,
                              const sim::ProcessVariation& process,
                              const sim::Rng& rng,
-                             std::span<const ReceiverConfig> configs)
+                             std::span<const ReceiverConfig> configs,
+                             NoisePrefix* prefix)
     : standard_(&standard),
       process_(process),
       noise_(make_noise(rng)),
+      prefix_(prefix),
       fs_hz_(standard.fs_hz()),
       hb_taps_(dsp::design_halfband(kHbTaps)) {
   configure(configs);
@@ -172,27 +174,88 @@ ReceiverBatch::NoiseStreams ReceiverBatch::make_noise(const sim::Rng& rng) {
   }}};
 }
 
-void ReceiverBatch::begin_capture(std::size_t n) {
+ReceiverBatch::NoisePrefix::NoisePrefix(const sim::Rng& rng,
+                                        std::size_t length)
+    : noise_(make_noise(rng)), length_(length) {
+  assert(length <= kNoiseWindow && "a prefix holds one noise window");
+}
+
+void ReceiverBatch::NoisePrefix::draw_streams(unsigned streams,
+                                              par::ThreadPool& pool) {
+  const unsigned missing = streams & ~filled_;
+  if (missing == 0) return;
+  ANALOCK_SPAN_QUIET("rf.batch.noise");
+  std::array<std::size_t, NoiseStreams::kCount> ids{};
+  std::size_t count = 0;
+  for (std::size_t s = 0; s < NoiseStreams::kCount; ++s) {
+    if ((missing >> s & 1u) == 0) continue;
+    // Sized here, on the caller, like the batch's own windows.
+    noise_.streams[s].window.resize(length_);
+    ids[count++] = s;
+  }
+  pool.parallel_for(count, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t t = begin; t < end; ++t) {
+      NoiseStreams::Stream& stream = noise_.streams[ids[t]];
+      sim::Rng rng = stream.rng;
+      double* window = stream.window.data();
+      for (std::size_t k = 0; k < length_; ++k) window[k] = rng.gaussian();
+    }
+  });
+  filled_ |= missing;
+  obs::count("rf.batch.noise_samples", count * length_);
+}
+
+bool ReceiverBatch::begin_capture(std::size_t n, par::ThreadPool& pool) {
   assert(resumable_ &&
          "an earlier capture mixed gmin_enable or buffer_in_path across "
-         "lanes; its noise streams no longer follow every lane's chip");
-  resumable_ = lanes_agree_;
-  // Sized here, on the caller: a window grown inside a pool worker would
-  // land in that thread's malloc arena, which keeps the pages.
-  const std::size_t window = std::min(kNoiseWindow, n);
+         "lanes or read the noise prefix; its noise streams no longer "
+         "follow every lane's chip");
+  const bool from_prefix = prefix_ != nullptr && n <= prefix_->length();
+  resumable_ = lanes_agree_ && !from_prefix;
+  unsigned read = 0;
   std::uint64_t drawn = 0;
   std::uint64_t skipped = 0;
-  for (NoiseStreams::Stream& stream : noise_.streams) {
+  for (std::size_t s = 0; s < NoiseStreams::kCount; ++s) {
+    const NoiseStreams::Stream& stream = noise_.streams[s];
     if (!stream.drawn) continue;
     ++drawn;
-    if (!stream.read) ++skipped;
-    if (stream.window.size() < window) stream.window.resize(window);
+    if (stream.read) {
+      read |= 1u << s;
+    } else {
+      ++skipped;
+    }
   }
+  NoiseStreams* source = &noise_;
+  if (from_prefix) {
+    prefix_->draw_streams(read, pool);
+    source = &prefix_->noise_;
+  } else {
+    // Sized here, on the caller: a window grown inside a pool worker
+    // would land in that thread's malloc arena, which keeps the pages.
+    const std::size_t window = std::min(kNoiseWindow, n);
+    for (std::size_t s = 0; s < NoiseStreams::kCount; ++s) {
+      std::vector<double>& own = noise_.streams[s].window;
+      if ((read >> s & 1u) != 0 && own.size() < window) own.resize(window);
+    }
+  }
+  // Unread streams read the preamp's window, which is always read.
+  const double* unread = source->streams[NoiseStreams::kPre].window.data();
+  for (std::size_t s = 0; s < NoiseStreams::kCount; ++s) {
+    windows_[s] = !noise_.streams[s].drawn      ? nullptr
+                  : (read >> s & 1u) != 0 ? source->streams[s].window.data()
+                                          : unread;
+  }
+  const auto reads = static_cast<std::uint64_t>(std::popcount(read));
   obs::count("rf.batch.lane_samples", lanes_ * n);
-  obs::count("rf.batch.noise_samples", drawn * n);
-  obs::count("rf.batch.noise_skipped", skipped * n);
+  if (from_prefix) {
+    obs::count("rf.batch.noise_cached", reads * n);
+  } else {
+    obs::count("rf.batch.noise_samples", drawn * n);
+    obs::count("rf.batch.noise_skipped", skipped * n);
+  }
   obs::count("rf.batch.signature_groups", signature_groups_);
   obs::count("rf.batch.front_ends", front_ends_);
+  return from_prefix;
 }
 
 void ReceiverBatch::fill_noise(std::size_t m, par::ThreadPool& pool) {
@@ -254,14 +317,14 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
   const std::size_t n = rf.size();
   const std::size_t n_mod = n > settle ? n - settle : 0;
   const double* rf_p = rf.data() + offset;
-  const double* nvg_p = noise_.window(NoiseStreams::kVg);
-  const double* ngm_p = noise_.window(NoiseStreams::kGm);
-  const double* nt1_p = noise_.window(NoiseStreams::kT1);
-  const double* nt2_p = noise_.window(NoiseStreams::kT2);
-  const double* npre_p = noise_.window(NoiseStreams::kPre);
-  const double* ncmp_p = noise_.window(NoiseStreams::kCmp);
-  const double* ndac_p = noise_.window(NoiseStreams::kDac);
-  const double* nbuf_p = noise_.window(NoiseStreams::kBuf);
+  const double* nvg_p = windows_[NoiseStreams::kVg];
+  const double* ngm_p = windows_[NoiseStreams::kGm];
+  const double* nt1_p = windows_[NoiseStreams::kT1];
+  const double* nt2_p = windows_[NoiseStreams::kT2];
+  const double* npre_p = windows_[NoiseStreams::kPre];
+  const double* ncmp_p = windows_[NoiseStreams::kCmp];
+  const double* ndac_p = windows_[NoiseStreams::kDac];
+  const double* nbuf_p = windows_[NoiseStreams::kBuf];
 
   // Chunk size keeps the pass-1 scratch (32 KiB) and both passes' noise
   // slices L1/L2-resident while amortizing the loop-switch overhead.
@@ -548,11 +611,11 @@ std::vector<double> ReceiverBatch::capture_modulator(
   ANALOCK_SPAN_QUIET("rf.batch.capture_modulator");
   assert(rf.size() > settle);
   std::vector<double> out(lanes_ * (rf.size() - settle));
-  begin_capture(rf.size());
+  const bool from_prefix = begin_capture(rf.size(), pool);
   std::vector<LaneState> state(lanes_);
   for (std::size_t offset = 0; offset < rf.size(); offset += kNoiseWindow) {
     const std::size_t window = std::min(kNoiseWindow, rf.size() - offset);
-    fill_noise(window, pool);
+    if (!from_prefix) fill_noise(window, pool);
     pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
       run_lanes(begin, end, rf, offset, window, settle,
                 /*run_backend=*/false, 0, 0, state, out, {});
@@ -569,11 +632,11 @@ std::vector<std::complex<double>> ReceiverBatch::capture_receiver(
   assert(rf.size() >=
          receiver_input_length(baseband_points, settle, settle_baseband));
   std::vector<std::complex<double>> out(lanes_ * baseband_points);
-  begin_capture(rf.size());
+  const bool from_prefix = begin_capture(rf.size(), pool);
   std::vector<LaneState> state(lanes_);
   for (std::size_t offset = 0; offset < rf.size(); offset += kNoiseWindow) {
     const std::size_t window = std::min(kNoiseWindow, rf.size() - offset);
-    fill_noise(window, pool);
+    if (!from_prefix) fill_noise(window, pool);
     pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
       run_lanes(begin, end, rf, offset, window, settle,
                 /*run_backend=*/true, baseband_points, settle_baseband, state,

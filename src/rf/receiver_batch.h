@@ -19,11 +19,19 @@
 //      buffer) once, at construction, draws it once for all lanes as raw
 //      unit deviates, and scales per lane by that lane's configured RMS
 //      as `0.0 + rms * g`, the value `sim::Rng::gaussian(0.0, rms)` takes.
+//      Deviate i of a stream is thus a function of the RNG, the stream
+//      and i alone, and the first deviates of a chip's streams can be
+//      drawn once for many captures: a NoisePrefix holds them.
 //   2. A chip's reset clears block state but not the noise sources, so
 //      the scalar chip's k-th capture continues its streams where capture
 //      k-1 stopped. The batch keeps the stream states (Box–Muller cache
 //      included) between captures in the same way, while lane state
-//      starts from zero on every capture.
+//      starts from zero on every capture. A capture read from a
+//      NoisePrefix starts every stream at sample 0, as a fresh chip's
+//      first capture does, and leaves the batch's own streams untouched,
+//      so it must be the batch's last: the next capture asserts.
+//      lock::BatchEvaluator builds a fresh batch for every reading, so
+//      each of its captures is a first capture.
 //   3. Every per-lane constant (gains, DAC levels, pole parameters,
 //      noise RMS values) comes from `rf::lane_constants`, the one
 //      config->parameter map, which the scalar reference also calls: the
@@ -47,7 +55,7 @@
 // reads 4 of its 7 drawn streams. An unread stream is advanced with
 // `sim::Rng::skip_gaussians`, which leaves its generator, Box–Muller
 // cache included, exactly where the deviates would, without computing
-// them; its window keeps stale values that reach no output.
+// them; the values it is read from reach no output.
 //
 // The transient streams in windows of kNoiseWindow samples: each window
 // first draws the next kNoiseWindow deviates of every drawn stream (one
@@ -59,7 +67,16 @@
 // O(transient), and the draw order and per-lane arithmetic are those of
 // one uninterrupted pass: results are independent of the thread count
 // and of the window length by construction. The windows are sized on
-// the calling thread and kept across captures.
+// the calling thread and kept across captures. Only a read stream has a
+// window of its own; every unread stream reads the preamp's, which every
+// capture reads, so an oscillation reading sizes 4 windows, not 7.
+//
+// A batch built with a NoisePrefix reads a capture of at most
+// `NoisePrefix::length()` samples as one window straight from the
+// prefix: it draws no deviate and sizes no window of its own. The prefix
+// draws a stream on the first capture that reads it, and only the read
+// streams. lock::LockEvaluator keeps one per chip, so the single-window
+// readings of its calibration sweeps and screens draw their noise once.
 //
 // Inside a window each worker steps its lanes chunk by chunk (4096
 // samples), and within a chunk front end by front end. The stateless
@@ -76,8 +93,10 @@
 // fields feed one.
 //
 // Every capture charges its work counters on the calling thread:
-// `rf.batch.lane_samples`, `rf.batch.noise_samples` (deviates drawn),
-// `rf.batch.noise_skipped` (those of them skipped, not transformed),
+// `rf.batch.lane_samples`, `rf.batch.noise_samples` (deviates drawn,
+// a prefix's included), `rf.batch.noise_skipped` (those of them skipped,
+// not transformed), `rf.batch.noise_cached` (deviates read from a
+// prefix: n per read stream of a capture it serves),
 // `rf.batch.signature_groups`, the number of distinct (gmin_enable,
 // feedback_enable, comp_clock_enable, test_mux, buffer_in_path) control
 // signatures among the lanes, and `rf.batch.front_ends`, the number of
@@ -101,11 +120,16 @@ namespace analock::rf {
 
 class ReceiverBatch {
  public:
+  class NoisePrefix;
+
   /// Forks the chip's noise streams from `rng` and configures the lanes
-  /// (see configure).
+  /// (see configure). With a `prefix` (not owned; it must outlive the
+  /// batch and come from the same `rng`), a capture that fits in it reads
+  /// its noise from there instead of drawing it.
   ReceiverBatch(const Standard& standard,
                 const sim::ProcessVariation& process, const sim::Rng& rng,
-                std::span<const ReceiverConfig> configs);
+                std::span<const ReceiverConfig> configs,
+                NoisePrefix* prefix = nullptr);
 
   /// One lane at the default configuration, like a freshly built chip:
   /// the chip the calibration tuners reconfigure capture by capture.
@@ -155,8 +179,8 @@ class ReceiverBatch {
   struct LaneState;
 
   /// The chip's named noise streams. Each keeps its generator from
-  /// capture to capture and holds the window of raw unit deviates it
-  /// drew for the current stretch of the transient.
+  /// capture to capture and, when read, holds the window of raw unit
+  /// deviates it drew for the current stretch of the transient.
   struct NoiseStreams {
     enum Id : std::size_t {
       kVg, kGm, kPre, kCmp, kDac, kBuf, kT1, kT2, kCount
@@ -178,22 +202,17 @@ class ReceiverBatch {
     };
     std::array<Task, kCount> tasks{};
     std::size_t task_count = 0;
-
-    /// Current window of stream `id`; nullptr for a stream no chip
-    /// draws. An unread stream's window keeps stale deviates: they feed
-    /// only values that no output of this capture reads.
-    [[nodiscard]] const double* window(Id id) const {
-      return streams[id].drawn ? streams[id].window.data() : nullptr;
-    }
   };
 
   /// Forks the chip's named noise streams from `rng`, their windows
   /// still empty.
   [[nodiscard]] static NoiseStreams make_noise(const sim::Rng& rng);
 
-  /// Checks the stream-continuation precondition, sizes the windows for
-  /// an `n`-sample transient and charges the capture's work counters.
-  void begin_capture(std::size_t n);
+  /// Checks the stream-continuation precondition, points `windows_` at
+  /// the prefix (filling what it lacks) when an `n`-sample transient fits
+  /// in it, else at the own windows, sized for it, and charges the
+  /// capture's work counters. Returns whether the prefix serves it.
+  bool begin_capture(std::size_t n, par::ThreadPool& pool);
 
   /// Advances every drawn stream by `m` deviates, writing them into the
   /// windows of the streams some lane reads.
@@ -219,6 +238,10 @@ class ReceiverBatch {
   const Standard* standard_;
   sim::ProcessVariation process_;
   NoiseStreams noise_;
+  NoisePrefix* prefix_;
+  /// The window each stream is read from in the current capture; nullptr
+  /// for a stream no chip draws.
+  std::array<const double*, NoiseStreams::kCount> windows_{};
   double fs_hz_;
   std::size_t lanes_ = 0;
   std::uint32_t digital_mode_ = 0;
@@ -240,6 +263,32 @@ class ReceiverBatch {
   // Shared digital-chain taps (mode is uniform across lanes).
   std::vector<double> hb_taps_;
   std::vector<double> channel_taps_;
+};
+
+/// The first `length()` deviates of every noise stream of a chip: the
+/// streams a ReceiverBatch built from the same RNG forks. A stream is
+/// drawn, on the calling thread's pool, the first time a capture served
+/// from the prefix reads it; later captures read it as it is. Not
+/// thread-safe: one caller at a time, like the evaluator that owns it.
+class ReceiverBatch::NoisePrefix {
+ public:
+  /// Forks the streams; draws nothing yet. `length` is at most
+  /// kNoiseWindow.
+  NoisePrefix(const sim::Rng& rng, std::size_t length);
+
+  [[nodiscard]] std::size_t length() const { return length_; }
+
+ private:
+  friend class ReceiverBatch;
+
+  /// Draws deviates [0, length) of every stream in `streams` (bit s for
+  /// stream s) not drawn yet, one task per stream, and charges them to
+  /// `rf.batch.noise_samples`.
+  void draw_streams(unsigned streams, par::ThreadPool& pool);
+
+  NoiseStreams noise_;
+  std::size_t length_;
+  unsigned filled_ = 0;  ///< bit s: stream s holds its deviates
 };
 
 }  // namespace analock::rf

@@ -988,4 +988,160 @@ TEST(BatchEvaluator, TrialCountsMatchScalar) {
   EXPECT_EQ(wrapped.trial_counts().snr_receiver, 2 * keys.size());
 }
 
+// ---------------------------------------------------------------------
+// Noise prefix: captures that fit in it read it instead of drawing
+// ---------------------------------------------------------------------
+
+TEST(NoisePrefix, ServedCapturesMatchColdCaptures) {
+  // Batches whose lanes mix the control signatures, so the prefix fills
+  // stream by stream: the buffer stream is drawn in some batches and not
+  // in others, the Gmin stream likewise, and a Gmin-off batch leaves the
+  // VGLNA stream unread. Each capture served from one shared prefix, one
+  // shorter than it and one exactly as long, equals a cold batch's
+  // capture to the last bit, on 1 and 7 threads; a capture one sample
+  // longer than the prefix draws its own noise and still matches.
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(915);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const sim::Rng rng = chip_rng.fork("chip");
+  constexpr std::size_t kLength = 5000;
+  constexpr std::size_t kSettle = 100;
+  rf::ReceiverConfig mission;
+  mission.digital_mode = standard.digital_mode;
+  rf::ReceiverConfig buffered = mission;
+  buffered.modulator.buffer_in_path = true;
+  rf::ReceiverConfig no_gmin = mission;
+  no_gmin.modulator.gmin_enable = false;
+  sim::Rng key_rng(916);
+  std::vector<rf::ReceiverConfig> random;
+  for (int i = 0; i < 5; ++i) {
+    random.push_back(
+        lock::decode_key(Key64::random(key_rng), standard.digital_mode));
+  }
+  const std::vector<std::vector<rf::ReceiverConfig>> batches = {
+      {mission, mission}, {no_gmin}, random, {buffered, mission, no_gmin}};
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{7}}) {
+    par::ThreadPool pool(threads);
+    rf::ReceiverBatch::NoisePrefix prefix(rng, kLength);
+    for (const auto& configs : batches) {
+      for (const std::size_t n : {kLength - 1000, kLength, kLength + 1}) {
+        const auto rf_in = chunk_test_tone(standard, n);
+        rf::ReceiverBatch cold(standard, pv, rng, configs);
+        rf::ReceiverBatch served(standard, pv, rng, configs, &prefix);
+        const auto want = cold.capture_modulator(rf_in, kSettle, pool);
+        const auto got = served.capture_modulator(rf_in, kSettle, pool);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(first_mismatch(std::span<const double>(got), want),
+                  want.size())
+            << "threads=" << threads << " lanes=" << configs.size()
+            << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(NoisePrefix, ServedReadingsMatchTheReference) {
+  // Every modulator-SNR and SFDR reading of these options fits in the
+  // evaluator's prefix. Under a campaign with stuck-at bits, on 1 and 7
+  // threads, mixed-signature random keys read the scalar reference chip's
+  // values, on the reading that fills the prefix and on the ones served
+  // from it. A receiver reading between them is too long for the prefix,
+  // releases it and matches too.
+  fault::FaultPlan plan;
+  plan.seed = 31;
+  plan.stuck_at0_bits = 2;
+  plan.stuck_at1_bits = 2;
+  const auto keys = test_keys(808, 4);
+  sim::Rng chip_rng(917);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{7}}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    par::ThreadPool pool(threads);
+    fault::FaultInjector injector(plan);
+    LockEvaluator evaluator(rf::standard_max_3ghz(), pv,
+                            chip_rng.fork("chip"), fast_options());
+    evaluator.set_fault_injector(&injector);
+    BatchEvaluator batch(evaluator, &pool);
+    const double dbm = evaluator.options().input_dbm;
+    const double tone_dbm = evaluator.options().two_tone_dbm;
+    for (int round = 0; round < 3; ++round) {
+      const auto mod = batch.clean_snr_modulator(keys, dbm);
+      const auto sfdr = batch.clean_sfdr(keys, tone_dbm);
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        EXPECT_EQ(reference::snr_modulator_db(evaluator, keys[i], dbm),
+                  mod[i])
+            << "round " << round << " key " << i;
+        EXPECT_EQ(reference::sfdr_db(evaluator, keys[i], tone_dbm), sfdr[i])
+            << "round " << round << " key " << i;
+      }
+      if (round == 1) {
+        const std::span<const Key64> two(keys.data(), 2);
+        const auto rx = batch.clean_snr_receiver(two, dbm);
+        for (std::size_t i = 0; i < two.size(); ++i) {
+          EXPECT_EQ(reference::snr_receiver_db(evaluator, two[i], dbm), rx[i])
+              << "key " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(NoisePrefix, SecondReadingDrawsNoNoise) {
+  // The first modulator reading of an evaluator draws the prefix: a
+  // noise window of each of the 7 streams a mission-mode chip reads
+  // (the buffer is out of path). It and the identical second reading
+  // each read n deviates per stream from the prefix, and the second
+  // draws none and reads the same value. A receiver reading releases
+  // the prefix, so the next modulator reading draws it again.
+  obs::Registry& reg = obs::registry();
+  const bool was_enabled = reg.enabled();
+  reg.reset_values();
+  reg.set_enabled(true);
+
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(918);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  LockEvaluator evaluator(standard, pv, chip_rng.fork("chip"));
+  rf::ReceiverConfig mission;
+  mission.digital_mode = standard.digital_mode;
+  const Key64 key = lock::encode_key(mission);
+  const std::uint64_t n =
+      evaluator.options().settle + evaluator.options().fft_size;
+  struct Counts {
+    std::uint64_t drawn, cached;
+  };
+  const auto counts = [&reg] {
+    return Counts{reg.counter("rf.batch.noise_samples").value(),
+                  reg.counter("rf.batch.noise_cached").value()};
+  };
+  const auto delta = [&](const Counts& before) {
+    const Counts now = counts();
+    return Counts{now.drawn - before.drawn, now.cached - before.cached};
+  };
+  Counts mark = counts();
+  const double first = evaluator.snr_modulator_db(key);
+  const Counts filled = delta(mark);
+  mark = counts();
+  const double second = evaluator.snr_modulator_db(key);
+  const Counts served = delta(mark);
+  (void)evaluator.snr_receiver_db(key);
+  mark = counts();
+  const double third = evaluator.snr_modulator_db(key);
+  const Counts refilled = delta(mark);
+
+  reg.set_enabled(was_enabled);
+  reg.reset_values();
+  // The prefix holds the longest reading that fits: 10240 samples here,
+  // the modulator reading's own length.
+  EXPECT_EQ(filled.drawn, 7 * n);
+  EXPECT_EQ(filled.cached, 7 * n);
+  EXPECT_EQ(served.drawn, 0u);
+  EXPECT_EQ(served.cached, 7 * n);
+  EXPECT_EQ(refilled.drawn, 7 * n);
+  EXPECT_EQ(refilled.cached, 7 * n);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first, third);
+}
+
 }  // namespace

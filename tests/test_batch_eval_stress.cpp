@@ -3,7 +3,8 @@
 // (-DANALOCK_SANITIZE=thread) can target it for race detection: the
 // thread pool fan-out, the shared FFT twiddle cache, the batch
 // stepper's shared-read/private-write layout, its noise-stream state
-// carried from capture to capture, and the lane-sharded batch
+// carried from capture to capture, the evaluator's noise prefix filled
+// by pool workers and read by later captures, and the lane-sharded batch
 // periodograms all get hammered here.
 #include <gtest/gtest.h>
 
@@ -87,6 +88,45 @@ TEST(BatchStress, BatchedEvaluationUnderThreads) {
   const auto again = batch.evaluate_batch(keys);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(reports[i].snr_receiver_db, again[i].snr_receiver_db) << i;
+  }
+}
+
+TEST(BatchStress, PrefixReadingsBetweenMultiWindowReadings) {
+  // One evaluator on a 4-thread pool alternates readings that fit in its
+  // noise prefix (modulator SNR, SFDR) with receiver readings, which run
+  // several noise windows and release the prefix, so workers draw it
+  // again and again and later captures read it. Every reading equals a
+  // 1-thread evaluator's.
+  sim::Rng chip_rng(9004);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  lock::EvaluatorOptions opt;
+  opt.fft_size = 1024;
+  opt.sfdr_fft_size = 2048;
+  opt.baseband_points = 256;
+  opt.settle = 256;
+  ASSERT_GT(rf::receiver_input_length(opt.baseband_points, opt.settle),
+            rf::ReceiverBatch::kNoiseWindow);
+  lock::LockEvaluator ev(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
+                         opt);
+  lock::LockEvaluator ref_ev(rf::standard_max_3ghz(), pv,
+                             chip_rng.fork("chip"), opt);
+  par::ThreadPool pool(4);
+  par::ThreadPool narrow(1);
+  lock::BatchEvaluator batch(ev, &pool);
+  lock::BatchEvaluator ref(ref_ev, &narrow);
+
+  sim::Rng key_rng(18);
+  std::vector<Key64> keys;
+  for (int i = 0; i < 11; ++i) keys.push_back(Key64::random(key_rng));
+  const double dbm = opt.input_dbm;
+  const auto mod = ref.clean_snr_modulator(keys, dbm);
+  const auto sfdr = ref.clean_sfdr(keys, opt.two_tone_dbm);
+  const std::span<const Key64> three(keys.data(), 3);
+  const auto rx = ref.clean_snr_receiver(three, dbm);
+  for (int round = 0; round < 4; ++round) {
+    EXPECT_EQ(batch.clean_snr_modulator(keys, dbm), mod) << round;
+    if (round % 2 == 1) EXPECT_EQ(batch.clean_snr_receiver(three, dbm), rx);
+    EXPECT_EQ(batch.clean_sfdr(keys, opt.two_tone_dbm), sfdr) << round;
   }
 }
 

@@ -77,7 +77,7 @@ TEST(Genetic, FitnessImprovesOverGenerations) {
   auto ev = fixtures::make_evaluator(0);
 
   GeneticOptions small;
-  small.max_trials = 48;  // two generations only
+  small.max_trials = 48;  // one generation: 24 initial keys, 22 children
   small.force_mission_mode = true;
   GeneticAttack a_small(ev, sim::Rng(2005));
   const auto r_small = a_small.run(small);
