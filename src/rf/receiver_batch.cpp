@@ -184,25 +184,17 @@ void ReceiverBatch::NoisePrefix::draw_streams(unsigned streams,
                                               par::ThreadPool& pool) {
   const unsigned missing = streams & ~filled_;
   if (missing == 0) return;
-  ANALOCK_SPAN_QUIET("rf.batch.noise");
-  std::array<std::size_t, NoiseStreams::kCount> ids{};
-  std::size_t count = 0;
+  noise_.task_count = 0;
   for (std::size_t s = 0; s < NoiseStreams::kCount; ++s) {
     if ((missing >> s & 1u) == 0) continue;
     // Sized here, on the caller, like the batch's own windows.
     noise_.streams[s].window.resize(length_);
-    ids[count++] = s;
+    noise_.tasks[noise_.task_count++] = {static_cast<NoiseStreams::Id>(s),
+                                         NoiseStreams::kCount};
   }
-  pool.parallel_for(count, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
-      NoiseStreams::Stream& stream = noise_.streams[ids[t]];
-      sim::Rng rng = stream.rng;
-      double* window = stream.window.data();
-      for (std::size_t k = 0; k < length_; ++k) window[k] = rng.gaussian();
-    }
-  });
+  fill_noise(noise_, length_, pool);
   filled_ |= missing;
-  obs::count("rf.batch.noise_samples", count * length_);
+  obs::count("rf.batch.noise_samples", noise_.task_count * length_);
 }
 
 bool ReceiverBatch::begin_capture(std::size_t n, par::ThreadPool& pool) {
@@ -241,9 +233,12 @@ bool ReceiverBatch::begin_capture(std::size_t n, par::ThreadPool& pool) {
   // Unread streams read the preamp's window, which is always read.
   const double* unread = source->streams[NoiseStreams::kPre].window.data();
   for (std::size_t s = 0; s < NoiseStreams::kCount; ++s) {
-    windows_[s] = !noise_.streams[s].drawn      ? nullptr
-                  : (read >> s & 1u) != 0 ? source->streams[s].window.data()
-                                          : unread;
+    if (!noise_.streams[s].drawn) {
+      windows_[s] = nullptr;
+    } else {
+      windows_[s] =
+          (read >> s & 1u) != 0 ? source->streams[s].window.data() : unread;
+    }
   }
   const auto reads = static_cast<std::uint64_t>(std::popcount(read));
   obs::count("rf.batch.lane_samples", lanes_ * n);
@@ -258,21 +253,22 @@ bool ReceiverBatch::begin_capture(std::size_t n, par::ThreadPool& pool) {
   return from_prefix;
 }
 
-void ReceiverBatch::fill_noise(std::size_t m, par::ThreadPool& pool) {
+void ReceiverBatch::fill_noise(NoiseStreams& noise, std::size_t m,
+                               par::ThreadPool& pool) {
   ANALOCK_SPAN_QUIET("rf.batch.noise");
-  pool.parallel_for(noise_.task_count,
+  pool.parallel_for(noise.task_count,
                     [&](std::size_t begin, std::size_t end) {
     for (std::size_t t = begin; t < end; ++t) {
-      const NoiseStreams::Task task = noise_.tasks[t];
+      const NoiseStreams::Task task = noise.tasks[t];
       // Draw from local copies: neighbouring streams share cache lines,
       // and advancing them in place would bounce those between workers.
-      NoiseStreams::Stream& stream = noise_.streams[task.fill];
+      NoiseStreams::Stream& stream = noise.streams[task.fill];
       sim::Rng rng = stream.rng;
       double* window = stream.window.data();
       for (std::size_t k = 0; k < m; ++k) window[k] = rng.gaussian();
       stream.rng = rng;
       if (task.skip == NoiseStreams::kCount) continue;
-      NoiseStreams::Stream& unread = noise_.streams[task.skip];
+      NoiseStreams::Stream& unread = noise.streams[task.skip];
       sim::Rng skip = unread.rng;
       skip.skip_gaussians(m);
       unread.rng = skip;
@@ -615,7 +611,7 @@ std::vector<double> ReceiverBatch::capture_modulator(
   std::vector<LaneState> state(lanes_);
   for (std::size_t offset = 0; offset < rf.size(); offset += kNoiseWindow) {
     const std::size_t window = std::min(kNoiseWindow, rf.size() - offset);
-    if (!from_prefix) fill_noise(window, pool);
+    if (!from_prefix) fill_noise(noise_, window, pool);
     pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
       run_lanes(begin, end, rf, offset, window, settle,
                 /*run_backend=*/false, 0, 0, state, out, {});
@@ -636,7 +632,7 @@ std::vector<std::complex<double>> ReceiverBatch::capture_receiver(
   std::vector<LaneState> state(lanes_);
   for (std::size_t offset = 0; offset < rf.size(); offset += kNoiseWindow) {
     const std::size_t window = std::min(kNoiseWindow, rf.size() - offset);
-    if (!from_prefix) fill_noise(window, pool);
+    if (!from_prefix) fill_noise(noise_, window, pool);
     pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
       run_lanes(begin, end, rf, offset, window, settle,
                 /*run_backend=*/true, baseband_points, settle_baseband, state,

@@ -214,9 +214,10 @@ class ReceiverBatch {
   /// capture's work counters. Returns whether the prefix serves it.
   bool begin_capture(std::size_t n, par::ThreadPool& pool);
 
-  /// Advances every drawn stream by `m` deviates, writing them into the
-  /// windows of the streams some lane reads.
-  void fill_noise(std::size_t m, par::ThreadPool& pool);
+  /// Runs `noise`'s tasks: advances each task's streams by `m`
+  /// deviates, writing them into the window of the stream it fills.
+  static void fill_noise(NoiseStreams& noise, std::size_t m,
+                         par::ThreadPool& pool);
 
   /// Advances lanes [begin, end) through samples [offset, offset +
   /// window) of the transient, chunk by chunk and, within a chunk, grouped
