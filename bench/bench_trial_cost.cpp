@@ -3,10 +3,11 @@
 // per input-range sweep and ~30 minutes per SFDR point on transistor-level
 // simulation. These harness cases time the behavioral equivalents; each
 // case carries the paper's projected silicon-simulation cost as a note in
-// the BENCH_*.json artifact. The warm cases read on one evaluator, whose
-// noise prefix and stimuli every rep after the first reuses; the `_cold`
-// cases build a fresh evaluator per rep, so they pay both, as the first
-// reading of a calibration step or an attack does.
+// the BENCH_*.json artifact. The warm cases read on one evaluator, which
+// reuses its stimuli from rep to rep and, for a reading that fits in one
+// noise window (the modulator SNR; the default SFDR capture does not),
+// its noise prefix. The `_cold` cases build a fresh evaluator per rep and
+// pay for both, as the first reading of a calibration step does.
 #include "attack/cost_model.h"
 #include "bench_common.h"
 
