@@ -9,10 +9,14 @@
 // reported numbers are for an identical-output computation by
 // construction.
 //
-// Two layer cases follow at 1, 2 and 4 threads: `osc_reading_t*`, one
-// 36864-sample oscillation-mode capture of a one-lane chip (a
-// calibration tank-tuning reading), and `fft_real_8192_t*`, the lanes'
-// 8192-point real-FFT periodograms sharded across the pool.
+// Layer cases follow at 1, 2 and 4 threads. Three are oscillation-mode
+// captures of a one-lane chip, as the calibration tuners take them:
+// `osc_reading_t*`, a 36864-sample tank-tuning reading at -Gm code 63;
+// `osc_reading_q25_t*`, the same reading at code 25, near the
+// oscillation threshold, where the lane pass is shorter and the noise
+// draw a larger share; and `osc_reading_gentle_t*`, the 65536-sample
+// fine-retune reading at a gentle code. `fft_real_8192_t*` times the
+// lanes' 8192-point real-FFT periodograms sharded across the pool.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -160,14 +164,24 @@ int main() {
       [&] { bench::do_not_optimize(batchn.snr_modulator_db(setup.keys)); },
       tmax_opt);
 
-  // Layer cases. An oscillation reading as the tank tuners take it:
-  // 4096 settle samples plus a 32768-point measurement.
-  constexpr std::size_t kOscSettle = 4096;
-  const std::vector<double> osc_zeros(kOscSettle + 32768, 0.0);
-  std::vector<rf::ReceiverConfig> osc_cfg(1);
-  osc_cfg[0].modulator = calib::oscillation_mode_config(9, 128, 63);
-  rf::ReceiverBatch osc_chip(standard, setup.pv, setup.chip_rng);
-  osc_chip.configure(osc_cfg);
+  // Layer cases. Oscillation readings as the tuners take them: a tank
+  // reading runs kSettle samples plus a kCountWindow-point measurement,
+  // a fine-retune reading kGentleSettle plus kCountWindow.
+  using Tuner = calib::OscillationTuner;
+  const std::vector<double> osc_zeros(Tuner::kSettle + Tuner::kCountWindow,
+                                      0.0);
+  const std::vector<double> gentle_zeros(
+      Tuner::kGentleSettle + Tuner::kCountWindow, 0.0);
+  const auto osc_chip_at = [&](std::uint32_t q_enh) {
+    rf::ReceiverConfig cfg;
+    cfg.modulator = calib::oscillation_mode_config(9, 128, q_enh);
+    rf::ReceiverBatch chip(standard, setup.pv, setup.chip_rng);
+    chip.configure({&cfg, 1});
+    return chip;
+  };
+  rf::ReceiverBatch osc_chip = osc_chip_at(63);
+  rf::ReceiverBatch q25_chip = osc_chip_at(25);
+  rf::ReceiverBatch gentle_chip = osc_chip_at(29);
   // The screens' spectra: Hann-windowed 8192-point real periodograms of
   // the lanes' signals, each one real FFT plus the window and |X|^2.
   constexpr std::size_t kFftPoints = 8192;
@@ -185,7 +199,21 @@ int main() {
         "osc_reading_t" + std::to_string(t),
         [&, pool] {
           bench::do_not_optimize(
-              osc_chip.capture_modulator(osc_zeros, kOscSettle, *pool));
+              osc_chip.capture_modulator(osc_zeros, Tuner::kSettle, *pool));
+        },
+        osc_opt);
+    h.add_case(
+        "osc_reading_q25_t" + std::to_string(t),
+        [&, pool] {
+          bench::do_not_optimize(
+              q25_chip.capture_modulator(osc_zeros, Tuner::kSettle, *pool));
+        },
+        osc_opt);
+    h.add_case(
+        "osc_reading_gentle_t" + std::to_string(t),
+        [&, pool] {
+          bench::do_not_optimize(gentle_chip.capture_modulator(
+              gentle_zeros, Tuner::kGentleSettle, *pool));
         },
         osc_opt);
     bench::CaseOptions fft_opt;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 #include "dsp/fir.h"
 #include "obs/metrics.h"
@@ -49,6 +51,83 @@ struct ReceiverBatch::LaneState {
   std::size_t produced = 0;
   bool done = false;
 };
+
+/// One fork-join's share of noise: deviates [0, length) of a stretch of
+/// every stream in `noise.order`, written to the transformed streams'
+/// windows from index `at`. A transformed stream is cut into pieces of
+/// about kPiece deviates, an unread stream's skip is one piece, and the
+/// workers claim pieces from one shared index. Built on the calling
+/// thread before the fork-join; the streams' generators must not move
+/// until it ends.
+class ReceiverBatch::NoiseDraw {
+ public:
+  static constexpr std::size_t kPiece = 4096;
+
+  NoiseDraw(NoiseStreams& noise, std::size_t at, std::size_t length)
+      : noise_(&noise),
+        length_(length),
+        parts_(std::max<std::size_t>(1, (length + kPiece - 1) / kPiece)),
+        pieces_(length == 0 ? 0
+                            : noise.transformed * parts_ + noise.count -
+                                  noise.transformed) {
+    for (std::size_t k = 0; k < noise.count; ++k) {
+      NoiseStreams::Stream& stream = noise.streams[noise.order[k]];
+      start_[k] = stream.rng;
+      out_[k] = k < noise.transformed ? stream.window.data() + at : nullptr;
+    }
+  }
+
+  [[nodiscard]] std::size_t piece_count() const { return pieces_; }
+
+  /// Draws unclaimed pieces until none is left.
+  void claim_pieces();
+
+ private:
+  void draw_piece(std::size_t piece) const;
+
+  NoiseStreams* noise_;
+  std::size_t length_;
+  std::size_t parts_;   ///< pieces per transformed stream
+  std::size_t pieces_;
+  /// Per `order` entry: the stream's generator before the draw, and
+  /// where its deviates go (nullptr for a skipped stream).
+  std::array<sim::Rng, NoiseStreams::kCount> start_;
+  std::array<double*, NoiseStreams::kCount> out_{};
+  std::atomic<std::size_t> next_{0};
+};
+
+// analock: thread_safe -- pieces write disjoint ranges and streams
+void ReceiverBatch::NoiseDraw::claim_pieces() {
+  for (std::size_t piece = next_.fetch_add(1, std::memory_order_relaxed);
+       piece < pieces_;
+       piece = next_.fetch_add(1, std::memory_order_relaxed)) {
+    draw_piece(piece);
+  }
+}
+
+// analock: thread_safe -- writes only its piece's range and, when it
+// ends its stream, that stream's generator
+void ReceiverBatch::NoiseDraw::draw_piece(std::size_t piece) const {
+  // Every piece advances its own copy of its stream's starting generator;
+  // only the piece that ends the stretch writes the stream's back.
+  const std::size_t transformed_pieces = noise_->transformed * parts_;
+  if (piece >= transformed_pieces) {
+    const std::size_t k = noise_->transformed + piece - transformed_pieces;
+    sim::Rng rng = start_[k];
+    rng.skip_gaussians(length_);
+    noise_->streams[noise_->order[k]].rng = rng;
+    return;
+  }
+  const std::size_t k = piece / parts_;
+  const std::size_t part = piece % parts_;
+  const std::size_t from = part * length_ / parts_;
+  const std::size_t to = (part + 1) * length_ / parts_;
+  sim::Rng rng = start_[k];
+  rng.skip_gaussians(from);
+  double* out = out_[k];
+  for (std::size_t i = from; i < to; ++i) out[i] = rng.gaussian();
+  if (to == length_) noise_->streams[noise_->order[k]].rng = rng;
+}
 
 ReceiverBatch::ReceiverBatch(const Standard& standard,
                              const sim::ProcessVariation& process,
@@ -133,25 +212,17 @@ void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
   streams[NoiseStreams::kVg].read = any_gmin;
   streams[NoiseStreams::kDac].read = any_feedback;
   streams[NoiseStreams::kCmp].read = any_feedback || any_mux0;
-  // One task per read stream; unread streams ride along, one per task.
-  // The preamp and both tanks are always read, so every unread stream
-  // finds a task.
-  std::size_t fills = 0;
-  std::size_t skips = 0;
-  for (NoiseStreams::Task& task : noise_.tasks) {
-    task.skip = NoiseStreams::kCount;
-  }
-  for (std::size_t s = 0; s < NoiseStreams::kCount; ++s) {
-    if (!streams[s].drawn) continue;
-    const auto id = static_cast<NoiseStreams::Id>(s);
-    if (streams[s].read) {
-      noise_.tasks[fills++].fill = id;
-    } else {
-      noise_.tasks[skips++].skip = id;
+  // Draw order: the read streams, whose deviates the lanes read, then
+  // the drawn but unread ones, which are only skipped.
+  noise_.count = 0;
+  for (const bool read : {true, false}) {
+    for (std::size_t s = 0; s < NoiseStreams::kCount; ++s) {
+      if (streams[s].drawn && streams[s].read == read) {
+        noise_.order[noise_.count++] = static_cast<NoiseStreams::Id>(s);
+      }
     }
+    if (read) noise_.transformed = noise_.count;
   }
-  assert(skips <= fills && "an unread noise stream has no task to ride");
-  noise_.task_count = fills;
 
   channel_taps_ = DigitalBackend::channel_taps_for_mode(digital_mode_);
 }
@@ -184,17 +255,22 @@ void ReceiverBatch::NoisePrefix::draw_streams(unsigned streams,
                                               par::ThreadPool& pool) {
   const unsigned missing = streams & ~filled_;
   if (missing == 0) return;
-  noise_.task_count = 0;
+  noise_.count = 0;
   for (std::size_t s = 0; s < NoiseStreams::kCount; ++s) {
     if ((missing >> s & 1u) == 0) continue;
     // Sized here, on the caller, like the batch's own windows.
     noise_.streams[s].window.resize(length_);
-    noise_.tasks[noise_.task_count++] = {static_cast<NoiseStreams::Id>(s),
-                                         NoiseStreams::kCount};
+    noise_.order[noise_.count++] = static_cast<NoiseStreams::Id>(s);
   }
-  fill_noise(noise_, length_, pool);
+  noise_.transformed = noise_.count;
+  ANALOCK_SPAN_QUIET("rf.batch.noise");
+  NoiseDraw draw(noise_, 0, length_);
+  pool.parallel_for(std::min(pool.size(), draw.piece_count()),
+                    [&draw](std::size_t, std::size_t) {
+    draw.claim_pieces();
+  });
   filled_ |= missing;
-  obs::count("rf.batch.noise_samples", noise_.task_count * length_);
+  obs::count("rf.batch.noise_samples", noise_.count * length_);
 }
 
 bool ReceiverBatch::begin_capture(std::size_t n, par::ThreadPool& pool) {
@@ -233,12 +309,8 @@ bool ReceiverBatch::begin_capture(std::size_t n, par::ThreadPool& pool) {
   // Unread streams read the preamp's window, which is always read.
   const double* unread = source->streams[NoiseStreams::kPre].window.data();
   for (std::size_t s = 0; s < NoiseStreams::kCount; ++s) {
-    if (!noise_.streams[s].drawn) {
-      windows_[s] = nullptr;
-    } else {
-      windows_[s] =
-          (read >> s & 1u) != 0 ? source->streams[s].window.data() : unread;
-    }
+    windows_[s] =
+        (read >> s & 1u) != 0 ? source->streams[s].window.data() : unread;
   }
   const auto reads = static_cast<std::uint64_t>(std::popcount(read));
   obs::count("rf.batch.lane_samples", lanes_ * n);
@@ -253,34 +325,11 @@ bool ReceiverBatch::begin_capture(std::size_t n, par::ThreadPool& pool) {
   return from_prefix;
 }
 
-void ReceiverBatch::fill_noise(NoiseStreams& noise, std::size_t m,
-                               par::ThreadPool& pool) {
-  ANALOCK_SPAN_QUIET("rf.batch.noise");
-  pool.parallel_for(noise.task_count,
-                    [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
-      const NoiseStreams::Task task = noise.tasks[t];
-      // Draw from local copies: neighbouring streams share cache lines,
-      // and advancing them in place would bounce those between workers.
-      NoiseStreams::Stream& stream = noise.streams[task.fill];
-      sim::Rng rng = stream.rng;
-      double* window = stream.window.data();
-      for (std::size_t k = 0; k < m; ++k) window[k] = rng.gaussian();
-      stream.rng = rng;
-      if (task.skip == NoiseStreams::kCount) continue;
-      NoiseStreams::Stream& unread = noise.streams[task.skip];
-      sim::Rng skip = unread.rng;
-      skip.skip_gaussians(m);
-      unread.rng = skip;
-    }
-  });
-}
-
 // analock: thread_safe parallel_region
 void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
                               std::span<const double> rf, std::size_t offset,
-                              std::size_t window, std::size_t settle,
-                              bool run_backend,
+                              std::size_t window, std::size_t noise_at,
+                              std::size_t settle, bool run_backend,
                               std::size_t baseband_points,
                               std::size_t settle_baseband,
                               std::span<LaneState> state,
@@ -313,14 +362,14 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
   const std::size_t n = rf.size();
   const std::size_t n_mod = n > settle ? n - settle : 0;
   const double* rf_p = rf.data() + offset;
-  const double* nvg_p = windows_[NoiseStreams::kVg];
-  const double* ngm_p = windows_[NoiseStreams::kGm];
-  const double* nt1_p = windows_[NoiseStreams::kT1];
-  const double* nt2_p = windows_[NoiseStreams::kT2];
-  const double* npre_p = windows_[NoiseStreams::kPre];
-  const double* ncmp_p = windows_[NoiseStreams::kCmp];
-  const double* ndac_p = windows_[NoiseStreams::kDac];
-  const double* nbuf_p = windows_[NoiseStreams::kBuf];
+  const double* nvg_p = windows_[NoiseStreams::kVg] + noise_at;
+  const double* ngm_p = windows_[NoiseStreams::kGm] + noise_at;
+  const double* nt1_p = windows_[NoiseStreams::kT1] + noise_at;
+  const double* nt2_p = windows_[NoiseStreams::kT2] + noise_at;
+  const double* npre_p = windows_[NoiseStreams::kPre] + noise_at;
+  const double* ncmp_p = windows_[NoiseStreams::kCmp] + noise_at;
+  const double* ndac_p = windows_[NoiseStreams::kDac] + noise_at;
+  const double* nbuf_p = windows_[NoiseStreams::kBuf] + noise_at;
 
   // Chunk size keeps the pass-1 scratch (32 KiB) and both passes' noise
   // slices L1/L2-resident while amortizing the loop-switch overhead.
@@ -602,21 +651,67 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
   }
 }
 
+void ReceiverBatch::capture(std::span<const double> rf, std::size_t settle,
+                            bool run_backend, std::size_t baseband_points,
+                            std::size_t settle_baseband,
+                            std::span<double> mod_out,
+                            std::span<std::complex<double>> bb_out,
+                            par::ThreadPool& pool) {
+  const std::size_t n = rf.size();
+  const bool from_prefix = begin_capture(n, pool);
+  // One slot for a capture that fits in a window, else two half-window
+  // slots taken in turn: slot w sits at (w % 2) * slot_len.
+  const std::size_t slot_len =
+      from_prefix || n <= kNoiseWindow ? n : kNoiseWindow / 2;
+  const std::size_t slots = (n + slot_len - 1) / slot_len;
+  const std::size_t lane_chunks = std::min(pool.size(), lanes_);
+  std::vector<LaneState> state(lanes_);
+  std::uint64_t overlapped = 0;
+  // Pass p advances the lanes through slot p - 1 (pass 0 has none) while
+  // the workers draw slot p (the last pass, and a prefix-served capture,
+  // draw none).
+  for (std::size_t p = from_prefix ? 1 : 0; p <= slots; ++p) {
+    const std::size_t offset = p == 0 ? 0 : (p - 1) * slot_len;
+    const std::size_t window = p == 0 ? 0 : std::min(slot_len, n - offset);
+    const std::size_t lane_slot = p == 0 ? 0 : (p - 1) % 2 * slot_len;
+    const std::size_t drawn =
+        from_prefix || p == slots ? 0 : std::min(slot_len, n - p * slot_len);
+    NoiseDraw draw(noise_, p % 2 * slot_len, drawn);
+    if (window > 0) overlapped += noise_.count * drawn;
+    const std::size_t workers = std::min(
+        pool.size(), std::max(window > 0 ? lane_chunks : 0,
+                              draw.piece_count()));
+    // Only a draw with no lane pass beside it keeps the lanes waiting.
+    std::optional<obs::TraceSpan> wait;
+    if (window == 0) wait.emplace("rf.batch.noise", false);
+    pool.parallel_for(workers, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t w = begin; w < end; ++w) {
+        // Worker w's lanes are chunk w of a parallel_for over the lanes.
+        if (window > 0 && w < lane_chunks) {
+          const std::size_t first = w * lanes_ / lane_chunks;
+          const std::size_t last = (w + 1) * lanes_ / lane_chunks;
+          if (run_backend) {
+            run_lanes(first, last, rf, offset, window, lane_slot, settle,
+                      /*run_backend=*/true, baseband_points, settle_baseband,
+                      state, {}, bb_out);
+          } else {
+            run_lanes(first, last, rf, offset, window, lane_slot, settle,
+                      /*run_backend=*/false, 0, 0, state, mod_out, {});
+          }
+        }
+        draw.claim_pieces();
+      }
+    });
+  }
+  if (!from_prefix) obs::count("rf.batch.noise_overlapped", overlapped);
+}
+
 std::vector<double> ReceiverBatch::capture_modulator(
     std::span<const double> rf, std::size_t settle, par::ThreadPool& pool) {
   ANALOCK_SPAN_QUIET("rf.batch.capture_modulator");
   assert(rf.size() > settle);
   std::vector<double> out(lanes_ * (rf.size() - settle));
-  const bool from_prefix = begin_capture(rf.size(), pool);
-  std::vector<LaneState> state(lanes_);
-  for (std::size_t offset = 0; offset < rf.size(); offset += kNoiseWindow) {
-    const std::size_t window = std::min(kNoiseWindow, rf.size() - offset);
-    if (!from_prefix) fill_noise(noise_, window, pool);
-    pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
-      run_lanes(begin, end, rf, offset, window, settle,
-                /*run_backend=*/false, 0, 0, state, out, {});
-    });
-  }
+  capture(rf, settle, /*run_backend=*/false, 0, 0, out, {}, pool);
   return out;
 }
 
@@ -628,17 +723,8 @@ std::vector<std::complex<double>> ReceiverBatch::capture_receiver(
   assert(rf.size() >=
          receiver_input_length(baseband_points, settle, settle_baseband));
   std::vector<std::complex<double>> out(lanes_ * baseband_points);
-  const bool from_prefix = begin_capture(rf.size(), pool);
-  std::vector<LaneState> state(lanes_);
-  for (std::size_t offset = 0; offset < rf.size(); offset += kNoiseWindow) {
-    const std::size_t window = std::min(kNoiseWindow, rf.size() - offset);
-    if (!from_prefix) fill_noise(noise_, window, pool);
-    pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
-      run_lanes(begin, end, rf, offset, window, settle,
-                /*run_backend=*/true, baseband_points, settle_baseband, state,
-                {}, out);
-    });
-  }
+  capture(rf, settle, /*run_backend=*/true, baseband_points, settle_baseband,
+          {}, out, pool);
   return out;
 }
 

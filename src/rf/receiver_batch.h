@@ -57,28 +57,38 @@
 // cache included, exactly where the deviates would, without computing
 // them; the values it is read from reach no output.
 //
-// The transient streams in windows of kNoiseWindow samples: each window
-// first draws the next kNoiseWindow deviates of every drawn stream (one
-// task per read stream, each carrying at most one unread stream's skip,
-// so an oscillation window costs one transformed stream per worker at 4
-// threads), then advances every lane through the window (workers sharded
-// by LANES, contiguous ranges). Lane state persists
-// between windows, so noise memory is O(kNoiseWindow), not
-// O(transient), and the draw order and per-lane arithmetic are those of
-// one uninterrupted pass: results are independent of the thread count
-// and of the window length by construction. The windows are sized on
-// the calling thread and kept across captures. Only a read stream has a
-// window of its own; every unread stream reads the preamp's, which every
-// capture reads, so an oscillation reading sizes 4 windows, not 7.
+// The transient streams through noise slots. A capture that fits in
+// one kNoiseWindow draws its noise whole, then advances the lanes
+// through it. A longer one streams through two slots of kNoiseWindow / 2
+// samples per read stream, one fork-join per slot: each worker first
+// advances its own contiguous range of lanes (the partition of a
+// `parallel_for` over the lanes) through slot w, then claims pieces of
+// slot w + 1's noise from one shared index until none are left; a worker
+// with no lanes claims pieces at once. So a one-lane oscillation
+// reading draws its next slot on the workers its lane leaves idle, and
+// a 32-lane batch draws it in the workers' tails. A piece is about 4096
+// deviates of one read stream: it copies the stream's generator as it
+// stood at the start of the slot, passes over the deviates before its
+// own with `sim::Rng::skip_gaussians`, and transforms its range; the
+// piece that ends the slot hands the generator back, Box–Muller cache
+// included. An unread stream's skip is one piece. Every deviate is thus
+// the same transform of the same generator words as in one
+// uninterrupted pass, and lane state persists from slot to slot, so the
+// results are independent of the thread count, the slot length and the
+// piece cut by construction. Noise memory is O(kNoiseWindow), not
+// O(transient). The slots are sized on the calling thread and kept
+// across captures. Only a read stream has slots of its own; every unread
+// stream reads the preamp's, which every capture reads, so an
+// oscillation reading sizes 4 streams' slots, not 7.
 //
 // A batch built with a NoisePrefix reads a capture of at most
 // `NoisePrefix::length()` samples as one window straight from the
 // prefix: it draws no deviate and sizes no window of its own. The prefix
-// draws a stream on the first capture that reads it, and only the read
-// streams. lock::LockEvaluator keeps one per chip, so the single-window
+// draws a stream, in pieces on every worker, on the first capture that
+// reads it, and only the read streams. lock::LockEvaluator keeps one per chip, so the single-window
 // readings of its calibration sweeps and screens draw their noise once.
 //
-// Inside a window each worker steps its lanes chunk by chunk (4096
+// Inside a slot each worker steps its lanes chunk by chunk (4096
 // samples), and within a chunk front end by front end. The stateless
 // VGLNA/transconductor front end ("pass 1") turns the stimulus and the
 // shared VGLNA and Gmin noise into the loop signal, stage-major over the
@@ -95,8 +105,10 @@
 // Every capture charges its work counters on the calling thread:
 // `rf.batch.lane_samples`, `rf.batch.noise_samples` (deviates drawn,
 // a prefix's included), `rf.batch.noise_skipped` (those of them skipped,
-// not transformed), `rf.batch.noise_cached` (deviates read from a
-// prefix: n per read stream of a capture it serves),
+// not transformed), `rf.batch.noise_overlapped` (those of them drawn in
+// the fork-join of a lane pass, behind it: every slot's but the first),
+// `rf.batch.noise_cached` (deviates read from a prefix: n per read
+// stream of a capture it serves),
 // `rf.batch.signature_groups`, the number of distinct (gmin_enable,
 // feedback_enable, comp_clock_enable, test_mux, buffer_in_path) control
 // signatures among the lanes, and `rf.batch.front_ends`, the number of
@@ -150,11 +162,14 @@ class ReceiverBatch {
     return fs_hz_ / static_cast<double>(DigitalBackend::kTotalDecimation);
   }
 
-  /// Samples per noise window: 1 MiB of deviates across the eight
-  /// streams. Each window costs two pool barriers, so a receiver
-  /// transient (~134k samples) takes nine windows rather than one per
-  /// 4096-sample stepping chunk; an 8192-point modulator capture still
-  /// fits in one, a 16384-point SFDR capture takes two.
+  /// Samples of noise a read stream holds: 1 MiB of deviates across the
+  /// eight streams. A capture that fits draws it whole in one fork-join
+  /// and steps its lanes in a second, as an 8192-point modulator capture
+  /// does. A longer one streams through two slots of half this length
+  /// and pays one fork-join per slot plus one, the first slot's draw: a
+  /// receiver transient (~134k samples) takes 18, as many as nine whole
+  /// windows drawn before their lane passes took, and a 16384-point SFDR
+  /// capture takes four.
   static constexpr std::size_t kNoiseWindow = 16384;
 
   /// Batched reset and modulator capture: drives every lane with `rf`
@@ -179,7 +194,7 @@ class ReceiverBatch {
   struct LaneState;
 
   /// The chip's named noise streams. Each keeps its generator from
-  /// capture to capture and, when read, holds the window of raw unit
+  /// capture to capture and, when read, holds the slots of raw unit
   /// deviates it drew for the current stretch of the transient.
   struct NoiseStreams {
     enum Id : std::size_t {
@@ -193,16 +208,18 @@ class ReceiverBatch {
     };
     std::array<Stream, kCount> streams;
 
-    /// One fill_noise task: transform stream `fill`'s window and, when
-    /// `skip` is not kCount, advance the drawn but unread stream `skip`
-    /// past the same deviates.
-    struct Task {
-      Id fill;
-      Id skip;
-    };
-    std::array<Task, kCount> tasks{};
-    std::size_t task_count = 0;
+    /// The streams a draw advances, `count` of them: the first
+    /// `transformed` have their deviates written to their windows, the
+    /// rest are skipped.
+    std::array<Id, kCount> order{};
+    std::size_t transformed = 0;
+    std::size_t count = 0;
   };
+
+  /// One fork-join's share of noise: a stretch of every stream in a
+  /// NoiseStreams' `order`, cut into pieces the workers claim (see the
+  /// header comment).
+  class NoiseDraw;
 
   /// Forks the chip's named noise streams from `rng`, their windows
   /// still empty.
@@ -214,16 +231,21 @@ class ReceiverBatch {
   /// capture's work counters. Returns whether the prefix serves it.
   bool begin_capture(std::size_t n, par::ThreadPool& pool);
 
-  /// Runs `noise`'s tasks: advances each task's streams by `m`
-  /// deviates, writing them into the window of the stream it fills.
-  static void fill_noise(NoiseStreams& noise, std::size_t m,
-                         par::ThreadPool& pool);
+  /// The window loop both captures share: draws the transient's noise
+  /// slot by slot, each behind the lane pass of the one before, and
+  /// advances every lane through it (see run_lanes for the outputs).
+  void capture(std::span<const double> rf, std::size_t settle,
+               bool run_backend, std::size_t baseband_points,
+               std::size_t settle_baseband, std::span<double> mod_out,
+               std::span<std::complex<double>> bb_out,
+               par::ThreadPool& pool);
 
   /// Advances lanes [begin, end) through samples [offset, offset +
   /// window) of the transient, chunk by chunk and, within a chunk, grouped
   /// by front-end id, resuming from and saving back `state[l]`.
-  /// The noise windows hold those samples' deviates. When `run_backend`
-  /// is false, writes post-settle modulator outputs into `mod_out`
+  /// The noise windows hold those samples' deviates from index
+  /// `noise_at`. When `run_backend` is false, writes post-settle
+  /// modulator outputs into `mod_out`
   /// (lane-major, n - settle per lane); otherwise runs the digital
   /// backend and writes `baseband_points` baseband samples per lane into
   /// `bb_out`. Callers pass `run_backend` as a literal so the compiler
@@ -231,7 +253,8 @@ class ReceiverBatch {
   /// both.
   void run_lanes(std::size_t begin, std::size_t end,
                  std::span<const double> rf, std::size_t offset,
-                 std::size_t window, std::size_t settle, bool run_backend,
+                 std::size_t window, std::size_t noise_at,
+                 std::size_t settle, bool run_backend,
                  std::size_t baseband_points, std::size_t settle_baseband,
                  std::span<LaneState> state, std::span<double> mod_out,
                  std::span<std::complex<double>> bb_out) const;
@@ -240,8 +263,8 @@ class ReceiverBatch {
   sim::ProcessVariation process_;
   NoiseStreams noise_;
   NoisePrefix* prefix_;
-  /// The window each stream is read from in the current capture; nullptr
-  /// for a stream no chip draws.
+  /// The window each stream is read from in the current capture: a
+  /// stream no lane reads, drawn or not, reads the preamp's.
   std::array<const double*, NoiseStreams::kCount> windows_{};
   double fs_hz_;
   std::size_t lanes_ = 0;
@@ -283,8 +306,8 @@ class ReceiverBatch::NoisePrefix {
   friend class ReceiverBatch;
 
   /// Draws deviates [0, length) of every stream in `streams` (bit s for
-  /// stream s) not drawn yet, one task per stream, and charges them to
-  /// `rf.batch.noise_samples`.
+  /// stream s) not drawn yet, in pieces on every worker, and charges them
+  /// to `rf.batch.noise_samples`.
   void draw_streams(unsigned streams, par::ThreadPool& pool);
 
   NoiseStreams noise_;

@@ -6,6 +6,7 @@
 // with per-key LockEvaluator calls.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <complex>
@@ -534,6 +535,133 @@ TEST(ReceiverBatch, SequentialCapturesMatchReceiver) {
   }
 }
 
+/// Lane configs of mixed control signatures for the pipelining tests,
+/// all in `standard`'s digital mode: the default closed loop, the same
+/// loop buffered with a short delay, an oscillation-mode chip (Gmin off,
+/// loop open, preamp on the mux, buffer in path), an unclocked
+/// comparator on the mux with Gmin off, and a random key.
+std::vector<rf::ReceiverConfig> mixed_signature_configs(
+    const rf::Standard& standard) {
+  rf::ReceiverConfig live;
+  live.digital_mode = standard.digital_mode;
+  rf::ReceiverConfig buffered = live;
+  buffered.modulator.buffer_in_path = true;
+  buffered.modulator.loop_delay = 3;
+  rf::ReceiverConfig osc = live;
+  osc.modulator = calib::oscillation_mode_config(9, 128, 63);
+  rf::ReceiverConfig unclocked = live;
+  unclocked.modulator.gmin_enable = false;
+  unclocked.modulator.comp_clock_enable = false;
+  unclocked.modulator.test_mux = 0;
+  sim::Rng rng(812);
+  return {live, buffered, osc, unclocked,
+          lock::decode_key(Key64::random(rng), standard.digital_mode)};
+}
+
+TEST(ReceiverBatch, PipelinedCapturesMatchReceiver) {
+  // Lengths on both sides of a piece cut (about 4096 deviates), of the
+  // half-window slot and of the window: one window drawn whole (8191 to
+  // 16384), then two, three and a half, and four and a half slots
+  // streamed with each slot's noise drawn behind the lane pass of the one
+  // before. One lane leaves the other workers to draw; 33 lanes of mixed
+  // control signatures split unevenly over every pool size, and the
+  // workers draw in their tails. Every lane matches its scalar chip to
+  // the last bit.
+  constexpr std::size_t kSettle = 100;
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(916);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const sim::Rng rng = chip_rng.fork("chip");
+  const auto base = mixed_signature_configs(standard);
+  constexpr std::size_t kLanes = 33;
+  std::vector<rf::ReceiverConfig> configs;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    rf::ReceiverConfig c = base[l % base.size()];
+    c.modulator.cap_fine = (c.modulator.cap_fine + 29 * l) % 256;
+    configs.push_back(c);
+  }
+  for (const std::size_t n : {8191, 8192, 8193, 16383, 16384, 16385, 36864,
+                              65536}) {
+    const auto rf_in = chunk_test_tone(standard, n);
+    const std::size_t n_mod = n - kSettle;
+    std::vector<std::vector<double>> want;
+    for (const rf::ReceiverConfig& c : configs) {
+      reference::Receiver ref(standard, pv, rng);
+      ref.configure(c);
+      want.push_back(ref.capture_modulator(rf_in, kSettle).output);
+    }
+    for (const std::size_t threads : {1, 2, 3, 7}) {
+      par::ThreadPool pool(threads);
+      for (const std::size_t lanes : {std::size_t{1}, kLanes}) {
+        rf::ReceiverBatch batch(
+            standard, pv, rng,
+            std::span<const rf::ReceiverConfig>(configs.data(), lanes));
+        const auto out = batch.capture_modulator(rf_in, kSettle, pool);
+        ASSERT_EQ(out.size(), lanes * n_mod);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          EXPECT_EQ(first_mismatch(std::span<const double>(out).subspan(
+                                       l * n_mod, n_mod),
+                                   want[l]),
+                    n_mod)
+              << "n=" << n << " threads=" << threads << " lanes=" << lanes
+              << " lane=" << l;
+        }
+      }
+    }
+  }
+}
+
+TEST(ReceiverBatch, OddCapturesCarryTheCacheAcrossPieces) {
+  // Back-to-back odd-length captures on one chip: each leaves a cached
+  // Box–Muller deviate in every stream, which the next capture's first
+  // piece must hand out first, and odd slot lengths put piece cuts and
+  // slot ends between the two deviates of a pair. Two lanes that agree
+  // on Gmin and the buffer keep the streams going from capture to
+  // capture; every capture matches the scalar chips at every pool size.
+  constexpr std::size_t kSettle = 64;
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(917);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 1);
+  const sim::Rng rng = chip_rng.fork("chip");
+  const auto base = mixed_signature_configs(standard);
+  // Two oscillation-mode lanes, then two closed loops with the buffer.
+  std::array<std::vector<rf::ReceiverConfig>, 2> lanes;
+  lanes[0] = {base[2], base[2]};
+  lanes[0][1].modulator.cap_fine = 17;
+  lanes[1] = {base[1], base[1]};
+  lanes[1][1].modulator.cap_coarse = 11;
+  const std::vector<std::size_t> lengths = {8193,  16383, 36865,
+                                            4097,  16385, 24577};
+  std::array<std::vector<std::vector<double>>, 2> want;
+  for (std::size_t l = 0; l < 2; ++l) {
+    reference::Receiver ref(standard, pv, rng);
+    for (std::size_t k = 0; k < lengths.size(); ++k) {
+      ref.configure(lanes[k % 2][l]);
+      ref.reset();
+      const std::vector<double> zeros(lengths[k], 0.0);
+      want[l].push_back(ref.capture_modulator(zeros, kSettle).output);
+    }
+  }
+  for (const std::size_t threads : {1, 2, 3, 7}) {
+    par::ThreadPool pool(threads);
+    rf::ReceiverBatch batch(standard, pv, rng);
+    for (std::size_t k = 0; k < lengths.size(); ++k) {
+      batch.configure(lanes[k % 2]);
+      const std::vector<double> zeros(lengths[k], 0.0);
+      const auto got = batch.capture_modulator(zeros, kSettle, pool);
+      const std::size_t n_mod = lengths[k] - kSettle;
+      ASSERT_EQ(got.size(), 2 * n_mod);
+      for (std::size_t l = 0; l < 2; ++l) {
+        EXPECT_EQ(first_mismatch(std::span<const double>(got).subspan(
+                                     l * n_mod, n_mod),
+                                 want[l][k]),
+                  n_mod)
+            << "threads=" << threads << " capture=" << k << " lane=" << l;
+      }
+    }
+  }
+}
+
 TEST(ReceiverBatch, ChargesWorkCountersPerCapture) {
   // One capture of n samples charges lanes * n lane-samples and, per
   // stream the chips draw, n noise samples: 8 streams with Gmin and the
@@ -581,6 +709,22 @@ TEST(ReceiverBatch, ChargesWorkCountersPerCapture) {
       noise_samples_2;
   const std::uint64_t skipped_3 =
       reg.counter("rf.batch.noise_skipped").value() - skipped - skipped_2;
+  const std::uint64_t overlapped_3 =
+      reg.counter("rf.batch.noise_overlapped").value();
+  // A tank-tuning reading: 36864 samples stream through four and a half
+  // half-window slots, and every slot's draw but the first runs behind
+  // the lane pass of the slot before.
+  constexpr std::size_t kOsc = 36864;
+  const std::vector<double> osc_zeros(kOsc, 0.0);
+  (void)batch.capture_modulator(osc_zeros, 4096, pool);
+  const std::uint64_t noise_samples_4 =
+      reg.counter("rf.batch.noise_samples").value() - noise_samples -
+      noise_samples_2 - noise_samples_3;
+  const std::uint64_t skipped_4 = reg.counter("rf.batch.noise_skipped")
+                                      .value() -
+                                  skipped - skipped_2 - skipped_3;
+  const std::uint64_t overlapped_4 =
+      reg.counter("rf.batch.noise_overlapped").value() - overlapped_3;
 
   reg.set_enabled(was_enabled);
   reg.reset_values();
@@ -593,6 +737,12 @@ TEST(ReceiverBatch, ChargesWorkCountersPerCapture) {
   // Oscillation mode keeps the buffer in path: 7 streams drawn, 3 unread.
   EXPECT_EQ(noise_samples_3, 7 * kN);
   EXPECT_EQ(skipped_3, 3 * kN);
+  // Captures that fit in one window draw all their noise before the lanes.
+  EXPECT_EQ(overlapped_3, 0u);
+  EXPECT_EQ(noise_samples_4, 7 * kOsc);
+  EXPECT_EQ(skipped_4, 3 * kOsc);
+  EXPECT_EQ(overlapped_4, 7u * (kOsc - rf::ReceiverBatch::kNoiseWindow / 2));
+  EXPECT_EQ(overlapped_4, 200704u);
 }
 
 TEST(ReceiverBatch, ChargesSignatureGroupsPerCapture) {

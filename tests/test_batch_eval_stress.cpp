@@ -3,9 +3,10 @@
 // (-DANALOCK_SANITIZE=thread) can target it for race detection: the
 // thread pool fan-out, the shared FFT twiddle cache, the batch
 // stepper's shared-read/private-write layout, its noise-stream state
-// carried from capture to capture, the evaluator's noise prefix filled
-// by pool workers and read by later captures, and the lane-sharded batch
-// periodograms all get hammered here.
+// carried from capture to capture, the next noise slot drawn in pieces
+// by idle workers while others step the lanes, the evaluator's noise
+// prefix filled by pool workers and read by later captures, and the
+// lane-sharded batch periodograms all get hammered here.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -163,6 +164,52 @@ TEST(BatchStress, ContinuingCapturesUnderThreads) {
     for (std::size_t i = 0; i < want.size(); ++i) {
       ASSERT_EQ(got[i], want[i]) << "capture " << k << " sample " << i;
     }
+  }
+}
+
+TEST(BatchStress, PipelinedCapturesUnderThreads) {
+  // Multi-window captures draw each noise slot in pieces, claimed from a
+  // shared index by the workers a lane pass leaves idle (one lane) or by
+  // the workers' tails (32 lanes), while the lanes read the slot before.
+  // Every capture on a 4-thread pool equals the 1-thread pool's, and the
+  // streams carry on across captures in both.
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(9005);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const sim::Rng rng = chip_rng.fork("chip");
+  rf::ReceiverConfig osc;
+  osc.modulator.q_enh = 63;
+  osc.modulator.feedback_enable = false;
+  osc.modulator.comp_clock_enable = false;
+  osc.modulator.gmin_enable = false;
+  osc.modulator.buffer_in_path = true;
+  osc.modulator.test_mux = 2;
+  sim::Rng key_rng(19);
+  std::vector<rf::ReceiverConfig> wide_configs;
+  const Key64 base = Key64::random(key_rng);
+  for (unsigned l = 0; l < 32; ++l) {
+    rf::ReceiverConfig c = lock::decode_key(base, standard.digital_mode);
+    c.modulator.cap_fine = (c.modulator.cap_fine + 8 * l) % 256;
+    wide_configs.push_back(c);
+  }
+  par::ThreadPool pool(4);
+  par::ThreadPool narrow(1);
+  rf::ReceiverBatch one(standard, pv, rng);
+  rf::ReceiverBatch one_ref(standard, pv, rng);
+  rf::ReceiverBatch wide(standard, pv, rng, wide_configs);
+  rf::ReceiverBatch wide_ref(standard, pv, rng, wide_configs);
+  for (std::uint32_t k = 0; k < 4; ++k) {
+    osc.modulator.cap_fine = 50 * k;
+    one.configure({&osc, 1});
+    one_ref.configure({&osc, 1});
+    const std::vector<double> zeros(k % 2 == 0 ? 36864 : 24577, 0.0);
+    EXPECT_EQ(one.capture_modulator(zeros, 4096, pool),
+              one_ref.capture_modulator(zeros, 4096, narrow))
+        << "one lane, capture " << k;
+    const std::vector<double> short_zeros(k % 2 == 0 ? 20000 : 16385, 0.0);
+    EXPECT_EQ(wide.capture_modulator(short_zeros, 1024, pool),
+              wide_ref.capture_modulator(short_zeros, 1024, narrow))
+        << "32 lanes, capture " << k;
   }
 }
 
