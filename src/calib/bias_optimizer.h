@@ -94,12 +94,6 @@ class BiasOptimizer {
     evaluator_.set_fault_injector(injector);
   }
 
-  /// Makes the optimizer's oracle read `lender`'s noise prefix (see
-  /// LockEvaluator::borrow_noise_prefix).
-  void borrow_noise_prefix(lock::LockEvaluator& lender) {
-    evaluator_.borrow_noise_prefix(lender);
-  }
-
  private:
   /// Sweeps one field (coarse grid then +/-refine) maximizing score(),
   /// one batch per phase (see the file comment).

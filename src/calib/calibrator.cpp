@@ -271,21 +271,14 @@ CalibrationResult Calibrator::run_impl(
   log_step(10, "sampling frequency Fs = 4 F0", standard_->fs_hz());
   log_step(13, "block biases initialized to nominal", 32);
 
-  // The final characterization's evaluator. It holds the chip's noise
-  // prefix, and every bias optimizer below reads that prefix instead of
-  // drawing one of its own, so the chip draws it once. Each optimizer
-  // still goes before the next one is built (its stimuli go with it):
-  // the optimizer before the step-12 refiner, both before the final
-  // characterization, whose first long reading releases the prefix.
-  lock::LockEvaluator evaluator(*standard_, process_, chip_rng_);
-  evaluator.set_fault_injector(injector_);
-
   // Steps 11 + 14: loop delay and iterative bias improvement by measured
   // SNR of the modulator (fused inside the optimizer, charged to step 14).
+  // Every optimizer and evaluator of the chip keeps a noise prefix of its
+  // own, so each goes before the next one is built: the optimizer before
+  // the step-12 refiner, both before the final characterization.
   std::optional<BiasOptimizer> optimizer;
   optimizer.emplace(*standard_, process_, chip_rng_, options_.bias_passes);
   optimizer->set_fault_injector(injector_);
-  optimizer->borrow_noise_prefix(evaluator);
   {
     ANALOCK_SPAN("calib.step11_14_bias_opt");
     config = optimizer->optimize(config);
@@ -311,7 +304,6 @@ CalibrationResult Calibrator::run_impl(
     if (options_.refine_after_vglna) {
       BiasOptimizer refiner(*standard_, process_, chip_rng_, 1);
       refiner.set_fault_injector(injector_);
-      refiner.borrow_noise_prefix(evaluator);
       config = refiner.optimize(config);
       step12_measurements += refiner.measurements();
     }
@@ -326,6 +318,8 @@ CalibrationResult Calibrator::run_impl(
   // hardened path measures each metric kHardenedVotes times and
   // takes the median, so a single spiked or dropped-out reading cannot
   // veto a good chip (or pass a bad one).
+  lock::LockEvaluator evaluator(*standard_, process_, chip_rng_);
+  evaluator.set_fault_injector(injector_);
   const unsigned votes = harden ? kHardenedVotes : 1;
   auto robust = [&](auto&& measure) {
     if (votes == 1) return measure();
@@ -371,7 +365,6 @@ CalibrationResult Calibrator::run_impl(
       step_retry(14, attempt);
       BiasOptimizer recovery(*standard_, process_, chip_rng_, 1);
       recovery.set_fault_injector(injector_);
-      recovery.borrow_noise_prefix(evaluator);
       config = recovery.optimize(config);
       result.config = config;
       result.key = lock::encode_key(config);

@@ -52,7 +52,6 @@ LockEvaluator::LockEvaluator(const rf::Standard& standard,
       prefix_length_(prefix_length(options)) {}
 
 rf::ReceiverBatch::NoisePrefix* LockEvaluator::noise_prefix(std::size_t n) {
-  if (lender_ != nullptr) return lender_->noise_prefix(n);
   if (n > prefix_length_) {
     noise_prefix_.reset();
     return nullptr;

@@ -151,16 +151,7 @@ class LockEvaluator {
   /// of these options that fits in one noise window; nullptr otherwise.
   /// A longer reading releases the prefix first, so its own noise windows
   /// never sit next to it; the next reading that fits draws it again.
-  /// A borrowing evaluator passes the request to its lender.
   [[nodiscard]] rf::ReceiverBatch::NoisePrefix* noise_prefix(std::size_t n);
-
-  /// Makes every reading read `lender`'s noise prefix (not owned; it must
-  /// outlive this evaluator) instead of one of its own. `lender` measures
-  /// the same chip, built from the same RNG, so its prefix holds the same
-  /// deviates; results do not change, only who draws them. The calibrator
-  /// lends its final evaluator's prefix to the bias optimizers it runs
-  /// first, so a calibrated chip draws its prefix once.
-  void borrow_noise_prefix(LockEvaluator& lender) { lender_ = &lender; }
 
   /// The test tone (rf::make_test_tone at the default offset) or the
   /// two-tone (rf::make_two_tone at options().two_tone_spacing_hz) of
@@ -188,7 +179,6 @@ class LockEvaluator {
   fault::FaultInjector* injector_ = nullptr;
   std::size_t prefix_length_;
   std::unique_ptr<rf::ReceiverBatch::NoisePrefix> noise_prefix_;
-  LockEvaluator* lender_ = nullptr;
   Stimulus tone_;
   Stimulus two_tone_;
 };

@@ -8,7 +8,6 @@
 #include "calib/calibrator.h"
 #include "fault/fault_injector.h"
 #include "lock/evaluator.h"
-#include "obs/metrics.h"
 #include "rf/standards.h"
 #include "sim/process.h"
 #include "sim/rng.h"
@@ -213,27 +212,6 @@ TEST(Calibrator, DefaultSeedChipZeroIsPinned) {
   }
   EXPECT_EQ(step6, (std::vector<std::uint64_t>{21, 12}));
   EXPECT_EQ(step_measurements(7), 39u);
-}
-
-TEST(Calibrator, DrawsTheNoisePrefixOncePerChip) {
-  // The bias optimizer and the step-12 refiner read the final
-  // evaluator's noise prefix instead of drawing their own, so the
-  // benchmark's first chip draws its 7 x 10240 prefix deviates once, not
-  // three times: 143,360 noise samples fewer than the 13,884,864 drawn
-  // with one prefix per optimizer and evaluator.
-  obs::Registry& reg = obs::registry();
-  const bool was_enabled = reg.enabled();
-  reg.reset_values();
-  reg.set_enabled(true);
-  sim::Rng master(20260704);
-  const auto pv = sim::ProcessVariation::monte_carlo(master, 0);
-  Calibrator calibrator(rf::standard_max_3ghz(), pv, master.fork("chip", 0));
-  const auto r = calibrator.run();
-  const std::uint64_t drawn = reg.counter("rf.batch.noise_samples").value();
-  reg.set_enabled(was_enabled);
-  reg.reset_values();
-  EXPECT_TRUE(r.success);
-  EXPECT_EQ(drawn, 13884864u - 143360u);
 }
 
 TEST(Calibrator, WorksForBluetoothStandard) {
