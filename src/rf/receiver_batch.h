@@ -85,8 +85,9 @@
 // `NoisePrefix::length()` samples as one window straight from the
 // prefix: it draws no deviate and sizes no window of its own. The prefix
 // draws a stream, in pieces on every worker, on the first capture that
-// reads it, and only the read streams. lock::LockEvaluator keeps one per chip, so the single-window
-// readings of its calibration sweeps and screens draw their noise once.
+// reads it, and only the read streams. lock::LockEvaluator keeps one per
+// chip, so the single-window readings of its calibration sweeps and
+// screens draw their noise once.
 //
 // Inside a slot each worker steps its lanes chunk by chunk (4096
 // samples), and within a chunk front end by front end. The stateless
@@ -163,13 +164,13 @@ class ReceiverBatch {
   }
 
   /// Samples of noise a read stream holds: 1 MiB of deviates across the
-  /// eight streams. A capture that fits draws it whole in one fork-join
-  /// and steps its lanes in a second, as an 8192-point modulator capture
-  /// does. A longer one streams through two slots of half this length
-  /// and pays one fork-join per slot plus one, the first slot's draw: a
-  /// receiver transient (~134k samples) takes 18, as many as nine whole
-  /// windows drawn before their lane passes took, and a 16384-point SFDR
-  /// capture takes four.
+  /// eight streams. A capture that fits (an 8192-point modulator
+  /// capture) draws it whole in one fork-join and steps its lanes in a
+  /// second. A longer one streams through two slots of half this length
+  /// at one fork-join per slot, plus one for the first slot's draw: 18
+  /// for a receiver transient (~134k samples), 4 for a 16384-point SFDR
+  /// capture. Smaller slots would cost more pool barriers, which 32-lane
+  /// receiver batches feel.
   static constexpr std::size_t kNoiseWindow = 16384;
 
   /// Batched reset and modulator capture: drives every lane with `rf`
