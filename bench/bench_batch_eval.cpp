@@ -9,6 +9,11 @@
 // reported numbers are for an identical-output computation by
 // construction.
 //
+// The batched SNR cases run at 1 thread, 2 threads and the full pool:
+// the lanes are random keys, so about half of them run a pruned
+// pass-2 kernel (see rf/receiver_batch.h) and the pool splits the lanes
+// by kernel weight.
+//
 // Layer cases follow at 1, 2 and 4 threads. Three are oscillation-mode
 // captures of a one-lane chip, as the calibration tuners take them:
 // `osc_reading_t*`, a 36864-sample tank-tuning reading at -Gm code 63;
@@ -106,6 +111,7 @@ int main() {
   const std::size_t threads = par::ThreadPool::default_thread_count();
   const Setup setup = make_setup(lanes);
   par::ThreadPool pool1(1);
+  par::ThreadPool pool2(2);
   par::ThreadPool pool_max(threads);
 
   bench::banner("Batched SNR evaluation engine",
@@ -117,8 +123,10 @@ int main() {
   const rf::Standard& standard = rf::standard_max_3ghz();
   lock::LockEvaluator ev_scalar(standard, setup.pv, setup.chip_rng);
   lock::LockEvaluator ev_b1(standard, setup.pv, setup.chip_rng);
+  lock::LockEvaluator ev_b2(standard, setup.pv, setup.chip_rng);
   lock::LockEvaluator ev_bn(standard, setup.pv, setup.chip_rng);
   lock::BatchEvaluator batch1(ev_b1, &pool1);
+  lock::BatchEvaluator batch2(ev_b2, &pool2);
   lock::BatchEvaluator batchn(ev_bn, &pool_max);
 
   const double lanes_d = static_cast<double>(lanes);
@@ -126,6 +134,8 @@ int main() {
   bench::CaseOptions t1_opt;
   t1_opt.ops_per_rep = lanes_d;
   t1_opt.notes = {{"lanes", lanes_d}, {"threads", 1.0}};
+  bench::CaseOptions t2_opt = t1_opt;
+  t2_opt.notes = {{"lanes", lanes_d}, {"threads", 2.0}};
   bench::CaseOptions tmax_opt = t1_opt;
   tmax_opt.notes = {{"lanes", lanes_d}, {"threads", threads_d}};
   // Per-key calls are batches of one on the shared pool.
@@ -144,6 +154,10 @@ int main() {
       [&] { bench::do_not_optimize(batch1.snr_receiver_db(setup.keys)); },
       t1_opt);
   h.add_case(
+      "snr_rx_batch_t2",
+      [&] { bench::do_not_optimize(batch2.snr_receiver_db(setup.keys)); },
+      t2_opt);
+  h.add_case(
       "snr_rx_batch_tmax",
       [&] { bench::do_not_optimize(batchn.snr_receiver_db(setup.keys)); },
       tmax_opt);
@@ -159,6 +173,10 @@ int main() {
       "snr_mod_batch_t1",
       [&] { bench::do_not_optimize(batch1.snr_modulator_db(setup.keys)); },
       t1_opt);
+  h.add_case(
+      "snr_mod_batch_t2",
+      [&] { bench::do_not_optimize(batch2.snr_modulator_db(setup.keys)); },
+      t2_opt);
   h.add_case(
       "snr_mod_batch_tmax",
       [&] { bench::do_not_optimize(batchn.snr_modulator_db(setup.keys)); },
@@ -189,7 +207,6 @@ int main() {
   std::vector<double> fft_in(lanes * kFftPoints);
   sim::Rng fft_rng(bench::kBenchSeed);
   for (double& v : fft_in) v = fft_rng.uniform(-1.0, 1.0);
-  par::ThreadPool pool2(2);
   par::ThreadPool pool4(4);
   for (par::ThreadPool* pool : {&pool1, &pool2, &pool4}) {
     const std::size_t t = pool->size();

@@ -1,5 +1,6 @@
 #include "par/thread_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <exception>
 #include <string>
@@ -31,7 +32,7 @@ void ThreadPool::worker_loop() {
       std::unique_lock<std::mutex> lk(mu_);
       cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and queue drained
-      task = std::move(queue_.front());
+      task = std::move(queue_.front().run);
       queue_.pop_front();
     }
     task();
@@ -61,8 +62,8 @@ void ThreadPool::parallel_for(
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (std::size_t c = 1; c < chunks; ++c) {
-      queue_.emplace_back([&sync, &body, begin = chunk_begin(c),
-                           end = chunk_begin(c + 1)] {
+      queue_.push_back({&sync, [&sync, &body, begin = chunk_begin(c),
+                                end = chunk_begin(c + 1)] {
         std::exception_ptr err;
         try {
           body(begin, end);
@@ -76,7 +77,7 @@ void ThreadPool::parallel_for(
         if (err && !sync.error) sync.error = err;
         --sync.remaining;
         sync.cv.notify_one();
-      });
+      }});
     }
   }
   cv_.notify_all();
@@ -87,6 +88,21 @@ void ThreadPool::parallel_for(
     body(0, chunk_begin(1));
   } catch (...) {
     caller_error = std::current_exception();
+  }
+  // Then it runs every chunk of its own that no worker has started: the
+  // workers may all be busy in other callers' chunks.
+  for (;;) {
+    std::function<void()> task;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      const auto own = std::find_if(
+          queue_.begin(), queue_.end(),
+          [&sync](const Task& queued) { return queued.owner == &sync; });
+      if (own == queue_.end()) break;
+      task = std::move(own->run);
+      queue_.erase(own);
+    }
+    task();
   }
 
   std::unique_lock<std::mutex> done_lk(sync.m);

@@ -9,6 +9,11 @@
 //   * no work stealing and no clocks: workers block on a condition
 //     variable until handed a chunk, keeping the pool trivially
 //     analyzable and TSan-clean;
+//   * a fork-join never waits on a chunk nobody runs: after its own
+//     chunk the caller takes back and runs the chunks of its fork-join
+//     that no worker has started, so it finishes even while every worker
+//     is busy in another caller's fork-join; it sleeps only on chunks a
+//     worker is running;
 //   * pool size comes from ANALOCK_THREADS when set, else
 //     std::thread::hardware_concurrency().
 #pragma once
@@ -38,8 +43,9 @@ class ThreadPool {
 
   /// Runs `body(begin, end)` over a partition of [0, n) into at most
   /// size() contiguous chunks. The calling thread executes the first
-  /// chunk itself; remaining chunks go to the workers. Blocks until all
-  /// chunks finish. The first exception thrown by any chunk is
+  /// chunk itself; remaining chunks go to the workers, and the caller
+  /// then runs those no worker has started. Blocks until all chunks
+  /// finish. The first exception thrown by any chunk is
   /// rethrown on the caller after every chunk has completed.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& body);
@@ -60,8 +66,14 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;  // analock: guarded_by(mu_)
-  bool stop_ = false;                        // analock: guarded_by(mu_)
+  /// A queued chunk and the fork-join it belongs to (the address of
+  /// that parallel_for call's completion state).
+  struct Task {
+    const void* owner;
+    std::function<void()> run;
+  };
+  std::deque<Task> queue_;  // analock: guarded_by(mu_)
+  bool stop_ = false;       // analock: guarded_by(mu_)
 };
 
 }  // namespace analock::par

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <type_traits>
 
 #include "dsp/fir.h"
 #include "obs/metrics.h"
@@ -149,6 +150,9 @@ void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
   digital_mode_ = configs[0].digital_mode;
 
   constants_.resize(lanes_);
+  kind_.resize(lanes_);
+  total_weight_ = 0;
+  reduced_lanes_ = 0;
   bool any_gmin = false;
   bool any_buffer = false;
   bool any_feedback = false;
@@ -172,6 +176,19 @@ void ReceiverBatch::configure(std::span<const ReceiverConfig> configs) {
         unsigned{k.comp_clock_enable} << 2 | unsigned{k.test_mux} << 3 |
         unsigned{k.buffer_in_path} << 5;
     signatures |= std::uint64_t{1} << signature;
+    // The blocks that reach the output (property 5): the mux's constant
+    // tap reads nothing upstream, and an open loop reads no delay line.
+    LaneKind kind = LaneKind::kFull;
+    if (k.test_mux == 3) {
+      kind = LaneKind::kFixed;
+    } else if (!k.feedback_enable && k.test_mux == 1) {
+      kind = LaneKind::kR1Only;
+    } else if (!k.feedback_enable && k.test_mux == 2) {
+      kind = LaneKind::kNoQuantiser;
+    }
+    kind_[l] = kind;
+    total_weight_ += lane_weight(kind);
+    if (kind != LaneKind::kFull) ++reduced_lanes_;
   }
   signature_groups_ = static_cast<std::uint64_t>(std::popcount(signatures));
   lanes_agree_ = any_gmin == all_gmin && any_buffer == all_buffer;
@@ -314,6 +331,7 @@ bool ReceiverBatch::begin_capture(std::size_t n, par::ThreadPool& pool) {
   }
   const auto reads = static_cast<std::uint64_t>(std::popcount(read));
   obs::count("rf.batch.lane_samples", lanes_ * n);
+  obs::count("rf.batch.reduced_lane_samples", reduced_lanes_ * n);
   if (from_prefix) {
     obs::count("rf.batch.noise_cached", reads * n);
   } else {
@@ -325,12 +343,28 @@ bool ReceiverBatch::begin_capture(std::size_t n, par::ThreadPool& pool) {
   return from_prefix;
 }
 
+// analock: thread_safe -- reads only what configure set
+std::size_t ReceiverBatch::lane_split(std::size_t w,
+                                      std::size_t chunks) const {
+  // Weights are at least 1, so the prefix sums rise strictly; with one
+  // weight c for every lane, chunks * c * l <= w * c * lanes picks
+  // l = w * lanes / chunks.
+  std::size_t l = 0;
+  std::size_t weight = 0;
+  while (l < lanes_ &&
+         chunks * (weight + lane_weight(kind_[l])) <= w * total_weight_) {
+    weight += lane_weight(kind_[l]);
+    ++l;
+  }
+  return l;
+}
+
 // analock: thread_safe parallel_region
+template <bool kBackend>
 void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
                               std::span<const double> rf, std::size_t offset,
                               std::size_t window, std::size_t noise_at,
-                              std::size_t settle, bool run_backend,
-                              std::size_t baseband_points,
+                              std::size_t settle, std::size_t baseband_points,
                               std::size_t settle_baseband,
                               std::span<LaneState> state,
                               std::span<double> mod_out,
@@ -359,6 +393,9 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
   // with one front-end id have bitwise-equal constants (see configure),
   // so the same expressions give them the same loop signal: pass 1 runs
   // once per id and chunk, and the id's lanes all read that buffer.
+  //
+  // Pass 2 runs one kernel per lane kind (property 5 in the header),
+  // chosen per lane and chunk; within a kernel the kind is a constant.
   const std::size_t n = rf.size();
   const std::size_t n_mod = n > settle ? n - settle : 0;
   const double* rf_p = rf.data() + offset;
@@ -390,7 +427,8 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
   for (std::size_t base = 0; base < window; base += kChunk) {
     const std::size_t m = std::min(kChunk, window - base);
     // Each front end of [begin, end) runs pass 1 once per chunk, at its
-    // first lane here; its other lanes follow it straight away.
+    // first lane here that reads the loop signal; its other lanes follow
+    // it straight away.
     for (std::size_t lead = begin; lead < end; ++lead) {
       const auto first = fe_id_.begin() + static_cast<std::ptrdiff_t>(begin);
       const auto here = fe_id_.begin() + static_cast<std::ptrdiff_t>(lead);
@@ -402,7 +440,7 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
         const LaneConstants& c = constants_[l];
 
         // ---- pass 1: stateless front end (VGLNA + transconductor) ---
-        if (!have_u) {
+        if (!have_u && kind_[l] != LaneKind::kFixed) {
           have_u = true;
           if (!c.gmin_enable) {
             // A disabled transconductor pins the loop signal to zero,
@@ -429,110 +467,141 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
           }
         }
 
-        // ---- per-lane constants -> registers ------------------------
-        LaneState lane = state[l];
-        const bool fb_en = c.feedback_enable;
-        const double cos1 = c.res1_cos, rad1 = c.res1_radius;
-        const double cos2 = c.res2_cos, rad2 = c.res2_radius;
-        const double pre_gain = c.preamp_gain, pre_rms = c.preamp_rms;
-        const double cmp_off = c.comp_offset, cmp_rms = c.comp_rms;
-        const bool cmp_clk = c.comp_clock_enable;
-        const double dac_lp = c.dac_plus, dac_lm = c.dac_minus;
-        const double dac_rms = c.dac_rms;
-        // The delay line reads the two taps around its (clamped) delay.
-        const double dly = std::clamp(c.delay_samples, 0.0,
-                                      static_cast<double>(kDelayDepth - 2));
-        const auto dly_whole = static_cast<std::size_t>(dly);
-        const double dly_frac = dly - static_cast<double>(dly_whole);
-        const std::uint8_t mux = c.test_mux;
-        const bool buf_in = c.buffer_in_path;
-        const double buf_gain = c.buffer_gain, buf_rms = c.buffer_rms;
-        // The comparator's analog (unclocked) value only reaches the
-        // output when the test mux selects it; otherwise downstream code
-        // consumes nothing but sign(yq), and tanh is odd and monotone
-        // with tanh(0) == 0, so the sign of its argument stands in
-        // bit-exactly.
-        const bool cmp_value_used = mux == 0;
+        // ---- pass 2: stateful loop + digital backend, per lane kind --
+        const auto pass2 = [&](auto kind_tag) {
+          constexpr LaneKind kKind = decltype(kind_tag)::value;
+          // What the kind steps past resonator 1: resonator 2 and the
+          // preamp (full, no-quantiser), then the comparator and the DAC
+          // (full).
+          constexpr bool kSecondResonator =
+              kKind == LaneKind::kFull || kKind == LaneKind::kNoQuantiser;
+          constexpr bool kQuantiser = kKind == LaneKind::kFull;
 
-        double* mod_lane = run_backend ? nullptr : &mod_out[l * n_mod];
-        std::complex<double>* bb_lane =
-            run_backend ? &bb_out[l * baseband_points] : nullptr;
+          // ---- per-lane constants -> registers ----------------------
+          LaneState lane = state[l];
+          const bool fb_en = c.feedback_enable;
+          const double cos1 = c.res1_cos, rad1 = c.res1_radius;
+          const double cos2 = c.res2_cos, rad2 = c.res2_radius;
+          const double pre_gain = c.preamp_gain, pre_rms = c.preamp_rms;
+          const double cmp_off = c.comp_offset, cmp_rms = c.comp_rms;
+          const bool cmp_clk = c.comp_clock_enable;
+          const double dac_lp = c.dac_plus, dac_lm = c.dac_minus;
+          const double dac_rms = c.dac_rms;
+          // The delay line reads the two taps around its (clamped) delay.
+          const double dly = std::clamp(c.delay_samples, 0.0,
+                                        static_cast<double>(kDelayDepth - 2));
+          const auto dly_whole = static_cast<std::size_t>(dly);
+          const double dly_frac = dly - static_cast<double>(dly_whole);
+          const std::uint8_t mux = c.test_mux;
+          const bool buf_in = c.buffer_in_path;
+          const double buf_gain = c.buffer_gain, buf_rms = c.buffer_rms;
+          // The comparator's analog (unclocked) value only reaches the
+          // output when the test mux selects it; otherwise downstream code
+          // consumes nothing but sign(yq), and tanh is odd and monotone
+          // with tanh(0) == 0, so the sign of its argument stands in
+          // bit-exactly.
+          const bool cmp_value_used = mux == 0;
 
-        // ---- pass 2: stateful loop + digital backend ----------------
+          double* mod_lane = kBackend ? nullptr : &mod_out[l * n_mod];
+          std::complex<double>* bb_lane =
+              kBackend ? &bb_out[l * baseband_points] : nullptr;
+
           for (std::size_t k = 0; k < m; ++k) {
             const std::size_t i = base + k;
             const std::size_t at = offset + i;  // index in the whole transient
-            const double u = u_buf[k];
 
-            // Feedback sample from the fractional delay line.
-            double fb = 0.0;
-            if (fb_en) {
-              const std::size_t i0 =
-                  (lane.dpos + kDelayDepth - dly_whole) % kDelayDepth;
-              const std::size_t i1 =
-                  (lane.dpos + kDelayDepth - dly_whole - 1) % kDelayDepth;
-              fb = (1.0 - dly_frac) * lane.dbuf[i0] + dly_frac * lane.dbuf[i1];
-            }
+            // The mux's constant tap: no block upstream reaches it.
+            double out = 0.0;
+            if constexpr (kKind != LaneKind::kFixed) {
+              const double u = u_buf[k];
 
-            const double s1 = Resonator::advance(
-                lane.r1s1, lane.r1s2, cos1, rad1,
-                -(lane.u_hist - fb) +
-                    (0.0 + kTankNoiseRms * nt1_p[i]));
-            const double s2 = Resonator::advance(
-                lane.r2s1, lane.r2s2, cos2, rad2,
-                -(lane.s1_hist - 2.0 * fb) +
-                    (0.0 + kTankNoiseRms * nt2_p[i]));
-            lane.u_hist = lane.u1;
-            lane.u1 = u;
-            lane.s1_hist = lane.s11;
-            lane.s11 = s1;
+              // Feedback sample from the fractional delay line; an open
+              // loop reads none.
+              double fb = 0.0;
+              if constexpr (kQuantiser) {
+                if (fb_en) {
+                  const std::size_t i0 =
+                      (lane.dpos + kDelayDepth - dly_whole) % kDelayDepth;
+                  const std::size_t i1 =
+                      (lane.dpos + kDelayDepth - dly_whole - 1) % kDelayDepth;
+                  fb = (1.0 - dly_frac) * lane.dbuf[i0] +
+                       dly_frac * lane.dbuf[i1];
+                }
+              }
 
-            // Quantizer path.
-            const double pre =
-                std::clamp(pre_gain * s2 + (0.0 + pre_rms * npre_p[i]),
-                           -PreAmplifier::kRail, PreAmplifier::kRail);
-            const double v = pre + cmp_off + (0.0 + cmp_rms * ncmp_p[i]);
-            double yq;
-            if (cmp_clk) {
-              yq = v >= 0.0 ? 1.0 : -1.0;
-            } else if (cmp_value_used) {
-              yq = Comparator::kBufferRail * std::tanh(v);
-            } else {
-              yq = v >= 0.0 ? 1.0 : -1.0;
-            }
+              const double s1 = Resonator::advance(
+                  lane.r1s1, lane.r1s2, cos1, rad1,
+                  -(lane.u_hist - fb) + (0.0 + kTankNoiseRms * nt1_p[i]));
+              double s2 = 0.0;
+              if constexpr (kSecondResonator) {
+                s2 = Resonator::advance(
+                    lane.r2s1, lane.r2s2, cos2, rad2,
+                    -(lane.s1_hist - 2.0 * fb) +
+                        (0.0 + kTankNoiseRms * nt2_p[i]));
+              }
+              lane.u_hist = lane.u1;
+              lane.u1 = u;
+              if constexpr (kSecondResonator) {
+                lane.s1_hist = lane.s11;
+                lane.s11 = s1;
+              }
 
-            // DAC drives the delay line whether or not the loop is closed.
-            const double fbv =
-                (yq >= 0.0 ? dac_lp : dac_lm) + (0.0 + dac_rms * ndac_p[i]);
-            lane.dpos = (lane.dpos + 1) % kDelayDepth;
-            lane.dbuf[lane.dpos] = fbv;
-
-            double out = yq;
-            switch (mux) {
-              case 1:
+              if constexpr (kKind == LaneKind::kR1Only) {
                 out = Comparator::kBufferRail * (s1 / Resonator::kStateRail);
-                break;
-              case 2:
-                out = Comparator::kBufferRail * (pre / PreAmplifier::kRail);
-                break;
-              case 3:
-                out = 0.0;
-                break;
-              default:
-                break;
+              } else {
+                // Quantizer path.
+                const double pre = std::clamp(
+                    pre_gain * s2 + (0.0 + pre_rms * npre_p[i]),
+                    -PreAmplifier::kRail, PreAmplifier::kRail);
+                if constexpr (!kQuantiser) {
+                  out = Comparator::kBufferRail * (pre / PreAmplifier::kRail);
+                } else {
+                  const double v =
+                      pre + cmp_off + (0.0 + cmp_rms * ncmp_p[i]);
+                  double yq;
+                  if (cmp_clk) {
+                    yq = v >= 0.0 ? 1.0 : -1.0;
+                  } else if (cmp_value_used) {
+                    yq = Comparator::kBufferRail * std::tanh(v);
+                  } else {
+                    yq = v >= 0.0 ? 1.0 : -1.0;
+                  }
+
+                  // DAC drives the delay line whether or not the loop is
+                  // closed.
+                  const double fbv = (yq >= 0.0 ? dac_lp : dac_lm) +
+                                     (0.0 + dac_rms * ndac_p[i]);
+                  lane.dpos = (lane.dpos + 1) % kDelayDepth;
+                  lane.dbuf[lane.dpos] = fbv;
+
+                  out = yq;
+                  switch (mux) {
+                    case 1:
+                      out = Comparator::kBufferRail *
+                            (s1 / Resonator::kStateRail);
+                      break;
+                    case 2:
+                      out = Comparator::kBufferRail *
+                            (pre / PreAmplifier::kRail);
+                      break;
+                    default:
+                      break;
+                  }
+                }
+              }
             }
             if (buf_in) {
               out = std::clamp(buf_gain * out + (0.0 + buf_rms * nbuf_p[i]),
                                -OutputBuffer::kRail, OutputBuffer::kRail);
             }
 
-            if (!run_backend) {
+            if constexpr (!kBackend) {
               if (at >= settle) mod_lane[at - settle] = out;
               continue;
             }
             if (at < settle) continue;
 
-            // ---- digital backend (this lane) ----------------------------
+            // ---- digital backend (this lane) --------------------------
             // Schmitt lane.slicer.
             if (out > DigitalBackend::kLogicVih) {
               lane.slicer = 1.0;
@@ -645,7 +714,22 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
             }
           }
 
-        state[l] = lane;
+          state[l] = lane;
+        };
+        switch (kind_[l]) {
+          case LaneKind::kFull:
+            pass2(std::integral_constant<LaneKind, LaneKind::kFull>{});
+            break;
+          case LaneKind::kNoQuantiser:
+            pass2(std::integral_constant<LaneKind, LaneKind::kNoQuantiser>{});
+            break;
+          case LaneKind::kR1Only:
+            pass2(std::integral_constant<LaneKind, LaneKind::kR1Only>{});
+            break;
+          case LaneKind::kFixed:
+            pass2(std::integral_constant<LaneKind, LaneKind::kFixed>{});
+            break;
+        }
       }
     }
   }
@@ -686,17 +770,17 @@ void ReceiverBatch::capture(std::span<const double> rf, std::size_t settle,
     if (window == 0) wait.emplace("rf.batch.noise", false);
     pool.parallel_for(workers, [&](std::size_t begin, std::size_t end) {
       for (std::size_t w = begin; w < end; ++w) {
-        // Worker w's lanes are chunk w of a parallel_for over the lanes.
+        // Worker w's lanes: its share of the lanes' summed weights.
         if (window > 0 && w < lane_chunks) {
-          const std::size_t first = w * lanes_ / lane_chunks;
-          const std::size_t last = (w + 1) * lanes_ / lane_chunks;
+          const std::size_t first = lane_split(w, lane_chunks);
+          const std::size_t last = lane_split(w + 1, lane_chunks);
           if (run_backend) {
-            run_lanes(first, last, rf, offset, window, lane_slot, settle,
-                      /*run_backend=*/true, baseband_points, settle_baseband,
-                      state, {}, bb_out);
+            run_lanes<true>(first, last, rf, offset, window, lane_slot,
+                            settle, baseband_points, settle_baseband, state,
+                            {}, bb_out);
           } else {
-            run_lanes(first, last, rf, offset, window, lane_slot, settle,
-                      /*run_backend=*/false, 0, 0, state, mod_out, {});
+            run_lanes<false>(first, last, rf, offset, window, lane_slot,
+                             settle, 0, 0, state, mod_out, {});
           }
         }
         draw.claim_pieces();

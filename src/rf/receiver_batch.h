@@ -10,7 +10,7 @@
 // capture) would produce at its k-th capture: a chip that steps one
 // sample at a time, block by block, each block drawing its own noise.
 // tests/reference_receiver.h is that chip, and the parity tests hold the
-// batch to it. Four properties make the contract hold:
+// batch to it. Five properties make the contract hold:
 //
 //   1. `sim::Rng::fork` is const and depends only on the parent's seed
 //      material, so every scalar chip built from the same RNG starts
@@ -39,6 +39,26 @@
 //   4. The per-sample arithmetic is the same inline kernels the scalar
 //      reference calls (`Vglna::Stage::process`, `cubic_soft`,
 //      `Resonator::advance`, `soft_rail`), applied in the same order.
+//   5. A lane steps only the blocks that reach its output. Its kind is
+//      fixed at configure time from its mode bits, and each kind has its
+//      own compiled pass-2 kernel:
+//        - fixed (`test_mux == 3`): the mux drives a constant 0.0 into
+//          the buffer, so the kernel steps the buffer and, in a receiver
+//          capture, the backend. It runs no pass 1, no resonator and no
+//          quantiser.
+//        - r1-only (loop open, `test_mux == 1`): resonator 1 on the loop
+//          signal, then the buffer and backend.
+//        - no-quantiser (loop open, `test_mux == 2`): both resonators and
+//          the preamp. There is no comparator and no DAC or delay-line
+//          write.
+//        - full: every other lane, every block.
+//      An open loop never reads the delay line, so its feedback is the
+//      constant 0.0. The blocks a kind drops then feed only state that
+//      nothing on the way to its output reads. The kept values take the
+//      same expressions in the same order as in the full kernel, so a
+//      pruned lane's output keeps every bit. Pass 1 still runs for a
+//      shared front end whose first lane is fixed: the next lane of that
+//      id that needs it computes it.
 //
 // Streams are drawn, and some are also read. The scalar chip's Gmin
 // transconductor and output buffer draw noise only while enabled (the
@@ -61,10 +81,13 @@
 // one kNoiseWindow draws its noise whole, then advances the lanes
 // through it. A longer one streams through two slots of kNoiseWindow / 2
 // samples per read stream, one fork-join per slot: each worker first
-// advances its own contiguous range of lanes (the partition of a
-// `parallel_for` over the lanes) through slot w, then claims pieces of
-// slot w + 1's noise from one shared index until none are left; a worker
-// with no lanes claims pieces at once. So a one-lane oscillation
+// advances its own contiguous range of lanes through slot w, then claims
+// pieces of slot w + 1's noise from one shared index until none are
+// left; a worker with no lanes claims pieces at once. The lane ranges
+// split the lanes' summed kernel weights (`lane_weight`) as evenly as
+// whole lanes allow. When every lane has one weight, worker w of c gets
+// lanes [w * lanes / c, (w + 1) * lanes / c), the partition of a
+// `parallel_for` over the lanes. So a one-lane oscillation
 // reading draws its next slot on the workers its lane leaves idle, and
 // a 32-lane batch draws it in the workers' tails. A piece is about 4096
 // deviates of one read stream: it copies the stream's generator as it
@@ -109,7 +132,8 @@
 // not transformed), `rf.batch.noise_overlapped` (those of them drawn in
 // the fork-join of a lane pass, behind it: every slot's but the first),
 // `rf.batch.noise_cached` (deviates read from a prefix: n per read
-// stream of a capture it serves),
+// stream of a capture it serves), `rf.batch.reduced_lane_samples` (the
+// lane-samples stepped by a kernel other than the full one, property 5),
 // `rf.batch.signature_groups`, the number of distinct (gmin_enable,
 // feedback_enable, comp_clock_enable, test_mux, buffer_in_path) control
 // signatures among the lanes, and `rf.batch.front_ends`, the number of
@@ -194,6 +218,28 @@ class ReceiverBatch {
  private:
   struct LaneState;
 
+  /// The pass-2 kernel a lane runs: the blocks that reach its output
+  /// (property 5 in the header comment).
+  enum class LaneKind : std::uint8_t { kFull, kNoQuantiser, kR1Only, kFixed };
+
+  /// A lane's share of a worker's lane pass: its kernel's cost per
+  /// lane-sample on random keys, whose tanks mostly run past the limiter
+  /// knee, in units of about 4 ns (1 thread, modulator captures). A fixed
+  /// lane costs about 2 ns, an r1-only lane 36, a no-quantiser lane 53
+  /// and a full one 85.
+  static constexpr std::size_t lane_weight(LaneKind kind) {
+    switch (kind) {
+      case LaneKind::kFixed:
+        return 1;
+      case LaneKind::kR1Only:
+        return 9;
+      case LaneKind::kNoQuantiser:
+        return 13;
+      default:
+        return 21;
+    }
+  }
+
   /// The chip's named noise streams. Each keeps its generator from
   /// capture to capture and, when read, holds the slots of raw unit
   /// deviates it drew for the current stretch of the transient.
@@ -241,23 +287,28 @@ class ReceiverBatch {
                std::span<std::complex<double>> bb_out,
                par::ThreadPool& pool);
 
+  /// The first lane of worker w's range when `chunks` workers split the
+  /// lanes by weight (see the header comment): the largest l whose lanes
+  /// [0, l) weigh at most w / chunks of the total.
+  [[nodiscard]] std::size_t lane_split(std::size_t w,
+                                       std::size_t chunks) const;
+
   /// Advances lanes [begin, end) through samples [offset, offset +
   /// window) of the transient, chunk by chunk and, within a chunk, grouped
   /// by front-end id, resuming from and saving back `state[l]`.
   /// The noise windows hold those samples' deviates from index
-  /// `noise_at`. When `run_backend` is false, writes post-settle
-  /// modulator outputs into `mod_out`
-  /// (lane-major, n - settle per lane); otherwise runs the digital
-  /// backend and writes `baseband_points` baseband samples per lane into
-  /// `bb_out`. Callers pass `run_backend` as a literal so the compiler
-  /// can clone the stepper per mode; a runtime flag measurably slows
-  /// both.
+  /// `noise_at`. Without `kBackend`, writes post-settle modulator outputs
+  /// into `mod_out` (lane-major, n - settle per lane); with it, runs the
+  /// digital backend and writes `baseband_points` baseband samples per
+  /// lane into `bb_out`. The mode and each lane's kind are compile-time
+  /// parameters of the sample loop: a runtime flag measurably slows it.
+  template <bool kBackend>
   void run_lanes(std::size_t begin, std::size_t end,
                  std::span<const double> rf, std::size_t offset,
                  std::size_t window, std::size_t noise_at,
-                 std::size_t settle, bool run_backend,
-                 std::size_t baseband_points, std::size_t settle_baseband,
-                 std::span<LaneState> state, std::span<double> mod_out,
+                 std::size_t settle, std::size_t baseband_points,
+                 std::size_t settle_baseband, std::span<LaneState> state,
+                 std::span<double> mod_out,
                  std::span<std::complex<double>> bb_out) const;
 
   const Standard* standard_;
@@ -273,6 +324,11 @@ class ReceiverBatch {
 
   /// Per-lane constants (rf::lane_constants of each lane's config).
   std::vector<LaneConstants> constants_;
+  /// Per-lane kernel, the lanes' summed lane_weight, and how many lanes
+  /// run a kernel other than the full one.
+  std::vector<LaneKind> kind_;
+  std::size_t total_weight_ = 0;
+  std::size_t reduced_lanes_ = 0;
   /// Distinct control signatures among the lanes (see the header).
   std::uint64_t signature_groups_ = 0;
   /// Per-lane front-end id, numbered in first-lane order, and the number

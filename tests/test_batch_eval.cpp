@@ -8,9 +8,12 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <complex>
+#include <future>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "calib/oscillation_tuner.h"
@@ -202,6 +205,44 @@ TEST(ThreadPool, PropagatesExceptions) {
     total.fetch_add(static_cast<int>(end - begin));
   });
   EXPECT_EQ(total.load(), 8);
+}
+
+TEST(ThreadPool, CallerRunsChunksNoWorkerStarted) {
+  // A 2-thread pool's only worker is held inside caller A's fork-join.
+  // Caller B's second chunk then waits in the queue with no worker free
+  // to start it, so B must run it itself. A pool whose caller sleeps on
+  // it deadlocks until the worker is released; the test releases the
+  // worker after a deadline either way, so it fails instead of hanging.
+  par::ThreadPool pool(2);
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread caller_a([&] {
+    pool.parallel_for(2, [&](std::size_t begin, std::size_t) {
+      if (begin == 0) {
+        // Caller A stays in its own chunk until the worker has taken the
+        // other one, so the worker, not A, is the one held.
+        while (!held) std::this_thread::yield();
+        return;
+      }
+      held = true;
+      while (!release) std::this_thread::yield();
+    });
+  });
+  while (!held) std::this_thread::yield();
+
+  std::atomic<int> chunks_b{0};
+  auto caller_b = std::async(std::launch::async, [&] {
+    pool.parallel_for(2, [&](std::size_t, std::size_t) {
+      chunks_b.fetch_add(1);
+    });
+  });
+  const bool finished = caller_b.wait_for(std::chrono::seconds(20)) ==
+                        std::future_status::ready;
+  release = true;
+  caller_b.get();
+  caller_a.join();
+  EXPECT_TRUE(finished) << "caller B waited on a chunk no worker started";
+  EXPECT_EQ(chunks_b.load(), 2);
 }
 
 // ---------------------------------------------------------------------
@@ -668,6 +709,9 @@ TEST(ReceiverBatch, ChargesWorkCountersPerCapture) {
   // buffer on, 6 with both off. Of those, n per stream no lane reads are
   // skipped: none with Gmin on and the loop closed, the VGLNA's with Gmin
   // off, and the VGLNA, comparator and DAC streams in oscillation mode.
+  // Of the lane-samples, those of lanes that run a pruned kernel count as
+  // reduced: none of the closed loops', all of the oscillation lane's
+  // (open loop, preamp on the mux: the no-quantiser kernel).
   obs::Registry& reg = obs::registry();
   const bool was_enabled = reg.enabled();
   reg.reset_values();
@@ -692,6 +736,9 @@ TEST(ReceiverBatch, ChargesWorkCountersPerCapture) {
   const std::uint64_t noise_samples =
       reg.counter("rf.batch.noise_samples").value();
   const std::uint64_t skipped = reg.counter("rf.batch.noise_skipped").value();
+  const auto reduced = [&reg] {
+    return reg.counter("rf.batch.reduced_lane_samples").value();
+  };
   batch.configure({&both_off, 1});
   (void)batch.capture_modulator(zeros, 100, pool);
   const std::uint64_t lane_samples_2 =
@@ -700,6 +747,7 @@ TEST(ReceiverBatch, ChargesWorkCountersPerCapture) {
       reg.counter("rf.batch.noise_samples").value() - noise_samples;
   const std::uint64_t skipped_2 =
       reg.counter("rf.batch.noise_skipped").value() - skipped;
+  const std::uint64_t reduced_2 = reduced();
   rf::ReceiverConfig osc;
   osc.modulator = calib::oscillation_mode_config(9, 128, 63);
   batch.configure({&osc, 1});
@@ -711,6 +759,7 @@ TEST(ReceiverBatch, ChargesWorkCountersPerCapture) {
       reg.counter("rf.batch.noise_skipped").value() - skipped - skipped_2;
   const std::uint64_t overlapped_3 =
       reg.counter("rf.batch.noise_overlapped").value();
+  const std::uint64_t reduced_3 = reduced() - reduced_2;
   // A tank-tuning reading: 36864 samples stream through four and a half
   // half-window slots, and every slot's draw but the first runs behind
   // the lane pass of the slot before.
@@ -725,6 +774,18 @@ TEST(ReceiverBatch, ChargesWorkCountersPerCapture) {
                                   skipped - skipped_2 - skipped_3;
   const std::uint64_t overlapped_4 =
       reg.counter("rf.batch.noise_overlapped").value() - overlapped_3;
+  const std::uint64_t reduced_4 = reduced() - reduced_2 - reduced_3;
+  // Two fixed lanes, an r1-only lane and a full one: three of four reduced.
+  rf::ReceiverConfig fixed = both_on;
+  fixed.modulator.test_mux = 3;
+  rf::ReceiverConfig r1_only = both_on;
+  r1_only.modulator.feedback_enable = false;
+  r1_only.modulator.test_mux = 1;
+  batch.configure(std::vector<rf::ReceiverConfig>{fixed, r1_only, both_on,
+                                                  fixed});
+  (void)batch.capture_modulator(zeros, 100, pool);
+  const std::uint64_t reduced_5 =
+      reduced() - reduced_2 - reduced_3 - reduced_4;
 
   reg.set_enabled(was_enabled);
   reg.reset_values();
@@ -743,6 +804,10 @@ TEST(ReceiverBatch, ChargesWorkCountersPerCapture) {
   EXPECT_EQ(skipped_4, 3 * kOsc);
   EXPECT_EQ(overlapped_4, 7u * (kOsc - rf::ReceiverBatch::kNoiseWindow / 2));
   EXPECT_EQ(overlapped_4, 200704u);
+  EXPECT_EQ(reduced_2, 0u);
+  EXPECT_EQ(reduced_3, kN);
+  EXPECT_EQ(reduced_4, kOsc);
+  EXPECT_EQ(reduced_5, 3 * kN);
 }
 
 TEST(ReceiverBatch, ChargesSignatureGroupsPerCapture) {
@@ -935,6 +1000,131 @@ TEST(ReceiverBatch, SharedFrontEndsMatchReceiver) {
     }
     check(rf::receiver_input_length(kPoints, kSettle, kSettleBaseband),
           kPoints, pool);
+  }
+}
+
+/// Every lane of one capture of `configs` (a fresh batch, so lanes may
+/// mix Gmin and the buffer) equals its scalar chip's output to the last
+/// bit: the post-settle modulator output when `baseband_points` is 0,
+/// else that many baseband samples. `want` caches the scalar outputs per
+/// (n, baseband_points) across pool sizes.
+void expect_lanes_match_reference(
+    const rf::Standard& standard, const sim::ProcessVariation& pv,
+    const sim::Rng& rng, const std::vector<rf::ReceiverConfig>& configs,
+    std::size_t n, std::size_t baseband_points, par::ThreadPool& pool,
+    std::vector<std::vector<double>>& want, const char* what) {
+  constexpr std::size_t kSettle = 100;
+  constexpr std::size_t kSettleBaseband = 16;
+  const auto rf_in = chunk_test_tone(standard, n);
+  if (want.empty()) {
+    for (const rf::ReceiverConfig& c : configs) {
+      reference::Receiver ref(standard, pv, rng);
+      ref.configure(c);
+      if (baseband_points == 0) {
+        want.push_back(ref.capture_modulator(rf_in, kSettle).output);
+        continue;
+      }
+      const auto bb = ref.capture_receiver(rf_in, kSettle, kSettleBaseband)
+                          .baseband.samples;
+      std::vector<double> flat;
+      for (std::size_t i = 0; i < baseband_points; ++i) {
+        flat.push_back(bb[i].real());
+        flat.push_back(bb[i].imag());
+      }
+      want.push_back(std::move(flat));
+    }
+  }
+  rf::ReceiverBatch batch(standard, pv, rng, configs);
+  std::vector<double> got;
+  if (baseband_points == 0) {
+    got = batch.capture_modulator(rf_in, kSettle, pool);
+  } else {
+    for (const auto& z : batch.capture_receiver(
+             rf_in, kSettle, baseband_points, kSettleBaseband, pool)) {
+      got.push_back(z.real());
+      got.push_back(z.imag());
+    }
+  }
+  const std::size_t per_lane = want[0].size();
+  ASSERT_EQ(got.size(), configs.size() * per_lane);
+  for (std::size_t l = 0; l < configs.size(); ++l) {
+    EXPECT_EQ(first_mismatch(std::span<const double>(got).subspan(
+                                 l * per_lane, per_lane),
+                             want[l]),
+              per_lane)
+        << what << " n=" << n << " baseband=" << baseband_points
+        << " threads=" << pool.size() << " lane=" << l;
+  }
+}
+
+TEST(ReceiverBatch, EveryControlSignatureMatchesReceiver) {
+  // One lane per control signature, 64 = Gmin x feedback x comparator
+  // clock x buffer x test mux, so every pass-2 kernel (fixed, r1-only,
+  // no-quantiser, full) runs beside the others in one batch. The mux
+  // counts down from 3, so lane 0 is a fixed lane leading the Gmin-on
+  // front end the lanes after it share, and the weighted split hands the
+  // workers ranges of mixed kinds. A second batch leads one shared front
+  // end with two fixed lanes, then an r1-only, a no-quantiser and a full
+  // lane of that front end: pass 1 must still run for them. Modulator
+  // captures cross the 4096-sample chunk and the noise window, the
+  // receiver capture runs the backend across windows; 1, 2 and 7
+  // threads. Every lane matches its scalar chip to the last bit.
+  constexpr std::size_t kChunk = 4096;
+  constexpr std::size_t kWindow = rf::ReceiverBatch::kNoiseWindow;
+  constexpr std::size_t kPoints = 1024;
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  sim::Rng chip_rng(918);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 1);
+  const sim::Rng rng = chip_rng.fork("chip");
+
+  rf::ReceiverConfig base;
+  base.digital_mode = standard.digital_mode;
+  std::vector<rf::ReceiverConfig> signatures;
+  for (unsigned s = 0; s < 64; ++s) {
+    rf::ReceiverConfig c = base;
+    c.modulator.test_mux = 3 - (s & 3u);
+    c.modulator.gmin_enable = (s >> 2 & 1u) == 0;
+    c.modulator.feedback_enable = (s >> 3 & 1u) == 0;
+    c.modulator.comp_clock_enable = (s >> 4 & 1u) == 0;
+    c.modulator.buffer_in_path = (s >> 5 & 1u) != 0;
+    c.modulator.cap_fine = (c.modulator.cap_fine + 29 * s) % 256;
+    signatures.push_back(c);
+  }
+  const auto with_mux = [&](bool feedback, std::uint32_t mux) {
+    rf::ReceiverConfig c = base;
+    c.modulator.feedback_enable = feedback;
+    c.modulator.test_mux = mux;
+    return c;
+  };
+  rf::ReceiverConfig fixed_buffered = with_mux(true, 3);
+  fixed_buffered.modulator.buffer_in_path = true;
+  const std::vector<rf::ReceiverConfig> fixed_leads = {
+      with_mux(true, 3), fixed_buffered, with_mux(false, 1),
+      with_mux(false, 2), with_mux(true, 0)};
+
+  const std::size_t rx_n =
+      rf::receiver_input_length(kPoints, 100, 16);
+  ASSERT_GT(rx_n, kWindow);
+  struct Capture {
+    std::size_t n;
+    std::size_t baseband_points;
+  };
+  const std::vector<Capture> captures = {
+      {2 * kChunk + 5, 0}, {kWindow + kChunk + 17, 0}, {rx_n, kPoints}};
+  std::vector<std::vector<std::vector<double>>> want_all(captures.size());
+  std::vector<std::vector<std::vector<double>>> want_leads(captures.size());
+  for (const std::size_t threads : {1u, 2u, 7u}) {
+    par::ThreadPool pool(threads);
+    for (std::size_t k = 0; k < captures.size(); ++k) {
+      expect_lanes_match_reference(standard, pv, rng, signatures,
+                                   captures[k].n,
+                                   captures[k].baseband_points, pool,
+                                   want_all[k], "signatures");
+      expect_lanes_match_reference(standard, pv, rng, fixed_leads,
+                                   captures[k].n,
+                                   captures[k].baseband_points, pool,
+                                   want_leads[k], "fixed leads");
+    }
   }
 }
 

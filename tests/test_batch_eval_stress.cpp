@@ -4,7 +4,8 @@
 // thread pool fan-out, the shared FFT twiddle cache, the batch
 // stepper's shared-read/private-write layout, its noise-stream state
 // carried from capture to capture, the next noise slot drawn in pieces
-// by idle workers while others step the lanes, the evaluator's noise
+// by idle workers while others step the lanes, lanes of every pass-2
+// kernel split across the workers by weight, the evaluator's noise
 // prefix filled by pool workers and read by later captures, and the
 // lane-sharded batch periodograms all get hammered here.
 #include <gtest/gtest.h>
@@ -210,6 +211,44 @@ TEST(BatchStress, PipelinedCapturesUnderThreads) {
     EXPECT_EQ(wide.capture_modulator(short_zeros, 1024, pool),
               wide_ref.capture_modulator(short_zeros, 1024, narrow))
         << "32 lanes, capture " << k;
+  }
+}
+
+TEST(BatchStress, MixedKindCapturesUnderThreads) {
+  // Lanes of all four pass-2 kernels (fixed, r1-only, no-quantiser,
+  // full) interleaved on one front end, so the weighted split gives the
+  // workers ranges of unequal length and a fixed lane leads a range whose
+  // later lanes need pass 1. Modulator and receiver captures on a 4-thread
+  // pool equal the 1-thread pool's.
+  sim::Rng chip_rng(9006);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const sim::Rng rng = chip_rng.fork("chip");
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  std::vector<rf::ReceiverConfig> configs;
+  for (unsigned l = 0; l < 24; ++l) {
+    rf::ReceiverConfig c;
+    c.digital_mode = standard.digital_mode;
+    c.modulator.test_mux = 3 - l % 4;
+    c.modulator.feedback_enable = l % 8 >= 4;
+    c.modulator.cap_fine = (c.modulator.cap_fine + 11 * l) % 256;
+    configs.push_back(c);
+  }
+  par::ThreadPool pool(4);
+  par::ThreadPool narrow(1);
+  const auto tone = rf::make_test_tone(standard, -25.0, 20000);
+  for (int round = 0; round < 3; ++round) {
+    rf::ReceiverBatch batch(standard, pv, rng, configs);
+    rf::ReceiverBatch ref(standard, pv, rng, configs);
+    EXPECT_EQ(batch.capture_modulator(tone, 512, pool),
+              ref.capture_modulator(tone, 512, narrow))
+        << "modulator, round " << round;
+    const std::size_t n = rf::receiver_input_length(256, 100, 16);
+    const auto rx_tone = rf::make_test_tone(standard, -25.0, n);
+    rf::ReceiverBatch rx(standard, pv, rng, configs);
+    rf::ReceiverBatch rx_ref(standard, pv, rng, configs);
+    EXPECT_EQ(rx.capture_receiver(rx_tone, 100, 256, 16, pool),
+              rx_ref.capture_receiver(rx_tone, 100, 256, 16, narrow))
+        << "receiver, round " << round;
   }
 }
 
