@@ -15,7 +15,7 @@
 #include "lock/evaluator.h"
 #include "lock/key_layout.h"
 #include "obs/obs.h"
-#include "obs/prof/prof.h"
+#include "obs/prof/harness.h"
 #include "rf/standards.h"
 #include "sim/process.h"
 #include "sim/rng.h"
@@ -25,9 +25,13 @@ namespace analock::bench {
 // The profiling/benchmark harness (src/obs/prof/): every bench main
 // registers its cases on a Harness and returns h.run(), which emits the
 // BENCH_<name>.json trajectory artifact and the folded-stacks profile.
+// trials_budget(fallback) is the workload budget, so CI can run a bench
+// as a fast smoke test: ANALOCK_BENCH_TRIALS replaces per-attack oracle
+// budgets and scales sweep sizes when set.
 using prof::CaseOptions;
 using prof::Harness;
 using prof::do_not_optimize;
+using prof::trials_budget;
 
 /// Enables observability for the lifetime of a bench process and streams
 /// the event record to `<bench_name>.jsonl` in the working directory.
@@ -78,14 +82,6 @@ class ObsSession {
  private:
   std::string artifact_;
 };
-
-/// Workload budget so CI can run a bench as a fast smoke test:
-/// ANALOCK_BENCH_TRIALS replaces per-attack oracle budgets and scales
-/// sweep sizes when set. Parsing lives in the harness (prof::bench_env)
-/// so every bench honors the knob identically.
-inline std::uint64_t trials_budget(std::uint64_t fallback) {
-  return prof::trials_budget(fallback);
-}
 
 /// `n` scaled proportionally to the trials budget relative to `ref`
 /// (e.g. scaled_by_budget(100000, 100) is 1000 at ANALOCK_BENCH_TRIALS=1

@@ -30,7 +30,7 @@
 #include "analysis/model.h"
 #include "analysis/sarif.h"
 #include "obs/obs.h"
-#include "obs/prof/prof.h"
+#include "obs/prof/harness.h"
 
 namespace fs = std::filesystem;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <thread>
@@ -76,20 +75,12 @@ BenchEnv parse_bench_env() {
       static_cast<int>(parse_u64(std::getenv("ANALOCK_BENCH_REPS"), 0));
   env.warmup =
       static_cast<int>(parse_u64(std::getenv("ANALOCK_BENCH_WARMUP"), 0));
-  env.min_time_ms = static_cast<double>(parse_u64(
-      std::getenv("ANALOCK_BENCH_MIN_TIME_MS"), 200));
-  env.max_reps = std::max(
-      1, static_cast<int>(
-             parse_u64(std::getenv("ANALOCK_BENCH_MAX_REPS"), 16)));
   if (const char* json = std::getenv("ANALOCK_BENCH_JSON")) {
     if (std::string_view(json) == "0") {
       env.json_disabled = true;
     } else if (json[0] != '\0') {
       env.json_override = json;
     }
-  }
-  if (const char* perf = std::getenv("ANALOCK_PERF")) {
-    env.force_chrono = std::string_view(perf) == "0";
   }
   return env;
 }
@@ -168,40 +159,12 @@ void append_stats(std::string& out, const Stats& s) {
   out += '}';
 }
 
-/// Extracts one named counter across the reps of a case.
-std::vector<double> counter_series(
-    const std::vector<RepSample>& reps,
-    std::uint64_t CounterValues::* member) {
-  std::vector<double> out;
-  out.reserve(reps.size());
-  for (const RepSample& rep : reps) {
-    out.push_back(static_cast<double>(rep.counters.*member));
-  }
-  return out;
-}
-
-struct NamedCounter {
-  const char* name;
-  std::uint64_t CounterValues::* member;
-};
-
-constexpr NamedCounter kCounterFields[] = {
-    {"cycles", &CounterValues::cycles},
-    {"instructions", &CounterValues::instructions},
-    {"branch_misses", &CounterValues::branch_misses},
-    {"cache_references", &CounterValues::cache_references},
-    {"cache_misses", &CounterValues::cache_misses},
-    {"task_clock_ns", &CounterValues::task_clock_ns},
-};
-
 }  // namespace
 
 // ---------------------------------------------------------------- Harness
 
 Harness::Harness(std::string bench_name)
-    : bench_name_(std::move(bench_name)),
-      counters_(bench_env().force_chrono),
-      profiler_(&counters_) {}
+    : bench_name_(std::move(bench_name)) {}
 
 Harness::~Harness() { SpanProfiler::detach(); }
 
@@ -229,11 +192,10 @@ CaseResult Harness::run_case(const std::string& name,
     RepSample sample;
     sample.t_ns = obs::registry().now_ns();
     const double cpu_start_ms = process_cpu_ms();
-    const CounterSection section(counters_);
     fn();
-    sample.counters = section.delta();
+    sample.wall_ms =
+        static_cast<double>(obs::registry().now_ns() - sample.t_ns) / 1e6;
     sample.cpu_ms = process_cpu_ms() - cpu_start_ms;
-    sample.wall_ms = sample.counters.wall_ns / 1e6;
     elapsed_ms += sample.wall_ms;
     result.reps.push_back(std::move(sample));
 
@@ -241,8 +203,8 @@ CaseResult Harness::run_case(const std::string& name,
     if (env.reps_override > 0) {
       if (n >= env.reps_override) break;
     } else {
-      if (n >= env.max_reps) break;
-      if (n >= options.min_reps && elapsed_ms >= env.min_time_ms) break;
+      if (n >= kMaxReps) break;
+      if (n >= options.min_reps && elapsed_ms >= kMinTimeMs) break;
     }
   }
   SpanProfiler::detach();
@@ -278,9 +240,6 @@ void Harness::print_case_table() const {
   if (results_.empty()) return;
   std::printf("\n---------------------------- benchmark cases "
               "----------------------------\n");
-  std::printf("counter mode: %s%s%s\n", to_string(counters_.mode()),
-              counters_.degrade_reason().empty() ? "" : " — ",
-              counters_.degrade_reason().c_str());
   std::printf("%-28s %5s %12s %10s %12s %12s\n", "case", "reps",
               "median[ms]", "mad[ms]", "p95[ms]", "min[ms]");
   for (const CaseResult& r : results_) {
@@ -302,7 +261,7 @@ std::string Harness::json() const {
   const BenchEnv& env = bench_env();
   std::string out;
   out.reserve(4096);
-  out += "{\"schema\":\"analock-bench\",\"schema_version\":1,\"bench\":";
+  out += "{\"schema\":\"analock-bench\",\"schema_version\":2,\"bench\":";
   append_string(out, bench_name_);
 
   // Environment capture: enough provenance to interpret a trajectory
@@ -315,10 +274,6 @@ std::string Harness::json() const {
   append_string(out, ANALOCK_BENCH_FLAGS);
   out += ",\"cpu\":";
   append_string(out, cpu_model());
-  out += ",\"counter_mode\":";
-  append_string(out, to_string(counters_.mode()));
-  out += ",\"counter_degrade_reason\":";
-  append_string(out, counters_.degrade_reason());
   out += ",\"trials_budget\":";
   out += env.trials.has_value() ? std::to_string(*env.trials) : "null";
   out += ",\"reps_override\":";
@@ -326,9 +281,9 @@ std::string Harness::json() const {
   out += ",\"warmup\":";
   out += std::to_string(env.warmup);
   out += ",\"min_time_ms\":";
-  append_double(out, env.min_time_ms);
+  append_double(out, kMinTimeMs);
   out += ",\"max_reps\":";
-  out += std::to_string(env.max_reps);
+  out += std::to_string(kMaxReps);
   // Worker-pool size request and host core count: a batched case's time
   // depends on both.
   out += ",\"analock_threads\":";
@@ -342,7 +297,6 @@ std::string Harness::json() const {
   out += '}';
 
   out += ",\"cases\":[";
-  const bool with_counters = counters_.mode() != CounterMode::kChrono;
   for (std::size_t c = 0; c < results_.size(); ++c) {
     const CaseResult& r = results_[c];
     if (c != 0) out += ',';
@@ -356,20 +310,6 @@ std::string Harness::json() const {
     append_stats(out, r.wall_ms);
     out += ",\"cpu_ms\":";
     append_stats(out, r.cpu_ms);
-
-    out += ",\"counters\":{";
-    if (with_counters) {
-      bool first = true;
-      for (const NamedCounter& field : kCounterFields) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        out += field.name;
-        out += "\":";
-        append_stats(out, compute_stats(counter_series(r.reps, field.member)));
-      }
-    }
-    out += '}';
 
     if (!r.options.notes.empty()) {
       out += ",\"notes\":{";
@@ -392,14 +332,6 @@ std::string Harness::json() const {
       append_double(out, rep.wall_ms);
       out += ",\"cpu_ms\":";
       append_double(out, rep.cpu_ms);
-      if (with_counters) {
-        for (const NamedCounter& field : kCounterFields) {
-          out += ",\"";
-          out += field.name;
-          out += "\":";
-          out += std::to_string(rep.counters.*field.member);
-        }
-      }
       out += '}';
     }
     out += "]}";
@@ -423,16 +355,6 @@ std::string Harness::json() const {
     append_double(out, node.total_ns / 1e6);
     out += ",\"self_ms\":";
     append_double(out, node.self_ns / 1e6);
-    if (with_counters) {
-      out += ",\"self_cycles\":";
-      out += std::to_string(node.self_counters.cycles);
-      out += ",\"self_instructions\":";
-      out += std::to_string(node.self_counters.instructions);
-      out += ",\"self_cache_misses\":";
-      out += std::to_string(node.self_counters.cache_misses);
-      out += ",\"self_task_clock_ns\":";
-      out += std::to_string(node.self_counters.task_clock_ns);
-    }
     out += '}';
   }
   out += "]}}";

@@ -2,8 +2,8 @@
 //
 // Replaces the ad-hoc per-bench loops: named cases, optional warmup,
 // adaptive repetition, robust statistics (median/MAD/p95/min), per-rep
-// perf-counter deltas, environment capture, and a span profile folded
-// from the ANALOCK_SPAN stream. Each bench binary runs
+// wall and process CPU time, environment capture, and a span profile
+// folded from the ANALOCK_SPAN stream. Each bench binary runs
 //
 //   int main() {
 //     analock::bench::Harness h("bench_fig07_snr_modulator");
@@ -19,16 +19,12 @@
 //   bench_<name>.folded  folded stacks for flamegraph tooling
 //
 // Environment knobs (parsed once, shared by every bench):
-//   ANALOCK_BENCH_TRIALS       workload budget; trials_budget(fallback)
-//                              is THE way benches read it
-//   ANALOCK_BENCH_REPS         exact repetition count per case
-//   ANALOCK_BENCH_WARMUP       warmup runs per case (default 0)
-//   ANALOCK_BENCH_MIN_TIME_MS  adaptive-rep time target (default 200)
-//   ANALOCK_BENCH_MAX_REPS     adaptive-rep cap (default 16)
-//   ANALOCK_BENCH_JSON         0 = no JSON/folded artifacts; or a path
-//                              overriding BENCH_<name>.json
-//   ANALOCK_PERF               0 = force the chrono fallback (no
-//                              perf_event_open; CI smoke mode)
+//   ANALOCK_BENCH_TRIALS  workload budget; trials_budget(fallback) is
+//                         THE way benches read it
+//   ANALOCK_BENCH_REPS    exact repetition count per case
+//   ANALOCK_BENCH_WARMUP  warmup runs per case (default 0)
+//   ANALOCK_BENCH_JSON    0 = no JSON/folded artifacts; or a path
+//                         overriding BENCH_<name>.json
 #pragma once
 
 #include <cstdint>
@@ -38,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/prof/perf_counters.h"
 #include "obs/prof/span_profile.h"
 
 namespace analock::prof {
@@ -57,17 +52,19 @@ struct Stats {
 /// Median/MAD/p95/min/max/mean of `samples` (order-insensitive).
 [[nodiscard]] Stats compute_stats(std::vector<double> samples);
 
+/// Adaptive repetition: a case without ANALOCK_BENCH_REPS repeats until
+/// its reps add up to kMinTimeMs of wall time, or kMaxReps reps.
+inline constexpr double kMinTimeMs = 200.0;
+inline constexpr int kMaxReps = 16;
+
 /// Shared benchmark environment, parsed from the process env exactly once
 /// so every bench honors the same knobs identically.
 struct BenchEnv {
   std::optional<std::uint64_t> trials;  // ANALOCK_BENCH_TRIALS
   int reps_override = 0;                // ANALOCK_BENCH_REPS (0 = adaptive)
   int warmup = 0;                       // ANALOCK_BENCH_WARMUP
-  double min_time_ms = 200.0;           // ANALOCK_BENCH_MIN_TIME_MS
-  int max_reps = 16;                    // ANALOCK_BENCH_MAX_REPS
   std::string json_override;            // ANALOCK_BENCH_JSON ("" = default)
   bool json_disabled = false;           // ANALOCK_BENCH_JSON=0
-  bool force_chrono = false;            // ANALOCK_PERF=0
 };
 [[nodiscard]] const BenchEnv& bench_env();
 
@@ -93,7 +90,6 @@ struct RepSample {
   /// Process CPU time across the rep, all threads: with wall_ms it tells
   /// a contended host (wall up, CPU flat) from slower code (both up).
   double cpu_ms = 0.0;
-  CounterValues counters;  // deltas across the rep
 };
 
 /// One completed case.
@@ -130,7 +126,6 @@ class Harness {
   [[nodiscard]] const std::vector<CaseResult>& results() const {
     return results_;
   }
-  [[nodiscard]] const PerfCounters& counters() const { return counters_; }
 
  private:
   CaseResult run_case(const std::string& name,
@@ -142,7 +137,6 @@ class Harness {
   std::string bench_name_;
   std::vector<std::pair<std::string, std::function<void()>>> cases_;
   std::vector<CaseOptions> case_options_;
-  PerfCounters counters_;
   SpanProfiler profiler_;
   std::vector<CaseResult> results_;
 };

@@ -19,10 +19,7 @@ struct Frame {
   SpanProfiler* owner = nullptr;
   const char* name = nullptr;
   std::string path;
-  CounterValues enter;
-  bool have_counters = false;
   double child_ns = 0.0;
-  CounterValues child_counters;
 };
 
 thread_local std::vector<Frame> tls_frames;
@@ -57,10 +54,6 @@ bool SpanProfiler::on_enter(const char* name) {
     frame.path += ';';
     frame.path += name;
   }
-  if (profiler->counters_ != nullptr) {
-    frame.enter = profiler->counters_->read();
-    frame.have_counters = true;
-  }
   tls_frames.push_back(std::move(frame));
   return true;
 }
@@ -78,18 +71,10 @@ void SpanProfiler::on_exit(const char* name, std::uint64_t dur_ns) {
   const double total_ns = static_cast<double>(dur_ns);
   const double self_ns = std::max(0.0, total_ns - frame.child_ns);
 
-  CounterValues total_counters;
-  CounterValues self_counters;
-  if (frame.have_counters && frame.owner->counters_ != nullptr) {
-    total_counters = frame.owner->counters_->read() - frame.enter;
-    self_counters = total_counters - frame.child_counters;
-  }
-
   // Charge this span's totals to the parent's child accumulators so the
   // parent's self time excludes it.
   if (!tls_frames.empty()) {
     tls_frames.back().child_ns += total_ns;
-    tls_frames.back().child_counters += total_counters;
   }
 
   // Only record into the profiler that was attached at enter, and only
@@ -97,13 +82,12 @@ void SpanProfiler::on_exit(const char* name, std::uint64_t dur_ns) {
   if (frame.owner == g_profiler.load(std::memory_order_acquire)) {
     frame.owner->record(frame.path, name,
                         static_cast<int>(tls_frames.size()), total_ns,
-                        self_ns, self_counters);
+                        self_ns);
   }
 }
 
 void SpanProfiler::record(const std::string& path, const char* name,
-                          int depth, double total_ns, double self_ns,
-                          const CounterValues& self_counters) {
+                          int depth, double total_ns, double self_ns) {
   const std::scoped_lock lock(mu_);
   Node& node = tree_[path];
   if (node.calls == 0) {
@@ -114,7 +98,6 @@ void SpanProfiler::record(const std::string& path, const char* name,
   ++node.calls;
   node.total_ns += total_ns;
   node.self_ns += self_ns;
-  node.self_counters += self_counters;
 }
 
 std::vector<SpanProfiler::Node> SpanProfiler::nodes() const {
@@ -143,42 +126,20 @@ std::string SpanProfiler::folded_stacks() const {
 void SpanProfiler::print_tree(std::FILE* out) const {
   const std::vector<Node> all = nodes();
   if (all.empty()) return;
-  const bool with_counters = std::any_of(
-      all.begin(), all.end(),
-      [](const Node& n) { return n.self_counters.cycles > 0; });
   std::fprintf(out, "\n------------------------------ span profile "
                     "------------------------------\n");
-  if (with_counters) {
-    std::fprintf(out, "%-44s %8s %12s %12s %12s %6s\n", "span tree", "calls",
-                 "total[ms]", "self[ms]", "self-Mcycle", "ipc");
-  } else {
-    std::fprintf(out, "%-44s %8s %12s %12s\n", "span tree", "calls",
-                 "total[ms]", "self[ms]");
-  }
+  std::fprintf(out, "%-44s %8s %12s %12s\n", "span tree", "calls",
+               "total[ms]", "self[ms]");
   for (const Node& node : all) {
     std::string label(static_cast<std::size_t>(node.depth) * 2, ' ');
     label += node.name;
     if (label.size() > 44) label.resize(44);
-    if (with_counters) {
-      std::fprintf(out, "%-44s %8llu %12.3f %12.3f %12.2f %6.2f\n",
-                   label.c_str(),
-                   static_cast<unsigned long long>(node.calls),
-                   node.total_ns / 1e6, node.self_ns / 1e6,
-                   static_cast<double>(node.self_counters.cycles) / 1e6,
-                   node.self_counters.ipc());
-    } else {
-      std::fprintf(out, "%-44s %8llu %12.3f %12.3f\n", label.c_str(),
-                   static_cast<unsigned long long>(node.calls),
-                   node.total_ns / 1e6, node.self_ns / 1e6);
-    }
+    std::fprintf(out, "%-44s %8llu %12.3f %12.3f\n", label.c_str(),
+                 static_cast<unsigned long long>(node.calls),
+                 node.total_ns / 1e6, node.self_ns / 1e6);
   }
   std::fprintf(out, "--------------------------------------------------------"
                     "----------------------\n");
-}
-
-void SpanProfiler::reset() {
-  const std::scoped_lock lock(mu_);
-  tree_.clear();
 }
 
 }  // namespace analock::prof

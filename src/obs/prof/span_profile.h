@@ -1,17 +1,15 @@
 // Span-profile aggregation: folds the live ANALOCK_SPAN stream into a
-// per-run call tree with total/self time, call counts, and perf-counter
-// attribution per span path.
+// per-run call tree with total/self time and call counts per span path.
 //
-//   prof::PerfCounters pc;
-//   prof::SpanProfiler profiler(&pc);
+//   prof::SpanProfiler profiler;
 //   profiler.attach();                  // TraceSpan now reports to it
 //   workload();                         // any code using ANALOCK_SPAN
 //   prof::SpanProfiler::detach();
 //   profiler.print_tree(stdout);        // human call-tree table
 //   std::string folded = profiler.folded_stacks();  // flamegraph input
 //
-// Attribution model: every span exit charges its duration (and counter
-// delta) to the node addressed by the full stack of open span names
+// Attribution model: every span exit charges its duration to the node
+// addressed by the full stack of open span names
 // ("calib.run;calib.step06;eval.snr_modulator"). A node's self time is
 // its total minus the totals of its direct children, so the tree answers
 // "where did the time actually go" rather than "what was on the stack".
@@ -28,16 +26,11 @@
 #include <string>
 #include <vector>
 
-#include "obs/prof/perf_counters.h"
-
 namespace analock::prof {
 
 class SpanProfiler {
  public:
-  /// `counters` may be null: the tree then carries timing only.
-  /// The PerfCounters object must outlive the profiler.
-  explicit SpanProfiler(const PerfCounters* counters = nullptr)
-      : counters_(counters) {}
+  SpanProfiler() = default;
   ~SpanProfiler();
 
   SpanProfiler(const SpanProfiler&) = delete;
@@ -59,7 +52,6 @@ class SpanProfiler {
     std::uint64_t calls = 0;
     double total_ns = 0.0;
     double self_ns = 0.0;
-    CounterValues self_counters;  // counter deltas minus children's
   };
 
   /// Snapshot of the tree, sorted by path (parents precede children).
@@ -69,12 +61,9 @@ class SpanProfiler {
   /// directly consumable by flamegraph.pl / speedscope / inferno.
   [[nodiscard]] std::string folded_stacks() const;
 
-  /// Human call-tree table: indented span names with calls, total/self
-  /// time, and counter attribution when available.
+  /// Human call-tree table: indented span names with calls and
+  /// total/self time.
   void print_tree(std::FILE* out) const;
-
-  /// Drops all aggregated nodes (e.g. after warmup reps).
-  void reset();
 
   /// TraceSpan integration points — called from obs::TraceSpan only.
   /// on_enter returns true when the span was recorded onto the calling
@@ -84,10 +73,7 @@ class SpanProfiler {
 
  private:
   void record(const std::string& path, const char* name, int depth,
-              double total_ns, double self_ns,
-              const CounterValues& self_counters);
-
-  const PerfCounters* counters_ = nullptr;
+              double total_ns, double self_ns);
 
   mutable std::mutex mu_;
   // analock: guarded_by(mu_)

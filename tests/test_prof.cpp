@@ -1,6 +1,6 @@
-// Tests for the profiling layer (src/obs/prof/): counter open/fallback,
-// harness statistics on known inputs, span-tree folding, and the
-// BENCH_*.json document structure.
+// Tests for the profiling layer (src/obs/prof/): harness statistics on
+// known inputs, span-tree folding, and the BENCH_*.json document
+// structure.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "obs/obs.h"
-#include "obs/prof/prof.h"
+#include "obs/prof/harness.h"
 
 namespace {
 
@@ -17,14 +17,12 @@ using namespace analock;
 
 // The harness reads its environment once (prof::bench_env is a
 // singleton), so pin every knob before the first test touches it:
-// deterministic rep counts, no artifacts dropped into the test cwd, and
-// the chrono fallback so results do not depend on PMU availability.
+// deterministic rep counts and no artifacts dropped into the test cwd.
 const bool kEnvPinned = [] {
   setenv("ANALOCK_BENCH_JSON", "0", 1);
   setenv("ANALOCK_BENCH_REPS", "3", 1);
   setenv("ANALOCK_BENCH_WARMUP", "0", 1);
   setenv("ANALOCK_BENCH_TRIALS", "2", 1);
-  setenv("ANALOCK_PERF", "0", 1);
   return true;
 }();
 
@@ -68,64 +66,7 @@ TEST(ProfEnv, TrialsBudgetHonorsPinnedEnvironment) {
   EXPECT_EQ(prof::trials_budget(100), 2u);
   EXPECT_EQ(prof::trials_budget(7), 2u);
   EXPECT_EQ(prof::bench_env().reps_override, 3);
-  EXPECT_TRUE(prof::bench_env().force_chrono);
   EXPECT_TRUE(prof::bench_env().json_disabled);
-}
-
-// -------------------------------------------------------------- counters
-
-TEST(ProfCounters, ForcedChronoFallback) {
-  const prof::PerfCounters pc(/*force_chrono=*/true);
-  EXPECT_EQ(pc.mode(), prof::CounterMode::kChrono);
-  EXPECT_FALSE(pc.hardware());
-  EXPECT_FALSE(pc.degrade_reason().empty());
-  EXPECT_STREQ(prof::to_string(pc.mode()), "chrono");
-
-  const prof::CounterValues a = pc.read();
-  const prof::CounterValues b = pc.read();
-  EXPECT_GE(b.wall_ns, a.wall_ns);
-  EXPECT_EQ(a.cycles, 0u);
-  EXPECT_EQ(a.task_clock_ns, 0u);
-}
-
-TEST(ProfCounters, BestAvailableModeIsCoherent) {
-  const prof::PerfCounters pc;  // whatever the environment allows
-  if (pc.mode() == prof::CounterMode::kHardware) {
-    EXPECT_TRUE(pc.degrade_reason().empty());
-  } else {
-    EXPECT_FALSE(pc.degrade_reason().empty());
-  }
-  // Burn a few instructions between two reads; whatever was measured
-  // must be non-negative and wall time must advance monotonically.
-  const prof::CounterValues a = pc.read();
-  std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < 10000; ++i) sink += i;
-  prof::do_not_optimize(sink);
-  const prof::CounterValues d = pc.read() - a;
-  EXPECT_GE(d.wall_ns, 0.0);
-  if (pc.hardware()) {
-    EXPECT_GT(d.instructions, 0u);
-  }
-}
-
-TEST(ProfCounters, SectionDeltaAndArithmetic) {
-  const prof::PerfCounters pc(/*force_chrono=*/true);
-  const prof::CounterSection section(pc);
-  const prof::CounterValues d = section.delta();
-  EXPECT_GE(d.wall_ns, 0.0);
-
-  prof::CounterValues x;
-  x.cycles = 10;
-  x.instructions = 30;
-  prof::CounterValues y;
-  y.cycles = 4;
-  y.instructions = 10;
-  const prof::CounterValues sum = x + y;
-  EXPECT_EQ(sum.cycles, 14u);
-  const prof::CounterValues diff = x - y;
-  EXPECT_EQ(diff.cycles, 6u);
-  EXPECT_DOUBLE_EQ(x.ipc(), 3.0);
-  EXPECT_DOUBLE_EQ(prof::CounterValues{}.ipc(), 0.0);
 }
 
 // ---------------------------------------------------------- span folding
@@ -201,16 +142,6 @@ TEST_F(ProfSpanTest, DetachedProfilerRecordsNothing) {
   EXPECT_TRUE(profiler.folded_stacks().empty());
 }
 
-TEST_F(ProfSpanTest, ResetDropsAggregatedNodes) {
-  prof::SpanProfiler profiler;
-  profiler.attach();
-  { ANALOCK_SPAN("prof.reset"); }
-  prof::SpanProfiler::detach();
-  EXPECT_EQ(profiler.nodes().size(), 1u);
-  profiler.reset();
-  EXPECT_TRUE(profiler.nodes().empty());
-}
-
 // --------------------------------------------------------------- harness
 
 class ProfHarnessTest : public ::testing::Test {
@@ -250,7 +181,7 @@ TEST_F(ProfHarnessTest, RunsPinnedRepsWithDeterministicStats) {
   for (std::size_t i = 1; i < r.reps.size(); ++i) {
     EXPECT_GT(r.reps[i].t_ns, r.reps[i - 1].t_ns);
   }
-  // Each rep spans one CounterSection reading pair = one 1 ms tick.
+  // Each rep spans two clock readings, one at each end = one 1 ms tick.
   EXPECT_DOUBLE_EQ(r.wall_ms.median, 1.0);
   EXPECT_DOUBLE_EQ(r.wall_ms.mad, 0.0);
   EXPECT_EQ(r.wall_ms.n, 3u);
@@ -305,10 +236,9 @@ TEST_F(ProfHarnessTest, JsonDocumentStructure) {
 
   const std::string json = h.json();
   EXPECT_NE(json.find("\"schema\":\"analock-bench\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos);
   EXPECT_NE(json.find("\"bench\":\"test_prof_json\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"spanning\""), std::string::npos);
-  EXPECT_NE(json.find("\"counter_mode\":\"chrono\""), std::string::npos);
   EXPECT_NE(json.find("\"trials_budget\":2"), std::string::npos);
   EXPECT_NE(json.find("\"notes\":{\"paper_minutes\":20}"),
             std::string::npos);
@@ -316,10 +246,10 @@ TEST_F(ProfHarnessTest, JsonDocumentStructure) {
   EXPECT_NE(json.find("\"cpu_ms\":{\"n\":3"), std::string::npos);
   EXPECT_NE(json.find(",\"cpu_ms\":"), json.rfind(",\"cpu_ms\":"))
       << "per-rep cpu_ms next to each rep's wall_ms";
-  // Chrono mode: per-case counters stay an empty object and the profile
-  // spans carry timing only.
-  EXPECT_NE(json.find("\"counters\":{}"), std::string::npos);
-  EXPECT_EQ(json.find("\"self_cycles\""), std::string::npos);
+  // Schema 2 carries no counter fields: no counter mode in the env, no
+  // per-case or per-rep counters, and timing-only profile spans.
+  EXPECT_EQ(json.find("\"counter"), std::string::npos);
+  EXPECT_EQ(json.find("cycles\""), std::string::npos);
   EXPECT_NE(json.find("\"path\":\"prof.case;prof.case.sub\""),
             std::string::npos);
 

@@ -13,9 +13,8 @@ MAD). A case only counts as a regression when BOTH hold:
 
 Prints a markdown table (one row per matched case, plus rows for cases
 that appear on only one side) and exits non-zero when any regression was
-found, unless --warn-only is given. Counter medians (cycles,
-instructions) ride along as informational columns when both sides
-recorded hardware counters.
+found, unless --warn-only is given. Only wall-clock stats are compared,
+so schema version 1 and 2 artifacts diff against each other.
 
 A baseline case measured over fewer than MIN_BASELINE_REPS reps has no
 usable MAD, so the whole diff fails (exit 2) whatever --warn-only says;
@@ -76,13 +75,8 @@ def load_side(paths):
     return cases
 
 
-def median_of(case, counter=None):
-    if counter is None:
-        return case["wall_ms"]["median"], case["wall_ms"]["mad"]
-    stats = case.get("counters", {}).get(counter)
-    if stats is None:
-        return None, None
-    return stats["median"], stats["mad"]
+def median_of(case):
+    return case["wall_ms"]["median"], case["wall_ms"]["mad"]
 
 
 def classify(old_med, old_mad, new_med, new_mad, threshold_pct):

@@ -24,10 +24,10 @@ all fail with a non-zero exit code; parse errors report the offending
 line number.
 
 The same tool also validates the BENCH_<name>.json trajectory artifact
-written by the profiling harness (src/obs/prof/): schema name + version,
-environment capture, per-case robust stats (wall time, and process CPU
-time when the artifact records it), monotone per-rep timestamps,
-non-negative counters, and span-profile coherence (self <= total).
+written by the profiling harness (src/obs/prof/): schema name + version
+(1 or 2), environment capture, per-case robust stats (wall time, and
+process CPU time when the artifact records it), monotone per-rep
+timestamps, and span-profile coherence (self <= total).
 
 Usage:
   check_jsonl.py [--no-convergence] [--expect-bench-json NAME]
@@ -145,15 +145,15 @@ def validate_artifact(path: str, require_convergence: bool = True) -> None:
 # --------------------------------------------------- BENCH_*.json schema
 
 BENCH_SCHEMA = "analock-bench"
-BENCH_SCHEMA_VERSION = 1
+# Version 2 dropped the hardware-counter fields (env counter_mode and
+# counter_degrade_reason, per-case and per-rep counters); version 1
+# baselines still validate, their counter fields unchecked.
+BENCH_SCHEMA_VERSIONS = (1, 2)
 BENCH_ENV_KEYS = (
-    "git_sha", "compiler", "flags", "cpu", "counter_mode",
-    "counter_degrade_reason", "trials_budget", "reps_override", "warmup",
-    "min_time_ms", "max_reps",
+    "git_sha", "compiler", "flags", "cpu", "trials_budget",
+    "reps_override", "warmup", "min_time_ms", "max_reps",
 )
 STATS_KEYS = ("n", "min", "max", "mean", "median", "mad", "p95")
-COUNTER_KEYS = ("cycles", "instructions", "branch_misses",
-                "cache_references", "cache_misses", "task_clock_ns")
 
 
 def check_stats(where: str, stats) -> None:
@@ -210,14 +210,6 @@ def check_case(bench: str, case) -> None:
                 fail(f"{where}: notes[{nkey!r}] must be a finite number: "
                      f"{nval!r}")
 
-    counters = case.get("counters")
-    if not isinstance(counters, dict):
-        fail(f"{where}: counters must be an object (may be empty)")
-    for cname, cstats in counters.items():
-        if cname not in COUNTER_KEYS:
-            fail(f"{where}: unknown counter {cname!r}")
-        check_stats(f"{where}.counters.{cname}", cstats)
-
     reps = case.get("reps")
     if not isinstance(reps, list) or not reps:
         fail(f"{where}: reps must be a non-empty list")
@@ -244,11 +236,6 @@ def check_case(bench: str, case) -> None:
                     or cpu < 0):
                 fail(f"{where}: rep {i} cpu_ms missing or negative: "
                      f"{cpu!r}")
-        for cname in COUNTER_KEYS:
-            if cname in rep and (not isinstance(rep[cname], int)
-                                 or rep[cname] < 0):
-                fail(f"{where}: rep {i} counter {cname!r} must be a "
-                     f"non-negative int: {rep[cname]!r}")
 
 
 def check_profile(bench: str, profile) -> int:
@@ -297,9 +284,10 @@ def validate_bench_json(path: str) -> None:
     if doc.get("schema") != BENCH_SCHEMA:
         fail(f"{path}: schema must be {BENCH_SCHEMA!r}, "
              f"got {doc.get('schema')!r}")
-    if doc.get("schema_version") != BENCH_SCHEMA_VERSION:
-        fail(f"{path}: schema_version must be {BENCH_SCHEMA_VERSION}, "
-             f"got {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if version not in BENCH_SCHEMA_VERSIONS or isinstance(version, bool):
+        fail(f"{path}: schema_version must be one of "
+             f"{BENCH_SCHEMA_VERSIONS}, got {version!r}")
     bench = doc.get("bench")
     if not isinstance(bench, str) or not bench:
         fail(f"{path}: bench name missing")
@@ -315,9 +303,8 @@ def validate_bench_json(path: str) -> None:
     for case in cases:
         check_case(bench, case)
     n_spans = check_profile(bench, doc.get("profile"))
-    print(f"check_jsonl: OK: {path}: bench {bench!r}, {len(cases)} cases, "
-          f"{n_spans} profile spans, counter mode "
-          f"{env.get('counter_mode')!r}")
+    print(f"check_jsonl: OK: {path}: bench {bench!r}, schema version "
+          f"{version}, {len(cases)} cases, {n_spans} profile spans")
 
 
 def main() -> None:
