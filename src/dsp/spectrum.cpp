@@ -114,11 +114,13 @@ void Periodogram::fill_two_sided(std::span<const cplx> spec, double norm) {
 template <typename Sample>
 std::vector<Periodogram> Periodogram::transform(
     std::span<const Sample> signals, std::size_t lanes, double fs_hz,
-    WindowKind window, par::ThreadPool& pool) {
+    WindowKind window, par::ThreadPool& pool,
+    const LaneReduction& reduce_lane, std::span<double> values) {
   constexpr bool kOneSided = std::is_same_v<Sample, double>;
   assert(lanes > 0 && signals.size() % lanes == 0);
   const std::size_t n = signals.size() / lanes;
   assert(is_power_of_two(n) && "capture length must be a power of two");
+  assert(!reduce_lane || values.size() == lanes);
   const AnalysisWindow& analysis = window_for(window, n);
   const std::span<const double> w = analysis.samples;
   const double norm = analysis.norm;
@@ -127,10 +129,10 @@ std::vector<Periodogram> Periodogram::transform(
   // pages. Each chunk of lanes gets its own scratch: the half spectrum
   // of a real capture, or the windowed copy that the FFT transforms in
   // place for a complex one.
-  std::vector<Periodogram> out(lanes,
+  const std::size_t chunks = std::min(pool.size(), lanes);
+  std::vector<Periodogram> out(reduce_lane ? chunks : lanes,
                                Periodogram(fs_hz, n, kOneSided, window));
   for (Periodogram& p : out) p.power_.resize(kOneSided ? n / 2 + 1 : n);
-  const std::size_t chunks = std::min(pool.size(), lanes);
   const std::size_t per_chunk = kOneSided ? n / 2 + 1 : n;
   std::vector<cplx> scratch(chunks * per_chunk);
   const auto& plan = plan_for_samples<Sample>(n);
@@ -138,10 +140,14 @@ std::vector<Periodogram> Periodogram::transform(
   // a chunk's scratch index is its own loop variable.
   pool.parallel_for(chunks, [&](std::size_t begin, std::size_t end) {
     for (std::size_t c = begin; c < end; ++c) {
+      const std::size_t lo = c * lanes / chunks;
+      const std::size_t hi = (c + 1) * lanes / chunks;
       transform_lanes(
-          c * lanes / chunks, (c + 1) * lanes / chunks, signals, w, norm,
-          plan, std::span<cplx>(scratch).subspan(c * per_chunk, per_chunk),
-          out);
+          lo, hi, signals, w, norm, plan,
+          std::span<cplx>(scratch).subspan(c * per_chunk, per_chunk),
+          reduce_lane ? std::span<Periodogram>(out).subspan(c, 1)
+                      : std::span<Periodogram>(out).subspan(lo, hi - lo),
+          reduce_lane, values);
     }
   });
   return out;
@@ -153,11 +159,13 @@ void Periodogram::transform_lanes(std::size_t begin, std::size_t end,
                                   std::span<const Sample> signals,
                                   std::span<const double> w, double norm,
                                   const Plan& plan, std::span<cplx> scratch,
-                                  std::span<Periodogram> out) {
+                                  std::span<Periodogram> out,
+                                  const LaneReduction& reduce_lane,
+                                  std::span<double> values) {
   const std::size_t n = w.size();
   for (std::size_t l = begin; l < end; ++l) {
     const auto x = signals.subspan(l * n, n);
-    Periodogram& p = out[l];
+    Periodogram& p = out[reduce_lane ? 0 : l - begin];
     if constexpr (std::is_same_v<Sample, double>) {
       plan.run(x, scratch, w);
       p.fill_one_sided(scratch, norm);
@@ -167,6 +175,7 @@ void Periodogram::transform_lanes(std::size_t begin, std::size_t end,
       plan.run(xw);
       p.fill_two_sided(xw, norm);
     }
+    if (reduce_lane) values[l] = reduce_lane(p);
   }
 }
 
@@ -200,6 +209,29 @@ std::vector<Periodogram> Periodogram::many_complex(
   ANALOCK_SPAN_QUIET("dsp.periodogram.batch");
   obs::count("dsp.fft.points", signals.size());
   return transform(signals, lanes, fs_hz, window, pool);
+}
+
+std::vector<double> Periodogram::reduced_real(std::span<const double> signals,
+                                              std::size_t lanes, double fs_hz,
+                                              const LaneReduction& reduce_lane,
+                                              WindowKind window,
+                                              par::ThreadPool& pool) {
+  ANALOCK_SPAN_QUIET("dsp.periodogram.batch");
+  obs::count("dsp.fft.points", signals.size());
+  std::vector<double> values(lanes);
+  (void)transform(signals, lanes, fs_hz, window, pool, reduce_lane, values);
+  return values;
+}
+
+std::vector<double> Periodogram::reduced_complex(
+    std::span<const cplx> signals, std::size_t lanes, double fs_hz,
+    const LaneReduction& reduce_lane, WindowKind window,
+    par::ThreadPool& pool) {
+  ANALOCK_SPAN_QUIET("dsp.periodogram.batch");
+  obs::count("dsp.fft.points", signals.size());
+  std::vector<double> values(lanes);
+  (void)transform(signals, lanes, fs_hz, window, pool, reduce_lane, values);
+  return values;
 }
 
 double Periodogram::bin_hz() const {

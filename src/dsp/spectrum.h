@@ -5,6 +5,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -50,6 +51,28 @@ class Periodogram {
       WindowKind window = WindowKind::kHann,
       par::ThreadPool& pool = par::ThreadPool::shared());
 
+  /// Reduces one lane's spectrum to a number (an SNR, an SFDR).
+  using LaneReduction = std::function<double(const Periodogram&)>;
+
+  /// Value l is `reduce_lane(p)` of lane l's periodogram p, bit-identical
+  /// to reducing many_real's spectrum l. Each lane is reduced on the
+  /// worker that transformed it, and each worker reuses one spectrum for
+  /// all of its lanes, so a batch holds one spectrum per worker rather
+  /// than one per lane. `reduce_lane` runs concurrently on the pool's
+  /// workers. Charges lanes * n to the `dsp.fft.points` counter.
+  [[nodiscard]] static std::vector<double> reduced_real(
+      std::span<const double> signals, std::size_t lanes, double fs_hz,
+      const LaneReduction& reduce_lane,
+      WindowKind window = WindowKind::kHann,
+      par::ThreadPool& pool = par::ThreadPool::shared());
+
+  /// Two-sided counterpart of reduced_real for complex captures.
+  [[nodiscard]] static std::vector<double> reduced_complex(
+      std::span<const cplx> signals, std::size_t lanes, double fs_hz,
+      const LaneReduction& reduce_lane,
+      WindowKind window = WindowKind::kHann,
+      par::ThreadPool& pool = par::ThreadPool::shared());
+
   [[nodiscard]] const std::vector<double>& power() const { return power_; }
   [[nodiscard]] double fs() const { return fs_; }
   [[nodiscard]] bool one_sided() const { return one_sided_; }
@@ -92,22 +115,30 @@ class Periodogram {
   void fill_one_sided(std::span<const cplx> spec, double norm);
   void fill_two_sided(std::span<const cplx> spec, double norm);
 
-  /// The one path behind the constructors and many_*: window, FFT and
-  /// bin powers for `lanes` lane-major captures, sharded across `pool`.
-  /// Real samples give one-sided spectra, complex samples two-sided ones.
+  /// The one path behind the constructors, many_* and reduced_*: window,
+  /// FFT and bin powers for `lanes` lane-major captures, sharded across
+  /// `pool`. Real samples give one-sided spectra, complex samples
+  /// two-sided ones. Without `reduce_lane` it returns each lane's
+  /// spectrum. With it, it returns one spectrum per chunk of lanes, which
+  /// the chunk's lanes overwrite in turn, and writes `reduce_lane` of
+  /// lane l's spectrum to values[l].
   template <typename Sample>
   [[nodiscard]] static std::vector<Periodogram> transform(
       std::span<const Sample> signals, std::size_t lanes, double fs_hz,
-      WindowKind window, par::ThreadPool& pool);
+      WindowKind window, par::ThreadPool& pool,
+      const LaneReduction& reduce_lane = {}, std::span<double> values = {});
 
   /// Lanes [begin, end) of transform on one worker: `out` is sized and
   /// `plan` built by the caller, and `scratch` is this worker's alone.
+  /// `out` holds lane begin + i at i, or, when reducing, every lane at 0.
   template <typename Sample, typename Plan>
   static void transform_lanes(std::size_t begin, std::size_t end,
                               std::span<const Sample> signals,
                               std::span<const double> w, double norm,
                               const Plan& plan, std::span<cplx> scratch,
-                              std::span<Periodogram> out);
+                              std::span<Periodogram> out,
+                              const LaneReduction& reduce_lane,
+                              std::span<double> values);
 
   std::vector<double> power_;
   double fs_ = 1.0;

@@ -18,10 +18,9 @@ rf::ReceiverBatch BatchEvaluator::receivers(std::span<const Key64> keys,
                            evaluator_->noise_prefix(n));
 }
 
-template <typename Measure>
 std::vector<double> BatchEvaluator::modulator_readings(
     std::span<const Key64> keys, std::span<const double> rf_in,
-    Measure&& measure) {
+    const dsp::Periodogram::LaneReduction& reduce_lane) {
   const std::size_t settle = evaluator_->options().settle;
   const double fs_hz = evaluator_->standard().fs_hz();
   std::vector<double> out;
@@ -31,11 +30,10 @@ std::vector<double> BatchEvaluator::modulator_readings(
         keys.subspan(begin, std::min(kModulatorLanes, keys.size() - begin));
     const auto captures = receivers(group, rf_in.size())
                               .capture_modulator(rf_in, settle, pool());
-    for (const dsp::Periodogram& p : dsp::Periodogram::many_real(
-             captures, group.size(), fs_hz, dsp::WindowKind::kHann,
-             pool())) {
-      out.push_back(measure(p));
-    }
+    const auto readings = dsp::Periodogram::reduced_real(
+        captures, group.size(), fs_hz, reduce_lane, dsp::WindowKind::kHann,
+        pool());
+    out.insert(out.end(), readings.begin(), readings.end());
   }
   return out;
 }
@@ -79,17 +77,13 @@ std::vector<double> BatchEvaluator::clean_snr_receiver(
   const auto baseband = batch.capture_receiver(
       rf_in, options.settle, options.baseband_points, /*settle_baseband=*/16,
       pool());
-  const auto spectra = dsp::Periodogram::many_complex(
-      baseband, keys.size(), batch.baseband_fs_hz(), dsp::WindowKind::kHann,
-      pool());
   const double half_band = standard.fs_hz() / (4.0 * standard.osr);
-  std::vector<double> out(keys.size());
-  for (std::size_t l = 0; l < keys.size(); ++l) {
-    const auto snr = dsp::measure_snr(spectra[l], offset, -half_band,
-                                      half_band);
-    out[l] = snr.snr_db;
-  }
-  return out;
+  return dsp::Periodogram::reduced_complex(
+      baseband, keys.size(), batch.baseband_fs_hz(),
+      [&](const dsp::Periodogram& p) {
+        return dsp::measure_snr(p, offset, -half_band, half_band).snr_db;
+      },
+      dsp::WindowKind::kHann, pool());
 }
 
 std::vector<double> BatchEvaluator::clean_sfdr(std::span<const Key64> keys,

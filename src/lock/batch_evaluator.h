@@ -79,17 +79,20 @@ class BatchEvaluator {
   [[nodiscard]] rf::ReceiverBatch receivers(std::span<const Key64> keys,
                                             std::size_t n);
 
-  /// Keys per modulator capture. A longer batch runs in groups of this
-  /// many, so a group's outputs and spectra stay small next to the
-  /// evaluator's noise prefix; a lane reads the same in any group.
-  static constexpr std::size_t kModulatorLanes = 8;
+  /// Keys per modulator capture: one brute-force screen batch. A longer
+  /// call (a sub-block sweep of up to 80 codes) runs in groups of this
+  /// many; a lane reads the same in any group. A group holds lanes *
+  /// (n - settle) doubles of capture output (2 MiB for 32 SNR lanes of
+  /// 8192 points, 4 MiB for 32 SFDR lanes of 16384) and one spectrum per
+  /// worker, since each lane's spectrum is reduced to its reading on the
+  /// worker that computed it.
+  static constexpr std::size_t kModulatorLanes = 32;
 
-  /// `measure(p)` of the periodogram p of each key's post-settle
+  /// `reduce_lane(p)` of the periodogram p of each key's post-settle
   /// modulator output driven by `rf_in`, in key order.
-  template <typename Measure>
   [[nodiscard]] std::vector<double> modulator_readings(
       std::span<const Key64> keys, std::span<const double> rf_in,
-      Measure&& measure);
+      const dsp::Periodogram::LaneReduction& reduce_lane);
 
   /// Books readings[i] as one `metric` measurement of keys[i], in order.
   void charge_all(LockEvaluator::Metric metric, std::span<const Key64> keys,

@@ -303,29 +303,100 @@ TEST(Periodogram, ManyComplexMatchesPerLane) {
   }
 }
 
+/// An SNR whose noise integrates most bins of the spectrum, so a
+/// difference in almost any bin reaches the value.
+double wide_snr(const dsp::Periodogram& p) {
+  const double lo = p.one_sided() ? 0.0 : -0.45e6;
+  return dsp::measure_snr(p, 0.1e6, lo, 0.45e6).snr_db;
+}
+
+/// Each value of `reduced` equals wide_snr of the single-lane Periodogram
+/// of that lane's capture, bit for bit.
+template <typename Sample>
+void expect_reduced_matches_per_lane(std::span<const Sample> signals,
+                                     std::size_t lanes,
+                                     const std::vector<double>& reduced) {
+  const std::size_t n = signals.size() / lanes;
+  ASSERT_EQ(reduced.size(), lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    EXPECT_EQ(wide_snr(dsp::Periodogram(signals.subspan(l * n, n), 1.0e6)),
+              reduced[l])
+        << l;
+  }
+}
+
+// The reducing forms reuse one spectrum per worker across its lanes; each
+// lane's value still equals reducing that lane's own Periodogram, on
+// pools of 1, 2 and 7 threads and for lane counts that do and do not
+// divide into the pool's chunks.
+TEST(Periodogram, ReducedRealMatchesPerLane) {
+  const std::size_t n = 512;
+  for (const std::size_t threads : {1u, 2u, 7u}) {
+    par::ThreadPool pool(threads);
+    for (const std::size_t lanes : {1u, 3u, 5u, 33u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, " << lanes
+                                      << " lanes");
+      sim::Rng rng(41 + lanes);
+      std::vector<double> signals(n * lanes);
+      for (auto& v : signals) v = rng.gaussian();
+      expect_reduced_matches_per_lane<double>(
+          signals, lanes,
+          dsp::Periodogram::reduced_real(signals, lanes, 1.0e6, wide_snr,
+                                         dsp::WindowKind::kHann, pool));
+    }
+  }
+}
+
+TEST(Periodogram, ReducedComplexMatchesPerLane) {
+  const std::size_t n = 256;
+  for (const std::size_t threads : {1u, 2u, 7u}) {
+    par::ThreadPool pool(threads);
+    for (const std::size_t lanes : {1u, 3u, 5u, 33u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, " << lanes
+                                      << " lanes");
+      const auto signals = random_complex(n * lanes, 43 + lanes);
+      expect_reduced_matches_per_lane<dsp::cplx>(
+          signals, lanes,
+          dsp::Periodogram::reduced_complex(signals, lanes, 1.0e6, wide_snr,
+                                            dsp::WindowKind::kHann, pool));
+    }
+  }
+}
+
 TEST(Periodogram, ChargesFftPointsPerBatch) {
   // One batch of `lanes` captures of n points charges lanes * n FFT
-  // points once, real or complex, though its lanes run on two workers.
+  // points once, real or complex, collected or reduced, though its lanes
+  // run on two workers.
   obs::Registry& reg = obs::registry();
   const bool was_enabled = reg.enabled();
   reg.reset_values();
   reg.set_enabled(true);
+  const auto points = [&reg] { return reg.counter("dsp.fft.points").value(); };
 
   par::ThreadPool pool(2);
   const std::vector<double> real(3 * 512, 0.5);
   (void)dsp::Periodogram::many_real(real, 3, 1.0e6, dsp::WindowKind::kHann,
                                     pool);
-  const std::uint64_t real_points = reg.counter("dsp.fft.points").value();
+  const std::uint64_t real_points = points();
   const auto baseband = random_complex(5 * 64, 47);
   (void)dsp::Periodogram::many_complex(baseband, 5, 1.0e6,
                                        dsp::WindowKind::kHann, pool);
-  const std::uint64_t complex_points =
-      reg.counter("dsp.fft.points").value() - real_points;
+  const std::uint64_t complex_points = points() - real_points;
+  (void)dsp::Periodogram::reduced_real(real, 3, 1.0e6, wide_snr,
+                                       dsp::WindowKind::kHann, pool);
+  const std::uint64_t reduced_real_points =
+      points() - real_points - complex_points;
+  (void)dsp::Periodogram::reduced_complex(baseband, 5, 1.0e6, wide_snr,
+                                          dsp::WindowKind::kHann, pool);
+  const std::uint64_t reduced_complex_points =
+      points() - real_points - complex_points - reduced_real_points;
 
   reg.set_enabled(was_enabled);
   reg.reset_values();
   EXPECT_EQ(real_points, 3u * 512u);
   EXPECT_EQ(complex_points, 5u * 64u);
+  EXPECT_EQ(reduced_real_points, 3u * 512u);
+  EXPECT_EQ(reduced_complex_points, 5u * 64u);
 }
 
 // ---------------------------------------------------------------------
@@ -1326,6 +1397,73 @@ TEST(BatchEvaluator, TrialCountsMatchScalar) {
 
   (void)batch.snr_receiver_db(keys);
   EXPECT_EQ(wrapped.trial_counts().snr_receiver, 2 * keys.size());
+}
+
+TEST(BatchEvaluator, ModulatorReadingsIndependentOfGrouping) {
+  // A modulator call captures up to 32 keys at once and splits longer
+  // calls into groups: 1, 31, 32, 33 and 65 keys sit on each side of the
+  // group edges. Every reading equals the per-key call's and the
+  // reference recipe's on pools of 1, 2 and 7 threads, and the batch
+  // books as many trials as the per-key calls.
+  sim::Rng key_rng(909);
+  std::vector<Key64> all(65);
+  for (Key64& key : all) key = Key64::random(key_rng);
+  sim::Rng chip_rng(66);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  LockEvaluator per_key(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
+                        fast_options());
+  const double dbm = per_key.options().input_dbm;
+  const double tone_dbm = per_key.options().two_tone_dbm;
+
+  // The keys cover every lane kind: fixed (mux 3), r1-only and
+  // no-quantiser (loop open, mux 1 or 2) and full.
+  std::array<bool, 4> kinds{};
+  for (const Key64& key : all) {
+    const rf::ModulatorConfig m = per_key.applied_config(key).modulator;
+    std::size_t kind = 3;
+    if (m.test_mux == 3) {
+      kind = 0;
+    } else if (!m.feedback_enable && m.test_mux != 0) {
+      kind = m.test_mux;
+    }
+    kinds[kind] = true;
+  }
+  EXPECT_EQ(kinds, (std::array<bool, 4>{true, true, true, true}));
+
+  std::vector<double> snr(all.size());
+  std::vector<double> sfdr(all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    snr[i] = per_key.snr_modulator_db(all[i]);
+    sfdr[i] = per_key.sfdr_db(all[i]);
+    EXPECT_EQ(reference::snr_modulator_db(per_key, all[i], dbm), snr[i])
+        << i;
+    EXPECT_EQ(reference::sfdr_db(per_key, all[i], tone_dbm), sfdr[i]) << i;
+  }
+
+  for (const std::size_t threads : {1u, 2u, 7u}) {
+    par::ThreadPool pool(threads);
+    for (const std::size_t n : {1u, 31u, 32u, 33u, 65u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, " << n
+                                      << " keys");
+      const std::span<const Key64> keys(all.data(), n);
+      LockEvaluator wrapped(rf::standard_max_3ghz(), pv,
+                            chip_rng.fork("chip"), fast_options());
+      BatchEvaluator batch(wrapped, &pool);
+      const auto batch_snr = batch.snr_modulator_db(keys);
+      const auto batch_sfdr = batch.sfdr_db(keys);
+      ASSERT_EQ(batch_snr.size(), n);
+      ASSERT_EQ(batch_sfdr.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(snr[i], batch_snr[i]) << i;
+        EXPECT_EQ(sfdr[i], batch_sfdr[i]) << i;
+      }
+      EXPECT_EQ(wrapped.trial_counts().snr_modulator, n);
+      EXPECT_EQ(wrapped.trial_counts().sfdr, n);
+      EXPECT_EQ(wrapped.trials(), 2 * n);
+    }
+  }
+  EXPECT_EQ(per_key.trial_counts().snr_modulator, all.size());
+  EXPECT_EQ(per_key.trial_counts().sfdr, all.size());
 }
 
 // ---------------------------------------------------------------------

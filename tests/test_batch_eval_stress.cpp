@@ -254,9 +254,13 @@ TEST(BatchStress, MixedKindCapturesUnderThreads) {
 
 TEST(BatchStress, ParallelPeriodogramsUnderThreads) {
   // Repeated batches on a 7-worker pool: shared read-only plans and
-  // window, per-chunk scratch, lane-disjoint spectra. Lane counts that do
-  // not divide into the chunks give uneven splits. Every bin must equal
-  // the 1-thread run's.
+  // window, per-chunk scratch, lane-disjoint spectra, and for the
+  // reducing forms one spectrum per chunk that its lanes reuse. Lane
+  // counts that do not divide into the chunks give uneven splits. Every
+  // bin, and every reduced value, must equal the 1-thread run's.
+  const auto in_band = [](const dsp::Periodogram& p) {
+    return p.band_power(p.one_sided() ? 0.0 : -0.45e6, 0.45e6);
+  };
   par::ThreadPool wide(7);
   par::ThreadPool narrow(1);
   sim::Rng rng(9003);
@@ -275,10 +279,17 @@ TEST(BatchStress, ParallelPeriodogramsUnderThreads) {
           real, lanes, 1.0e6, dsp::WindowKind::kHann, wide);
       const auto complex_got = dsp::Periodogram::many_complex(
           baseband, lanes, 1.0e6, dsp::WindowKind::kHann, wide);
+      const auto real_reduced = dsp::Periodogram::reduced_real(
+          real, lanes, 1.0e6, in_band, dsp::WindowKind::kHann, wide);
+      const auto complex_reduced = dsp::Periodogram::reduced_complex(
+          baseband, lanes, 1.0e6, in_band, dsp::WindowKind::kHann, wide);
       for (std::size_t l = 0; l < lanes; ++l) {
         ASSERT_EQ(real_got[l].power(), real_ref[l].power())
             << lanes << ":" << l;
         ASSERT_EQ(complex_got[l].power(), complex_ref[l].power())
+            << lanes << ":" << l;
+        ASSERT_EQ(real_reduced[l], in_band(real_ref[l])) << lanes << ":" << l;
+        ASSERT_EQ(complex_reduced[l], in_band(complex_ref[l]))
             << lanes << ":" << l;
       }
     }
